@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/trace"
-	"repro/internal/world"
 )
 
 // OfflineOptions configures the pre-deployment trace evaluation (§3.1).
@@ -121,6 +120,12 @@ func (r *OfflineResult) AccelSeries() (times, accels []float64) {
 // using ground-truth futures (|T| = 1): the paper's pre-deployment
 // safety evaluator. The current processing latency l0 is taken from the
 // trace metadata (1/FPR).
+//
+// One EstimateScratch serves every evaluated instant: each actor's
+// recorded future is appended into it straight from the trace and the
+// shared estimateInto core runs on it, so beyond the result itself
+// (the Points slice and each point's two camera maps) the walk
+// allocates only while the scratch grows to its working size.
 func (e *Estimator) EvaluateTrace(tr *trace.Trace, opt OfflineOptions) (*OfflineResult, error) {
 	if tr.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
@@ -137,22 +142,32 @@ func (e *Estimator) EvaluateTrace(tr *trace.Trace, opt OfflineOptions) (*Offline
 		l0 = 1 / tr.Meta.FPR
 	}
 
+	rowEvery := int(math.Max(1, math.Round(opt.EvalEvery/math.Max(tr.Meta.Dt, 1e-6))))
+	cams := e.cameras()
 	res := &OfflineResult{
 		Scenario: tr.Meta.Scenario,
 		RunFPR:   tr.Meta.FPR,
-		Cameras:  e.cameras(),
+		Points:   make([]SeriesPoint, 0, (tr.Len()+rowEvery-1)/rowEvery),
+		Cameras:  cams,
 	}
 
-	rowEvery := int(math.Max(1, math.Round(opt.EvalEvery/math.Max(tr.Meta.Dt, 1e-6))))
+	var sc EstimateScratch
+	est := Estimate{CameraThreat: make(map[string]bool, len(cams))}
 	for i := 0; i < tr.Len(); i += rowEvery {
-		row := tr.Rows[i]
-		futures := make(map[string]world.Trajectory, len(row.Actors))
-		for _, a := range row.Actors {
-			if f, ok := tr.ActorFuture(a.ID, i, e.Params.Horizon, stride); ok {
-				futures[a.ID] = f
-			}
+		row := &tr.Rows[i]
+		sc.trajs = sc.trajs[:0]
+		sc.points = sc.points[:0]
+		sc.actorTraj = sc.actorTraj[:0]
+		for k := range row.Actors {
+			start := len(sc.trajs)
+			sc.trajs, sc.points = tr.AppendActorFuture(sc.trajs, sc.points, row.Actors[k].ID, i, e.Params.Horizon, stride)
+			sc.actorTraj = append(sc.actorTraj, [2]int{start, len(sc.trajs)})
 		}
-		est := e.EstimateSnapshot(row.Time, row.Ego, row.Actors, GroundTruthTrajs(futures), l0)
+		// Each point keeps its own camera maps; the threat map is
+		// scratch and is not part of the result.
+		est.CameraLatency = make(map[string]float64, len(cams))
+		est.CameraFPR = make(map[string]float64, len(cams))
+		e.estimateInto(&est, &sc, row.Time, row.Ego, row.Actors, l0)
 		res.Points = append(res.Points, SeriesPoint{
 			Time:     row.Time,
 			Latency:  est.CameraLatency,

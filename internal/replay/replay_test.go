@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -281,5 +282,67 @@ func TestAlarmsFromRealTrace(t *testing.T) {
 	}
 	if byFPR[30].MaxEstFPR <= 1 {
 		t.Errorf("MaxEstFPR = %v, want > 1", byFPR[30].MaxEstFPR)
+	}
+}
+
+// TestRunBoundsGoroutines replays a 64-entry store with two workers:
+// the goroutine count must stay within the worker bound however many
+// entries the store holds, and the summaries must equal a serial run's
+// in store-entry order.
+func TestRunBoundsGoroutines(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	for _, scn := range []string{"a", "b", "c", "d"} {
+		for _, fpr := range []float64{1, 2, 3, 5, 8, 10, 20, 30} {
+			for seed := int64(1); seed <= 2; seed++ {
+				res := syntheticResult(scn, fpr, seed, false)
+				if _, _, err := st.Put(scn, store.KeyFor(scn, fpr, seed), res); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if n := len(st.Entries()); n != 64 {
+		t.Fatalf("store holds %d entries, want 64", n)
+	}
+	serial, err := Run(context.Background(), st, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, slack = 2, 3
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		max := 0
+		for {
+			select {
+			case <-stop:
+				peak <- max
+				return
+			default:
+			}
+			if n := runtime.NumGoroutine(); n > max {
+				max = n
+			}
+			runtime.Gosched()
+		}
+	}()
+	runtime.Gosched()
+	base := runtime.NumGoroutine() // includes the sampler
+	rep, err := Run(context.Background(), st, Options{Workers: workers})
+	close(stop)
+	got := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > base+workers+slack {
+		t.Errorf("peak goroutines %d, want <= baseline %d + %d workers + %d", got, base, workers, slack)
+	}
+	if !reflect.DeepEqual(rep.Summaries, serial.Summaries) {
+		t.Error("two-worker summaries differ from the serial run's")
 	}
 }
