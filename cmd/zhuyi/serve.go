@@ -143,10 +143,26 @@ func serveCoordinator(addr, storeDir, replicas string, stall time.Duration, retr
 	return nil
 }
 
+// Connection timeouts of the HTTP server. readHeaderTimeout bounds how
+// long a client may take to send its request header, so slow or stalled
+// clients cannot hold connections open indefinitely; idleTimeout bounds
+// keep-alive connections between requests. There is deliberately no
+// write timeout: /v1/campaign and /v1/search stream NDJSON for as long
+// as a campaign runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the handler in the server both serve modes run.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serveUntilSignal serves the handler until SIGINT/SIGTERM, then
 // drains in-flight requests for up to the drain timeout.
 func serveUntilSignal(ln net.Listener, h http.Handler, drain time.Duration) error {
-	hs := &http.Server{Handler: h}
+	hs := newHTTPServer(h)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

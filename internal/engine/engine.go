@@ -43,17 +43,6 @@ type Runner func(Job) (*sim.Result, error)
 // a full trace and the job says so (fullForStore). Configure may still
 // override cfg.Record.
 func DefaultRunner(j Job) (*sim.Result, error) {
-	cfg := buildConfig(j)
-	if j.Configure != nil {
-		j.Configure(&cfg)
-	}
-	return sim.Run(cfg)
-}
-
-// buildConfig materializes the job's simulator configuration with the
-// engine's record-level policy applied (the Configure hook, if any, is
-// the caller's to run).
-func buildConfig(j Job) sim.Config {
 	cfg := j.Scenario.Build(j.FPR, j.Seed)
 	switch {
 	case j.fullForStore:
@@ -61,7 +50,10 @@ func buildConfig(j Job) sim.Config {
 	case j.Record > cfg.Record:
 		cfg.Record = j.Record // the engine's policy records less than the spec declares
 	}
-	return cfg
+	if j.Configure != nil {
+		j.Configure(&cfg)
+	}
+	return sim.Run(cfg)
 }
 
 // Options configures an Engine.
@@ -83,19 +75,6 @@ type Options struct {
 	// the point falls through to a fresh simulation and the error is
 	// counted in Stats.StoreErrors. nil disables the tier.
 	Store *store.Store
-	// Lockstep bounds how many same-point variants execute as a single
-	// sim.Batch. Under the default runner, RunBatch plans groups of up
-	// to Lockstep plain jobs (no Configure hook) at the same (scenario,
-	// seed) — typically the rates of a campaign's sweep — and a worker
-	// advances each group in lockstep, sharing ground truth, collision
-	// sweeps, and visibility until each variant's closed loop diverges.
-	// Workers additionally coalesce same-point jobs that happen to be
-	// queued together (cross-campaign traffic through Run). Results are
-	// bit-identical to independent runs (see sim.Batch). Seeds always
-	// differ across an MRF wave's jobs, so waves never group — grouping
-	// them would serialize independent points onto one worker. 0
-	// defaults to 8; negative disables lockstep batching.
-	Lockstep int
 	// Record is the trace recording level the engine runs its jobs at.
 	// The zero value is trace.LevelFull. Engines whose consumers only
 	// read summaries — the campaign server's NDJSON stream, MRF/rate
@@ -118,24 +97,17 @@ type Options struct {
 	Admission *admission.Gate
 }
 
-func (o Options) withDefaults() (Options, bool) {
+func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 2048
 	}
-	switch {
-	case o.Lockstep == 0:
-		o.Lockstep = 8
-	case o.Lockstep < 0:
-		o.Lockstep = 1
-	}
-	defaultRunner := o.Runner == nil
-	if defaultRunner {
+	if o.Runner == nil {
 		o.Runner = DefaultRunner
 	}
-	return o, defaultRunner
+	return o
 }
 
 // Job is one schedulable run: a (scenario, FPR, seed) point, optionally
@@ -260,9 +232,9 @@ type Stats struct {
 	// handed to the background store writer but not yet on disk. Zero
 	// after any Drain/RunBatch return.
 	ArchivePending int64
-	// LockstepGroups counts multi-variant sim.Batch executions;
-	// LockstepRuns counts the simulations they covered (each also in
-	// Executed).
+	// LockstepGroups and LockstepRuns always read 0: the engine runs
+	// every job as its own simulation. They remain only because the
+	// benchmark harness still reports them.
 	LockstepGroups int64
 	LockstepRuns   int64
 }
@@ -280,10 +252,6 @@ type task struct {
 	job        Job
 	ent        *entry
 	registered bool // ent lives in the cache map
-	// group marks a pre-planned lockstep batch: the task is a carrier
-	// for its member tasks (job/ent unused) and the worker executes the
-	// members as one sim.Batch.
-	group []*task
 }
 
 // Engine schedules runs onto a fixed worker pool and caches results.
@@ -292,10 +260,6 @@ type task struct {
 // daemon goroutines started on first use).
 type Engine struct {
 	opts Options
-	// defaultRunner records that no Runner was injected: only then may
-	// workers replicate the default runner's semantics across a
-	// lockstep batch.
-	defaultRunner bool
 
 	start sync.Once
 
@@ -324,14 +288,11 @@ type Engine struct {
 	archived     atomic.Int64
 	failures     atomic.Int64
 	storeErrs    atomic.Int64
-	lockGroups   atomic.Int64
-	lockRuns     atomic.Int64
 }
 
 // New builds an engine. Workers are started lazily on first submission.
 func New(opts Options) *Engine {
-	resolved, defaultRunner := opts.withDefaults()
-	e := &Engine{opts: resolved, defaultRunner: defaultRunner, cache: make(map[Key]*entry)}
+	e := &Engine{opts: opts.withDefaults(), cache: make(map[Key]*entry)}
 	e.cond = sync.NewCond(&e.mu)
 	e.diskSem = make(chan struct{}, e.opts.Workers)
 	if e.opts.Store != nil {
@@ -381,9 +342,6 @@ func (e *Engine) Stats() Stats {
 		ManifestHits: e.manifestHits.Load(),
 
 		ArchivePending: e.archivePending(),
-
-		LockstepGroups: e.lockGroups.Load(),
-		LockstepRuns:   e.lockRuns.Load(),
 	}
 }
 
@@ -408,85 +366,9 @@ func (e *Engine) worker() {
 		}
 		t := e.queue[0]
 		e.queue = e.queue[1:]
-		if t.group != nil {
-			e.mu.Unlock()
-			e.opts.Admission.Yield()
-			e.executeLockstep(t.group)
-			continue
-		}
-		group := e.claimLockstepLocked(t)
 		e.mu.Unlock()
 		e.opts.Admission.Yield()
-		if len(group) > 0 {
-			e.executeLockstep(append([]*task{t}, group...))
-		} else {
-			e.execute(t)
-		}
-	}
-}
-
-// claimLockstepLocked pulls up to Lockstep-1 queued companions of t —
-// same scenario and seed, no Configure hook — off the queue for
-// lockstep execution. Only plain-shaped jobs under the default runner
-// qualify: a Configure hook can change the run arbitrarily, and an
-// injected runner's semantics cannot be replicated by sim.Batch.
-// Called with e.mu held.
-func (e *Engine) claimLockstepLocked(t *task) []*task {
-	if !e.defaultRunner || e.opts.Lockstep <= 1 || t.job.Configure != nil {
-		return nil
-	}
-	var group []*task
-	kept := e.queue[:0]
-	for _, c := range e.queue {
-		if len(group) < e.opts.Lockstep-1 && c.group == nil && c.job.Configure == nil &&
-			c.job.Scenario.Name == t.job.Scenario.Name && c.job.Seed == t.job.Seed {
-			group = append(group, c)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	e.queue = kept
-	return group
-}
-
-// executeLockstep runs a claimed group as one sim.Batch, replicating
-// the default runner per member (configuration build, archive hook,
-// counters). Cancelled members are finished with their context error;
-// a batch-construction failure falls back to independent execution.
-func (e *Engine) executeLockstep(group []*task) {
-	live := group[:0]
-	for _, t := range group {
-		if err := t.ctx.Err(); err != nil {
-			e.finish(t, nil, err)
-		} else {
-			live = append(live, t)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	if len(live) == 1 {
-		e.execute(live[0])
-		return
-	}
-	cfgs := make([]sim.Config, len(live))
-	for i, t := range live {
-		cfgs[i] = buildConfig(t.job)
-	}
-	b, err := sim.NewBatch(cfgs)
-	if err != nil {
-		for _, t := range live {
-			e.execute(t)
-		}
-		return
-	}
-	results := b.Run()
-	e.lockGroups.Add(1)
-	e.lockRuns.Add(int64(len(live)))
-	for i, t := range live {
-		e.executed.Add(1)
-		e.enqueueArchive(t.job, results[i])
-		e.finish(t, results[i], nil)
+		e.execute(t)
 	}
 }
 
@@ -497,12 +379,6 @@ func (e *Engine) enqueue(t *task) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		if t.group != nil {
-			for _, m := range t.group {
-				e.finish(m, nil, ErrClosed)
-			}
-			return
-		}
 		e.finish(t, nil, ErrClosed)
 		return
 	}
@@ -823,30 +699,8 @@ func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, fn func(i int, o 
 		}
 	}
 
-	// A campaign sees all of its jobs at once, so same-point rate sweeps
-	// are grouped for lockstep execution here, at submission — the
-	// worker-side claim can only coalesce jobs that happen to be queued
-	// together, which scheduling never guarantees.
-	groups := e.planLockstep(jobs)
-	inGroup := make([]bool, len(jobs))
-	for _, g := range groups {
-		for _, i := range g {
-			inGroup[i] = true
-		}
-	}
-
 	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g []int) {
-			defer wg.Done()
-			e.runGroup(bctx, g, jobs, deliver)
-		}(g)
-	}
 	for i, j := range jobs {
-		if inGroup[i] {
-			continue
-		}
 		wg.Add(1)
 		go func(i int, j Job) {
 			defer wg.Done()
@@ -888,115 +742,4 @@ func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, fn func(i int, o 
 		return br, err
 	}
 	return br, nil
-}
-
-// planLockstep partitions a campaign's plain jobs (no Configure hook)
-// into lockstep groups of 2..Lockstep at the same (scenario, seed)
-// point — the rate sweeps of Table-1-shaped campaigns. Singletons and
-// hooked jobs are left to the ordinary per-job path. Only meaningful
-// under the default runner: an injected runner's semantics cannot be
-// replicated by sim.Batch.
-func (e *Engine) planLockstep(jobs []Job) [][]int {
-	if !e.defaultRunner || e.opts.Lockstep <= 1 {
-		return nil
-	}
-	type point struct {
-		name string
-		seed int64
-	}
-	var order []point
-	byPoint := make(map[point][]int)
-	for i, j := range jobs {
-		if j.Configure != nil {
-			continue
-		}
-		p := point{j.Scenario.Name, j.Seed}
-		if byPoint[p] == nil {
-			order = append(order, p)
-		}
-		byPoint[p] = append(byPoint[p], i)
-	}
-	var groups [][]int
-	for _, p := range order {
-		g := byPoint[p]
-		for len(g) >= 2 {
-			n := len(g)
-			if n > e.opts.Lockstep {
-				n = e.opts.Lockstep
-			}
-			groups = append(groups, g[:n])
-			g = g[n:]
-		}
-	}
-	return groups
-}
-
-// runGroup schedules one planned lockstep group: each member claims its
-// cache slot (jobs answered by the memory or disk tier, or already in
-// flight elsewhere, drop out of the group), and the remaining members
-// are enqueued as a single carrier task the worker executes as one
-// sim.Batch. Outcomes flow through deliver exactly as on the per-job
-// path.
-func (e *Engine) runGroup(ctx context.Context, idxs []int, jobs []Job, deliver func(i int, o Outcome)) {
-	e.startWorkers()
-	type member struct {
-		i int
-		t *task
-	}
-	var members []member
-	var joins sync.WaitGroup
-	for _, i := range idxs {
-		job := jobs[i]
-		job.Record, job.fullForStore = e.effectiveLevel(job)
-		if !job.NoCache && e.opts.CacheSize > 0 {
-			key := job.key()
-			e.mu.Lock()
-			if _, inFlight := e.cache[key]; inFlight {
-				e.mu.Unlock()
-				// Someone else owns the point (a duplicate in this very
-				// campaign, or a concurrent caller): join it through the
-				// ordinary path, off the group.
-				joins.Add(1)
-				go func(i int, job Job) {
-					defer joins.Done()
-					deliver(i, e.RunJob(ctx, job))
-				}(i, jobs[i])
-				continue
-			}
-			ent := &entry{done: make(chan struct{})}
-			e.cache[key] = ent
-			e.order = append(e.order, key)
-			e.evictLocked()
-			e.mu.Unlock()
-			if res, hit := e.storeLookup(job); hit {
-				ent.res = res
-				close(ent.done)
-				deliver(i, Outcome{Job: job, Result: res, Source: SourceDisk, Cached: true})
-				continue
-			}
-			members = append(members, member{i, &task{ctx: ctx, job: job, ent: ent, registered: true}})
-			continue
-		}
-		if res, hit := e.storeLookup(job); hit {
-			deliver(i, Outcome{Job: job, Result: res, Source: SourceDisk, Cached: true})
-			continue
-		}
-		members = append(members, member{i, &task{ctx: ctx, job: job, ent: &entry{done: make(chan struct{})}}})
-	}
-	switch len(members) {
-	case 0:
-	case 1:
-		e.enqueue(members[0].t)
-	default:
-		carrier := make([]*task, len(members))
-		for k, m := range members {
-			carrier[k] = m.t
-		}
-		e.enqueue(&task{ctx: ctx, group: carrier})
-	}
-	for _, m := range members {
-		<-m.t.ent.done
-		deliver(m.i, Outcome{Job: m.t.job, Result: m.t.ent.res, Source: SourceFresh, Err: m.t.ent.err})
-	}
-	joins.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -428,5 +429,43 @@ func TestRunJobReportsSource(t *testing.T) {
 	}
 	if o := e.RunJob(context.Background(), j); o.Source != SourceMemory || !o.Cached {
 		t.Errorf("second run: source %v cached %v, want memory", o.Source, o.Cached)
+	}
+}
+
+// TestRunBatchDefaultRunnerWorkerInvariant runs a Table-1-shaped rate
+// sweep — many rates at one (scenario, seed) point — through the real
+// simulator at one and at four workers: the summaries must not depend
+// on how the pool scheduled the points.
+func TestRunBatchDefaultRunnerWorkerInvariant(t *testing.T) {
+	sc, ok := scenario.ByName(scenario.CutOut)
+	if !ok {
+		t.Fatal("cut-out not registered")
+	}
+	var jobs []Job
+	for _, fpr := range []float64{30, 20, 15, 10, 7, 5, 3, 2, 1} {
+		jobs = append(jobs, Job{Scenario: sc, FPR: fpr, Seed: 4})
+	}
+	run := func(workers int) *BatchResult {
+		e := New(Options{Workers: workers, Record: trace.LevelSummary})
+		defer e.Close()
+		br, err := e.RunBatch(context.Background(), jobs)
+		if err != nil {
+			t.Fatalf("RunBatch(workers=%d): %v", workers, err)
+		}
+		return br
+	}
+	one, four := run(1), run(4)
+	for i := range one.Outcomes {
+		a, b := one.Outcomes[i], four.Outcomes[i]
+		if a.Err != nil || b.Err != nil {
+			t.Fatalf("job %d: errs %v / %v", i, a.Err, b.Err)
+		}
+		if !reflect.DeepEqual(a.Result.Collision, b.Result.Collision) ||
+			a.Result.MinBumperGap != b.Result.MinBumperGap ||
+			a.Result.EgoStopped != b.Result.EgoStopped ||
+			!reflect.DeepEqual(a.Result.FramesProcessed, b.Result.FramesProcessed) {
+			t.Errorf("job %d (fpr %g): 1 worker %+v, 4 workers %+v",
+				i, a.Job.FPR, a.Result, b.Result)
+		}
 	}
 }

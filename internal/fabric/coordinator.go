@@ -12,8 +12,7 @@
 // manifest summary alone, no replica contacted, no artifact decoded.
 // Only cold points fan out, partitioned by consistent hashing on the
 // scenario spec fingerprint (Ring) so all rate/seed variants of one
-// scenario land on the same replica's warm memory cache and lockstep
-// batches.
+// scenario land on the same replica's warm memory cache.
 //
 // Replica death is absorbed, not propagated: a failed or stalled
 // delegation marks the replica unhealthy and re-partitions its

@@ -10,8 +10,8 @@ import (
 // ring.go: the consistent-hash ring that partitions campaign points
 // across replicas. Points hash by scenario spec fingerprint — not by
 // (fingerprint, FPR, seed) — so every rate/seed variant of one
-// scenario lands on the same replica, whose memory cache and lockstep
-// batching thrive on exactly that locality. Virtual nodes smooth the
+// scenario lands on the same replica, whose memory cache thrives on
+// exactly that locality. Virtual nodes smooth the
 // partition; the ring is immutable once built (replica death is
 // handled by walking the point's replica sequence, not by resizing).
 

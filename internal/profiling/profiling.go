@@ -2,7 +2,7 @@
 // flag pair: -cpuprofile streams a CPU profile over the whole command
 // and -memprofile snapshots the heap on exit. The hot closed-loop
 // paths (engine campaigns, the experiment sweeps) can then be profiled
-// exactly as deployed — worker pools, store tiers, lockstep batching —
+// exactly as deployed — worker pools, store tiers, the async archiver —
 // rather than only through the Go test benchmarks.
 //
 // Usage:

@@ -89,8 +89,7 @@ func NewRigCones(rig Rig) *RigCones {
 func (rc *RigCones) Rig() Rig { return rc.rig }
 
 // Update rotates the camera axes to the given ego pose. It memoizes
-// on pose equality, so all cameras — and, under lockstep batching, all
-// variants sharing the instant — pay one SinCos per step.
+// on pose equality, so all cameras pay one SinCos per step.
 func (rc *RigCones) Update(ego geom.Pose) {
 	if rc.haveEgo && rc.ego == ego {
 		return
@@ -216,8 +215,7 @@ func (rc *RigCones) seesSamples(ci int, cx, cy, sin, cos, length float64, corner
 // OcclusionCache memoizes per-actor occlusion for one instant.
 // Occlusion is camera-independent — a function of the ego position and
 // the ground-truth scene — so one computation serves every camera of
-// the rig (and, under lockstep batching, every variant sharing the
-// instant).
+// the rig.
 type OcclusionCache struct {
 	state []int8 // 0 unknown, 1 occluded, 2 clear
 }

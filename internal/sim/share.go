@@ -15,19 +15,13 @@ import (
 // results, the updated camera cone table, the occlusion memo, and the
 // per-camera visibility index lists. Everything in it is a pure
 // function of the instant's kinematic state and the static scenario
-// geometry — not of any variant-specific state (perception noise,
-// planner decisions, camera schedules) — so under lockstep batching a
-// group of variants whose states are bitwise equal shares one
-// stepShare and pays for each derived quantity once.
-//
-// A solo Simulation owns a private stepShare and flows through exactly
-// the same code path; "shared" is just more readers per compute.
+// geometry. Each quantity is derived on first demand within a step and
+// read by every later stage that needs it — the cameras due at one
+// instant share one cone update and one occlusion memo.
 type stepShare struct {
-	step int // step index the share is valid for; -1 before step 0
-
 	groundOK bool
 	frame    *world.Frame
-	egoAgent world.Agent // ego ground truth; Accel is overwritten per variant
+	egoAgent world.Agent // ego ground truth; the Simulation's copy carries the applied Accel
 
 	collOK    bool
 	collided  bool
@@ -60,7 +54,6 @@ type stepShare struct {
 
 func newStepShare(rig sensor.Rig, nActors int) *stepShare {
 	sh := &stepShare{
-		step:      -1,
 		frame:     world.NewFrame(nActors),
 		cones:     sensor.NewRigCones(rig),
 		vis:       make([][]int, len(rig)),
@@ -74,11 +67,8 @@ func newStepShare(rig sensor.Rig, nActors int) *stepShare {
 	return sh
 }
 
-// beginStep invalidates every memo for a new instant. The first
-// simulation of a lockstep group to reach the instant calls it; the
-// rest see a matching step index and reuse.
-func (sh *stepShare) beginStep(step, nActors int) {
-	sh.step = step
+// beginStep invalidates every per-instant memo for a new step.
+func (sh *stepShare) beginStep(nActors int) {
 	sh.groundOK = false
 	sh.collOK = false
 	sh.gapOK = false
@@ -90,7 +80,7 @@ func (sh *stepShare) beginStep(step, nActors int) {
 	sh.occ.Reset(nActors)
 }
 
-// ensureGround materializes the shared ground truth from s's state.
+// ensureGround materializes the instant's ground truth from s's state.
 func (sh *stepShare) ensureGround(s *Simulation) {
 	if sh.groundOK {
 		return
@@ -158,9 +148,9 @@ func (sh *stepShare) ensureCollision(egoDiag float64) {
 
 // ensureMinGap computes this instant's closest-approach candidate: the
 // minimum bumper gap over the actors within the ego's lateral
-// corridor, exactly as the per-variant running-minimum update used to
-// accumulate it (min is associative, so folding the per-instant
-// minimum into the running minimum is bit-identical).
+// corridor (min is associative, so folding this per-instant minimum
+// into the run's running minimum is bit-identical to a per-actor
+// update).
 //
 // The road projection is skipped for actors whose own lane-relative
 // state puts them far outside the corridor: each actor was posed at
@@ -201,7 +191,7 @@ func (sh *stepShare) ensureMinGap(s *Simulation) {
 }
 
 // ensureCones updates the cone table to this instant's ego pose (one
-// shared SinCos for the whole rig and every variant).
+// shared SinCos for the whole rig).
 func (sh *stepShare) ensureCones() *sensor.RigCones {
 	if !sh.conesOK {
 		sh.cones.Update(sh.egoAgent.Pose)
@@ -211,9 +201,8 @@ func (sh *stepShare) ensureCones() *sensor.RigCones {
 }
 
 // visibleIdx returns the frame indices camera ci sees this instant,
-// computing them on first demand. Variants at different operating
-// rates process frames at different instants, so each camera's list
-// materializes only when some variant's schedule makes it due.
+// computing them on first demand: each camera's list materializes
+// only at the instants its frame schedule makes it due.
 func (sh *stepShare) visibleIdx(ci int) []int {
 	if !sh.visOK[ci] {
 		rc := sh.ensureCones()
@@ -223,8 +212,7 @@ func (sh *stepShare) visibleIdx(ci int) []int {
 	return sh.vis[ci]
 }
 
-// collision materializes the shared sweep result as a trace record for
-// one variant.
+// collision materializes the sweep result as a trace record.
 func (sh *stepShare) collision(t float64) *trace.Collision {
 	if !sh.collided {
 		return nil

@@ -60,9 +60,8 @@ func StageNames() []string {
 //
 // The ground-truth scene and everything derived from it alone (the
 // collision sweep, the min-gap candidate, camera cones, occlusion,
-// per-camera visibility) live in a stepShare: a solo run owns a
-// private one; a lockstep Batch points every state-identical variant
-// at the leader's, so the group pays for the shared work once.
+// per-camera visibility) live in a stepShare that every stage of the
+// step reads from.
 //
 // A Simulation is single-goroutine; the engine provides concurrency
 // across runs, not within one.
@@ -96,11 +95,9 @@ type Simulation struct {
 	done           bool
 	nextRateUpdate float64
 
-	// own is this simulation's private step context; sh is the one in
-	// use — own when running solo or leading a lockstep group, the
-	// leader's while following one.
-	own *stepShare
-	sh  *stepShare
+	// sh is the step's compute-once context, reset by the ground-truth
+	// stage at every step.
+	sh *stepShare
 
 	// Per-step working state, valid between stages of the current step.
 	t          float64
@@ -153,8 +150,7 @@ func New(cfg Config) (*Simulation, error) {
 	for ci := range cfg.Rig {
 		s.rateVals[ci] = cfg.FPR
 	}
-	s.own = newStepShare(cfg.Rig, len(cfg.Actors))
-	s.sh = s.own
+	s.sh = newStepShare(cfg.Rig, len(cfg.Actors))
 
 	if cfg.Record != trace.LevelOff {
 		s.tr = &trace.Trace{Meta: trace.Meta{
@@ -266,15 +262,12 @@ func (s *Simulation) ratesMap() map[string]float64 {
 	return m
 }
 
-// stageGroundTruth materializes the ground-truth scene for this
-// instant — through the step share, so lockstep variants scatter the
-// agents once — and derives the ego agent carrying the previously
-// applied acceleration.
+// stageGroundTruth resets the step share, materializes the ground-truth
+// scene for this instant into it, and derives the ego agent carrying
+// the previously applied acceleration.
 func (s *Simulation) stageGroundTruth() {
 	sh := s.sh
-	if sh.step != s.step {
-		sh.beginStep(s.step, len(s.actors))
-	}
+	sh.beginStep(len(s.actors))
 	sh.ensureGround(s)
 	s.egoAgent = sh.egoAgent
 	s.egoAgent.Accel = s.appliedAccel
@@ -314,8 +307,8 @@ func (s *Simulation) stageCollision() {
 
 // stageCameras processes every camera frame due at this instant and
 // advances each camera's schedule by its current operating rate. The
-// visible-actor index list comes from the step share: cameras due at
-// the same instant for several lockstep variants compute it once.
+// cone table and occlusion memo come from the step share, so the
+// cameras due at one instant update the cones once.
 func (s *Simulation) stageCameras() {
 	sh := s.sh
 	for ci := range s.cfg.Rig {

@@ -132,7 +132,7 @@ cat > "$out" <<JSON
   },
   "notes": [
     "legacy_loop is the frozen pre-refactor sim.Run (golden_equiv_test.go), i.e. the throughput campaigns had before the steppable-core refactor; it runs on today's subsystem code, so the comparison isolates the loop structure, recording level, and allocation diet.",
-    "campaign_summary_vs_pr5 compares against the frozen PR-5 number above, so it measures the closed-loop compute diet alone: SoA scatter memos, precompiled centerlines, copy-free call boundaries, lockstep batching.",
+    "campaign_summary_vs_pr5 compares against the frozen PR-5 number above, so on that number's CPU it measures the closed-loop compute diet alone (SoA scatter memos, precompiled centerlines, copy-free call boundaries); on any other CPU it also carries the speed difference between the two hosts.",
     "gates use the min over repetitions: scheduler noise only ever adds time, so the min is the reproducible estimate of intrinsic cost; the _mean fields expose the spread.",
     "docs/benchmarks.md explains every series; regenerate with scripts/bench_sim.sh."
   ]

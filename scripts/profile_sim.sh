@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Capture CPU and heap profiles of the closed-loop campaign hot path
-# through the real CLI (worker pool, engine scheduling, lockstep
-# batching — not just the Go benchmarks). Writes the binary next to
+# through the real CLI (worker pool, engine scheduling, cache tiers —
+# not just the Go benchmarks). Writes the binary next to
 # the profiles so `go tool pprof` can symbolize without guessing.
 #
 # Usage: scripts/profile_sim.sh [outdir]           (default /tmp/zhuyi-prof)
