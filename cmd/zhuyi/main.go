@@ -13,7 +13,6 @@
 //	zhuyi replay -store DIR                  re-evaluate archived traces (no simulation)
 //	zhuyi diff -store DIR                    diff a replay against recorded baselines
 //	zhuyi store migrate -store DIR -to zyt   rewrite archived trace objects between formats
-//	zhuyi store index -store DIR             rebuild the manifest sidecar index
 //	zhuyi campaign -fprs 5,30 -seeds 3       batch of seeded runs, local or -server URL
 //	zhuyi serve -addr :8080 -store DIR       the HTTP campaign service (see docs/api.md)
 //

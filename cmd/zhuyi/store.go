@@ -43,15 +43,13 @@ func engineOptions(storeDir string, workers int, record trace.Level) (engine.Opt
 // cmdStore dispatches the store-maintenance subcommands.
 func cmdStore(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: zhuyi store <migrate|index> [flags]")
+		return fmt.Errorf("usage: zhuyi store migrate [flags]")
 	}
 	switch args[0] {
 	case "migrate":
 		return cmdStoreMigrate(args[1:])
-	case "index":
-		return cmdStoreIndex(args[1:])
 	default:
-		return fmt.Errorf("unknown store subcommand %q (migrate, index)", args[0])
+		return fmt.Errorf("unknown store subcommand %q (migrate)", args[0])
 	}
 }
 
@@ -83,27 +81,6 @@ func cmdStoreMigrate(args []string) error {
 	}
 	fmt.Printf("migrated %s to %s: %d objects scanned, %d rewritten, %d already current (%d -> %d bytes)\n",
 		*dir, target, stats.Scanned, stats.Rewritten, stats.Skipped, stats.BytesIn, stats.BytesOut)
-	return nil
-}
-
-// cmdStoreIndex rebuilds the manifest sidecar index so the next Open
-// skips the full JSONL parse.
-func cmdStoreIndex(args []string) error {
-	fs := flag.NewFlagSet("store index", flag.ExitOnError)
-	dir := fs.String("store", "", "store directory (required)")
-	fs.Parse(args)
-	if *dir == "" {
-		return fmt.Errorf("store index: -store is required")
-	}
-	st, err := store.Open(*dir)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	if err := st.RebuildSidecar(); err != nil {
-		return err
-	}
-	fmt.Printf("sidecar index rebuilt: %d entries in %s\n", st.Len(), *dir)
 	return nil
 }
 

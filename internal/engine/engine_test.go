@@ -140,11 +140,15 @@ func TestCancellationMidCampaign(t *testing.T) {
 // TestFirstErrorPropagation: one failing job cancels the unstarted rest
 // while the joined error names every real failure.
 func TestFirstErrorPropagation(t *testing.T) {
+	// RunBatch enqueues each job from its own goroutine, so queue order
+	// is not submission order: fail whichever job runs first, which
+	// leaves the rest of the batch still to be skipped.
+	var started atomic.Int64
 	fr := &fakeRunner{
 		delay: 5 * time.Millisecond,
 		fail: func(j Job) error {
-			if j.FPR == 1 && j.Seed == 1 {
-				return fmt.Errorf("boom at seed %d", j.Seed)
+			if started.Add(1) == 1 {
+				return fmt.Errorf("boom at fpr %g seed %d", j.FPR, j.Seed)
 			}
 			return nil
 		},
@@ -153,7 +157,7 @@ func TestFirstErrorPropagation(t *testing.T) {
 	jobs := gridJobs(fakeScenario("s"), []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 3)
 
 	br, err := e.RunBatch(context.Background(), jobs)
-	if err == nil || !strings.Contains(err.Error(), "boom at seed 1") {
+	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("batch error = %v", err)
 	}
 	if br.Stats.Failures != 1 {

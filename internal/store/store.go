@@ -11,7 +11,6 @@
 // A store is a directory:
 //
 //	<dir>/manifest.jsonl           append-only index, one JSON entry per line
-//	<dir>/manifest.idx             binary sidecar index (rebuilt if stale)
 //	<dir>/objects/<aa>/<hash>.zyt        binary columnar trace artifacts
 //	<dir>/objects/<aa>/<hash>.jsonl.gz   legacy gzip JSONL trace artifacts
 //
@@ -27,11 +26,9 @@
 // in place. The manifest maps a Key — scenario spec fingerprint, FPR,
 // seed, simulator version — to its artifact hash plus the run summary
 // needed to reconstruct a sim.Result without re-simulating (collision,
-// frames processed, min bumper gap, ego stopped). manifest.idx caches
-// the parsed manifest so reopening a large store skips the JSONL
-// re-parse; it is validated by byte offset + content fingerprint and
-// silently rebuilt whenever it does not exactly describe a prefix of
-// the manifest.
+// frames processed, min bumper gap, ego stopped). The manifest is the
+// only index: Open streams it into memory, and later appends by other
+// processes are picked up from its tail.
 //
 // Keying on the spec fingerprint rather than the scenario name means a
 // renamed scenario keeps its artifacts while any parameter edit — or a
@@ -173,16 +170,14 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Close persists the sidecar index (best-effort — the manifest remains
-// the source of truth) and releases the manifest handle. Reads of
-// already-loaded entries keep working; Put fails after Close.
+// Close releases the manifest handle. Reads of already-loaded entries
+// keep working; Put fails after Close.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.manifest == nil {
 		return nil
 	}
-	s.writeSidecarLocked()
 	err := s.manifest.Close()
 	s.manifest = nil
 	return err
@@ -192,8 +187,6 @@ func (s *Store) Close() error {
 func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.jsonl") }
-
-func (s *Store) sidecarPath() string { return filepath.Join(s.dir, "manifest.idx") }
 
 // Object format extensions: extZYT is the current binary columnar
 // format; extJSONL is the legacy gzip-JSONL format, readable forever.
@@ -234,11 +227,9 @@ func (s *Store) locateObject(hash string) (path string, legacy bool, err error) 
 	return "", false, fmt.Errorf("store: artifact %s: %w", hash, os.ErrNotExist)
 }
 
-// loadManifest populates the index at Open: the sidecar index is
-// adopted when it verifiably describes a prefix of the manifest (one
-// binary read instead of a JSONL re-parse), then the manifest is
-// streamed line-by-line from the first uncovered byte — never slurped
-// whole, so opening a large store doesn't spike memory.
+// loadManifest populates the index at Open by streaming the manifest
+// line by line — never slurped whole, so opening a large store doesn't
+// spike memory.
 func (s *Store) loadManifest() error {
 	f, err := os.Open(s.manifestPath())
 	if os.IsNotExist(err) {
@@ -248,12 +239,6 @@ func (s *Store) loadManifest() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	s.loadSidecarLocked(f)
-	if s.loaded > 0 {
-		if _, err := f.Seek(s.loaded, io.SeekStart); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
 	return s.ingestReaderLocked(f)
 }
 

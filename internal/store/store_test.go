@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -185,6 +186,86 @@ func TestReopenAndEntriesOrder(t *testing.T) {
 			t.Errorf("Entries not sorted: %s/%d before %s/%d", a.Scenario, a.Key.Seed, b.Scenario, b.Key.Seed)
 		}
 	}
+}
+
+// TestSidecarStaleAndCorruptFallsBack: stores written by earlier
+// versions may hold a manifest.idx sidecar beside the manifest. Open
+// reads only the manifest, so a leftover sidecar — garbage, truncated,
+// stale or describing a longer manifest — never changes what it returns.
+// testdata/sidecar-store is one such store: its manifest.idx is a valid
+// ZYI1 index of four keys recorded at a different time from dir's.
+func TestSidecarStaleAndCorruptFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scn := range []string{"b-scn", "a-scn"} {
+		for seed := int64(2); seed >= 1; seed-- {
+			if _, _, err := st.Put(scn, key(scn, 10, seed), syntheticResult(scn, 10, seed, 30, seed == 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fixture := filepath.Join("testdata", "sidecar-store")
+	staleIdx, err := os.ReadFile(filepath.Join(fixture, "manifest.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtureDir := t.TempDir()
+	if err := os.CopyFS(fixtureDir, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		dir  string
+		idx  []byte
+	}{
+		{"garbage sidecar", dir, []byte("not a sidecar index")},
+		{"truncated sidecar", dir, staleIdx[:len(staleIdx)/2]},
+		{"stale ZYI1 sidecar", dir, staleIdx},
+		{"ZYI1 sidecar of its own store", fixtureDir, staleIdx},
+		{"magic-only sidecar, empty store", t.TempDir(), []byte("ZYI1")},
+	} {
+		if err := os.WriteFile(filepath.Join(tc.dir, "manifest.idx"), tc.idx, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(tc.dir)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := map[Key]Entry{}
+		for _, e := range st.Entries() {
+			got[e.Key] = e
+		}
+		st.Close()
+		if want := manifestEntries(t, tc.dir); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Open returned %d entries that differ from the manifest's %d", tc.name, len(got), len(want))
+		}
+	}
+}
+
+// manifestEntries parses dir's manifest.jsonl directly, later lines
+// superseding earlier ones for the same key.
+func manifestEntries(t *testing.T, dir string) map[Key]Entry {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.jsonl"))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	out := map[Key]Entry{}
+	for _, line := range splitNonEmptyLines(data) {
+		var e Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		out[e.Key] = e
+	}
+	return out
 }
 
 func TestTornManifestTailTolerated(t *testing.T) {
