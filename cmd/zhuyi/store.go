@@ -55,9 +55,9 @@ func cmdStore(args []string) error {
 
 // cmdStoreMigrate rewrites every archived trace object to the target
 // on-disk format in place: each object is decoded, verified against
-// its content hash, rewritten through a temp file, fsynced, and
-// renamed — a crash mid-migration leaves every object readable in one
-// format or the other, never half-written.
+// its address under either hash scheme, rewritten through a temp
+// file, fsynced, and renamed — a crash mid-migration leaves every
+// object readable in one format or the other, never half-written.
 func cmdStoreMigrate(args []string) error {
 	fs := flag.NewFlagSet("store migrate", flag.ExitOnError)
 	dir := fs.String("store", "", "store directory (required)")

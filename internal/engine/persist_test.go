@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -221,5 +223,61 @@ func TestPersistentTierConcurrentEngines(t *testing.T) {
 				t.Fatalf("engine %d outcome %d differs", i, k)
 			}
 		}
+	}
+}
+
+// TestArchiveRenameFailureIsCounted: a store whose object rename fails
+// costs the run nothing. The point's address comes from a sibling store
+// (runs are deterministic); a regular file planted at objects/<aa> in
+// the target store makes the rename fail once the object is fully
+// written. The engine counts one store error, archives nothing, and
+// returns the result a store-less engine returns.
+func TestArchiveRenameFailureIsCounted(t *testing.T) {
+	sc, ok := scenario.Lookup(scenario.CutOut)
+	if !ok {
+		t.Fatal("cut-out not registered")
+	}
+	job := Job{Scenario: sc, FPR: 30, Seed: 1}
+	ctx := context.Background()
+
+	sibling := openStore(t)
+	rec := New(Options{Workers: 1, Store: sibling})
+	defer rec.Close()
+	if _, err := rec.Run(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	rec.Drain()
+	ent, ok := sibling.Lookup(store.KeyForScenario(sc, job.FPR, job.Seed))
+	if !ok {
+		t.Fatal("sibling store did not archive the point")
+	}
+
+	st := openStore(t)
+	planted := filepath.Join(st.Dir(), "objects", ent.Artifact[:2])
+	if err := os.WriteFile(planted, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 1, Store: st})
+	defer e.Close()
+	got, err := e.Run(ctx, job)
+	if err != nil {
+		t.Fatalf("run failed with the store: %v", err)
+	}
+	e.Drain()
+	if s := e.Stats(); s.StoreErrors != 1 || s.Archived != 0 {
+		t.Errorf("engine stats = %+v, want 1 store error and nothing archived", s)
+	}
+	if st.Len() != 0 {
+		t.Errorf("store holds %d entries after a failed archive, want 0", st.Len())
+	}
+
+	plain := New(Options{Workers: 1})
+	defer plain.Close()
+	want, err := plain.Run(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("result with a failing store differs from a store-less run")
 	}
 }

@@ -342,6 +342,7 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	// Warm tier: answer archived points from the shared manifest alone.
+	c.refreshManifest()
 	for i, pt := range req.Points {
 		if ent, ok := c.eng.Peek(engine.Job{Scenario: plan.scs[i], FPR: pt.FPR, Seed: pt.Seed}); ok {
 			pr := pointResultFromEntry(i, pt, ent)
@@ -508,6 +509,7 @@ func (c *Coordinator) handleMRF(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "mrf search of %d seeds x %d rates exceeds the %d-point limit", seeds, len(fprs), c.maxPts)
 		return
 	}
+	c.refreshManifest()
 	m, err := metrics.FindMRFContext(r.Context(), c.eng, sc, fprs, seeds)
 	if err == nil {
 		writeJSON(w, http.StatusOK, server.MRFResponseFor(m, fprs))
@@ -519,6 +521,16 @@ func (c *Coordinator) handleMRF(w http.ResponseWriter, r *http.Request) {
 	}
 	c.proxied.Add(1)
 	c.proxyMRF(w, r, c.ring.Owner(c.reg.Fingerprint(name)))
+}
+
+// refreshManifest reads the shared manifest's tail before a request's
+// warm-tier lookups. Without it those lookups ride the store's miss-path
+// debounce, and a replica archive that landed within one debounce window
+// of the previous request's miss would be proxied again.
+func (c *Coordinator) refreshManifest() {
+	if c.st != nil {
+		c.st.Refresh()
+	}
 }
 
 // proxyMRF forwards the MRF request verbatim to a replica and copies

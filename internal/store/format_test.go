@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,6 +108,44 @@ func TestPropertyFormatsEveryScenarioEveryLevel(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, res) {
 			t.Errorf("JSONL-migrated result differs from fresh simulation for %+v", k)
+		}
+	}
+}
+
+// TestZYTCanonicalEveryScenario: new objects are addressed by their
+// ZYT1 bytes, so the encoding must be canonical over real runs of every
+// paper scenario and ODD variant. Encoding a trace twice gives equal
+// bytes, and re-encoding the decoded trace reproduces them.
+func TestZYTCanonicalEveryScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every scenario and variant through the simulator")
+	}
+	for _, sc := range scenario.AllWithVariants() {
+		cfg := sc.Build(10, 1)
+		cfg.Record = trace.LevelFull
+		res, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		var first, second, again bytes.Buffer
+		if err := res.Trace.WriteZYT(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Trace.WriteZYT(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: two encodings of one trace differ", sc.Name)
+		}
+		decoded, err := trace.ReadZYT(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if err := decoded.WriteZYT(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Errorf("%s: re-encoding the decoded trace changed its bytes", sc.Name)
 		}
 	}
 }

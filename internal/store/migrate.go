@@ -2,8 +2,6 @@ package store
 
 import (
 	"compress/gzip"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,8 +56,8 @@ type MigrateStats struct {
 // probe both), and a decode or hash mismatch skips the object with an
 // error rather than destroying the only good copy. Migrate walks the
 // objects directory rather than the manifest, so shared and orphaned
-// objects convert too; manifest entries are untouched (content
-// addresses are format-independent).
+// objects convert too; manifest entries are untouched (an object keeps
+// its address, whichever hash scheme produced it, in either format).
 func (s *Store) Migrate(target Format) (MigrateStats, error) {
 	var st MigrateStats
 	root := filepath.Join(s.dir, "objects")
@@ -109,16 +107,13 @@ func (s *Store) convertObject(srcPath, hash string, from, target Format) (int64,
 	if err != nil {
 		return 0, fmt.Errorf("store: migrate %s: %w", hash, err)
 	}
-	// The content address is the SHA-256 of the canonical JSONL
-	// serialization; verify before touching anything so a bit-rotted
-	// source or an encoder bug never installs a mislabeled object.
-	var canon strings.Builder
-	if err := tr.Write(&canon); err != nil {
+	// Verify before touching anything so a bit-rotted source or an
+	// encoder bug never installs a mislabeled object. Migrate walks
+	// objects, not the manifest, so it does not know which scheme
+	// addressed this one: the decoded trace must hash to its address
+	// under either.
+	if err := verifyAddress(tr, hash); err != nil {
 		return 0, fmt.Errorf("store: migrate %s: %w", hash, err)
-	}
-	sum := sha256.Sum256([]byte(canon.String()))
-	if got := hex.EncodeToString(sum[:]); got != hash {
-		return 0, fmt.Errorf("store: migrate %s: decoded object hashes to %s — refusing to rewrite", hash, got)
 	}
 
 	dst := s.objectPathExt(hash, target.ext())
@@ -160,6 +155,20 @@ func (s *Store) convertObject(srcPath, hash string, from, target Format) (int64,
 		return size, fmt.Errorf("store: migrate %s: source cleanup: %w", hash, err)
 	}
 	return size, nil
+}
+
+// verifyAddress checks that a decoded trace hashes to hash under the
+// ZYT scheme or the legacy JSONL scheme.
+func verifyAddress(tr *trace.Trace, hash string) error {
+	zyt, err := traceHash(tr, HashZYT)
+	if err != nil || zyt == hash {
+		return err
+	}
+	jsonl, err := traceHash(tr, "")
+	if err != nil || jsonl == hash {
+		return err
+	}
+	return fmt.Errorf("decoded object hashes to %s (zyt) and %s (jsonl) — refusing to rewrite", zyt, jsonl)
 }
 
 // readObjectFile decodes one object file in the given format.

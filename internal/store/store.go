@@ -14,16 +14,28 @@
 //	<dir>/objects/<aa>/<hash>.zyt        binary columnar trace artifacts
 //	<dir>/objects/<aa>/<hash>.jsonl.gz   legacy gzip JSONL trace artifacts
 //
-// Artifacts are content-addressed: <hash> is the SHA-256 of the
-// canonical trace serialization (trace.Trace.Write — the JSONL bytes,
-// regardless of which format is on disk), and <aa> its first two hex
-// digits. Content addressing over the canonical serialization means a
-// store migrated between formats keeps every hash, manifest entry, and
-// cross-key dedup link intact. New objects are written in the ZYT1
-// binary columnar format (trace.WriteZYT, stored raw — its decoder is
-// what makes the disk tier faster than re-simulating); old gzip-JSONL
-// objects stay readable forever, and Migrate rewrites between the two
-// in place. The manifest maps a Key — scenario spec fingerprint, FPR,
+// Artifacts are content-addressed: <hash> is a SHA-256 and <aa> its
+// first two hex digits. Each manifest entry's hash-scheme tag says what
+// was hashed. Entries written by Put carry "hash":"zyt" (HashZYT): the
+// hash is of the ZYT1 object bytes themselves, computed while they
+// stream into a temp file that is then renamed into place, so a Put
+// encodes its trace once and buffers nothing. Entries without the tag
+// predate it and use the legacy scheme: the hash of the canonical JSONL
+// serialization (trace.Trace.Write), whichever format is on disk. Both
+// schemes live side by side with no rewrite; the only paths that
+// re-derive a hash — Put's self-heal and Migrate's verify — do so in
+// the entry's or the object's own scheme. One run archived under both
+// schemes has two addresses, so JSONL-addressed and ZYT-addressed
+// copies do not dedup against each other. A binary that predates the
+// tag ignores it and still reads tagged entries, because lookup is by
+// address alone; only its self-heal and Migrate, which rehash as JSONL,
+// refuse them (as drifted, or as a hash mismatch).
+//
+// New objects are written in the ZYT1 binary columnar format
+// (trace.WriteZYT, stored raw — its decoder is what makes the disk
+// tier faster than re-simulating); old gzip-JSONL objects stay readable
+// forever, and Migrate rewrites between the two in place, keeping every
+// address. The manifest maps a Key — scenario spec fingerprint, FPR,
 // seed, simulator version — to its artifact hash plus the run summary
 // needed to reconstruct a sim.Result without re-simulating (collision,
 // frames processed, min bumper gap, ego stopped). The manifest is the
@@ -102,9 +114,17 @@ func KeyForScenario(sc scenario.Scenario, fpr float64, seed int64) Key {
 type Entry struct {
 	Key      Key    `json:"key"`
 	Scenario string `json:"scenario"` // registration name at record time
-	Artifact string `json:"artifact"` // SHA-256 of the uncompressed trace JSONL
-	Rows     int    `json:"rows"`
-	Bytes    int64  `json:"bytes"` // uncompressed artifact size
+	// Artifact is the object's content address: the SHA-256 of the
+	// serialization HashScheme names.
+	Artifact string `json:"artifact"`
+	// HashScheme is HashZYT for entries whose Artifact hashes the ZYT1
+	// object bytes (every entry Put writes), or empty for legacy entries
+	// whose Artifact hashes the canonical JSONL serialization.
+	HashScheme string `json:"hash,omitempty"`
+	Rows       int    `json:"rows"`
+	// Bytes is the size of the hashed serialization: the ZYT1 object
+	// bytes under HashZYT, the uncompressed JSONL for legacy entries.
+	Bytes int64 `json:"bytes"`
 
 	Collision       *trace.Collision `json:"collision,omitempty"`
 	FramesProcessed map[string]int   `json:"frames_processed"`
@@ -116,6 +136,12 @@ type Entry struct {
 
 	RecordedUnix int64 `json:"recorded_unix"`
 }
+
+// HashZYT is the hash-scheme tag of entries addressed by the SHA-256 of
+// their ZYT1 object bytes. An empty tag is the legacy scheme, the
+// SHA-256 of the canonical JSONL serialization. Changing the bytes
+// WriteZYT produces for a trace changes addresses, and needs a new tag.
+const HashZYT = "zyt"
 
 // Store is an open campaign store. Construct with Open.
 type Store struct {
@@ -329,6 +355,16 @@ func (s *Store) refreshLocked(force bool) {
 	_ = s.ingestReaderLocked(f)
 }
 
+// Refresh ingests manifest lines other processes appended since the
+// last read, bypassing the Lookup miss-path debounce. A caller about to
+// answer a batch of lookups from a shared directory calls it once, so
+// an append that landed just before the batch is never missed.
+func (s *Store) Refresh() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.refreshLocked(true)
+}
+
 // addLocked inserts an entry into the in-memory index; later manifest
 // lines for the same key win (re-records supersede).
 func (s *Store) addLocked(e Entry) {
@@ -346,14 +382,14 @@ func (s *Store) Len() int {
 }
 
 // Summary aggregates the manifest index: distinct archived keys, the
-// scenarios they span, and total row/byte volume (uncompressed). It
+// scenarios they span, and total row/byte volume (Entry.Bytes). It
 // reads only the in-memory index — no artifact is touched — so it is
 // cheap enough to serve on every stats request.
 type Summary struct {
 	Entries   int   `json:"entries"`   // distinct archived (fingerprint, FPR, seed, sim) keys
 	Scenarios int   `json:"scenarios"` // distinct scenario names at record time
 	Rows      int   `json:"rows"`      // total trace rows across entries
-	Bytes     int64 `json:"bytes"`     // total uncompressed artifact bytes across entries
+	Bytes     int64 `json:"bytes"`     // total Entry.Bytes: ZYT1 object bytes, legacy JSONL bytes
 }
 
 // Summarize computes the store's manifest Summary, refreshing the
@@ -424,8 +460,9 @@ func (s *Store) Entries() []Entry {
 // content-addressed object. If the key exists but its object file has
 // vanished (partial cleanup, a crashed recorder's debris removal),
 // Put self-heals by rewriting the object — runs are deterministic, so
-// the fresh result must reproduce the recorded artifact hash; a
-// mismatch is reported instead of silently masking semantics drift.
+// the fresh result must reproduce the recorded artifact hash in the
+// entry's own scheme; a mismatch is reported instead of silently
+// masking semantics drift.
 func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, error) {
 	if res == nil || res.Trace == nil {
 		return Entry{}, false, fmt.Errorf("store: put %s: nil result or trace", scenarioName)
@@ -455,17 +492,8 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 		if _, _, err := s.locateObject(existing.Artifact); err == nil {
 			return existing, false, nil
 		}
-		_, hash, err := serializeTrace(scenarioName, res)
-		if err != nil {
-			return existing, false, err
-		}
-		if hash != existing.Artifact {
-			return existing, false, fmt.Errorf(
-				"store: put %s: artifact %s is missing and the fresh run hashes to %s — simulator semantics drifted without a sim.Version bump?",
-				scenarioName, existing.Artifact, hash)
-		}
-		if err := s.writeObject(hash, res.Trace); err != nil {
-			return existing, false, err
+		if err := s.heal(existing, res.Trace); err != nil {
+			return existing, false, fmt.Errorf("store: put %s: %w", scenarioName, err)
 		}
 		return existing, true, nil
 	}
@@ -473,20 +501,22 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 		return Entry{}, false, fmt.Errorf("store: put %s: store closed", scenarioName)
 	}
 
-	buf, hash, err := serializeTrace(scenarioName, res)
+	obj, err := s.stageObject(res.Trace)
 	if err != nil {
-		return Entry{}, false, err
+		return Entry{}, false, fmt.Errorf("store: put %s: %w", scenarioName, err)
 	}
-	if err := s.writeObject(hash, res.Trace); err != nil {
-		return Entry{}, false, err
+	defer obj.discard()
+	if err := s.installObject(obj, obj.hash); err != nil {
+		return Entry{}, false, fmt.Errorf("store: put %s: %w", scenarioName, err)
 	}
 
 	e := Entry{
 		Key:             k,
 		Scenario:        scenarioName,
-		Artifact:        hash,
+		Artifact:        obj.hash,
+		HashScheme:      HashZYT,
 		Rows:            res.Trace.Len(),
-		Bytes:           int64(len(buf)),
+		Bytes:           obj.size,
 		Collision:       res.Collision,
 		FramesProcessed: res.FramesProcessed,
 		MinBumperGap:    res.MinBumperGap,
@@ -523,47 +553,123 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 	return e, true, nil
 }
 
-// serializeTrace renders the result's trace to its canonical JSONL
-// bytes and content hash.
-func serializeTrace(scenarioName string, res *sim.Result) ([]byte, string, error) {
-	var buf bytes.Buffer
-	if err := res.Trace.Write(&buf); err != nil {
-		return nil, "", fmt.Errorf("store: put %s: %w", scenarioName, err)
+// heal rewrites the vanished object of an existing entry from a fresh
+// run of its key, after checking that the run hashes to the recorded
+// address in the entry's scheme. A ZYT-scheme check is the staged
+// stream's own hash; a legacy check renders the JSONL first. Either
+// way the object is written as ZYT1.
+func (s *Store) heal(e Entry, tr *trace.Trace) error {
+	if e.HashScheme != HashZYT {
+		hash, err := traceHash(tr, e.HashScheme)
+		if err != nil {
+			return err
+		}
+		if hash != e.Artifact {
+			return driftError(e.Artifact, hash)
+		}
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return buf.Bytes(), hex.EncodeToString(sum[:]), nil
+	obj, err := s.stageObject(tr)
+	if err != nil {
+		return err
+	}
+	defer obj.discard()
+	if e.HashScheme == HashZYT && obj.hash != e.Artifact {
+		return driftError(e.Artifact, obj.hash)
+	}
+	return s.installObject(obj, e.Artifact)
 }
 
-// writeObject stores the trace artifact atomically (write to a temp
-// file, rename into place) in the current binary format; an object
-// already present in either format is reused. The .zyt payload is the
-// raw ZYT1 stream, uncompressed: the format's column deltas already
-// shrink the hot fields, and skipping gzip is where the disk tier's
-// decode speed comes from.
-func (s *Store) writeObject(hash string, tr *trace.Trace) error {
-	if _, _, err := s.locateObject(hash); err == nil {
-		return nil
+// driftError reports a self-heal whose fresh run hashes away from the
+// recorded address.
+func driftError(recorded, fresh string) error {
+	return fmt.Errorf(
+		"artifact %s is missing and the fresh run hashes to %s — simulator semantics drifted without a sim.Version bump?",
+		recorded, fresh)
+}
+
+// traceHash re-derives a trace's content address under a hash scheme:
+// the SHA-256 of its ZYT1 bytes (HashZYT) or of its canonical JSONL
+// (legacy, the empty scheme).
+func traceHash(tr *trace.Trace, scheme string) (string, error) {
+	h := sha256.New()
+	var err error
+	switch scheme {
+	case HashZYT:
+		err = tr.WriteZYT(h)
+	case "":
+		err = tr.Write(h)
+	default:
+		return "", fmt.Errorf("unknown hash scheme %q", scheme)
 	}
-	path := s.ObjectPath(hash)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-"+hash+"-*")
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return "", err
 	}
-	defer os.Remove(tmp.Name())
-	err = tr.WriteZYT(tmp)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// stagedObject is a trace's ZYT1 encoding written to a temp file under
+// objects/ and not yet installed at its address.
+type stagedObject struct {
+	tmp  string // temp file path; empty once installed
+	hash string // SHA-256 of the ZYT1 bytes, hex
+	size int64  // ZYT1 bytes written
+}
+
+// stageObject streams the trace's ZYT1 encoding into a temp file,
+// hashing and counting the bytes on the way, so the object is encoded
+// once and never held in memory. The payload is the raw ZYT1 stream,
+// uncompressed: the format's column deltas already shrink the hot
+// fields, and skipping gzip is where the disk tier's decode speed
+// comes from. The caller installs or discards it.
+func (s *Store) stageObject(tr *trace.Trace) (*stagedObject, error) {
+	tmp, err := os.CreateTemp(filepath.Join(s.dir, "objects"), ".tmp-*")
+	if err != nil {
+		return nil, err
+	}
+	h := sha256.New()
+	var n byteCounter
+	err = tr.WriteZYT(io.MultiWriter(tmp, h, &n))
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("store: write object %s: %w", hash, err)
+		os.Remove(tmp.Name())
+		return nil, fmt.Errorf("write object: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: write object %s: %w", hash, err)
+	return &stagedObject{tmp: tmp.Name(), hash: hex.EncodeToString(h.Sum(nil)), size: int64(n)}, nil
+}
+
+// installObject renames a staged object to objects/<aa>/<addr>.zyt. An
+// object already present at addr in either format is kept, and the
+// staged copy is left for discard.
+func (s *Store) installObject(obj *stagedObject, addr string) error {
+	if _, _, err := s.locateObject(addr); err == nil {
+		return nil
 	}
+	path := s.ObjectPath(addr)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("write object %s: %w", addr, err)
+	}
+	if err := os.Rename(obj.tmp, path); err != nil {
+		return fmt.Errorf("write object %s: %w", addr, err)
+	}
+	obj.tmp = ""
 	return nil
+}
+
+// discard removes the staged temp file unless it was installed.
+func (obj *stagedObject) discard() {
+	if obj.tmp != "" {
+		os.Remove(obj.tmp)
+	}
+}
+
+// byteCounter is an io.Writer that only counts.
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // Trace loads and parses an entry's artifact from whichever format it

@@ -1,12 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -317,6 +321,12 @@ func TestMissingArtifactErrorsAndSelfHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if e.HashScheme != HashZYT {
+		t.Fatalf("new entry hash scheme = %q, want %q", e.HashScheme, HashZYT)
+	}
+	if want := zytHash(t, res.Trace); e.Artifact != want {
+		t.Fatalf("artifact %s is not the SHA-256 of the ZYT1 bytes (%s)", e.Artifact, want)
+	}
 	os.Remove(st.ObjectPath(e.Artifact))
 	if _, ok, err := st.Get(key("gone", 10, 1)); err == nil || ok {
 		t.Errorf("missing artifact: ok=%v err=%v, want error", ok, err)
@@ -325,9 +335,8 @@ func TestMissingArtifactErrorsAndSelfHeals(t *testing.T) {
 	// Re-archiving the identical (deterministic) result repairs the
 	// object; a result that hashes differently must be rejected, not
 	// silently substituted under the recorded hash.
-	if _, _, err := st.Put("gone", key("gone", 10, 1), syntheticResult("gone", 10, 1, 19, false)); err == nil {
-		t.Error("divergent re-put under a missing artifact: want error")
-	}
+	_, _, err = st.Put("gone", key("gone", 10, 1), syntheticResult("gone", 10, 1, 19, false))
+	assertDrifted(t, st, err)
 	healed, created, err := st.Put("gone", key("gone", 10, 1), res)
 	if err != nil || !created {
 		t.Fatalf("self-heal put: created=%v err=%v", created, err)
@@ -339,6 +348,172 @@ func TestMissingArtifactErrorsAndSelfHeals(t *testing.T) {
 		t.Fatalf("get after heal: ok=%v err=%v", ok, err)
 	} else if !reflect.DeepEqual(got, res) {
 		t.Error("healed result differs")
+	}
+}
+
+// TestLegacyEntryLooksUpAndSelfHeals: testdata/sidecar-store is a store
+// from before the hash-scheme tag — untagged entries addressed by the
+// SHA-256 of the canonical JSONL, objects long gone. It opens with
+// every entry unchanged, and re-archiving a point rebuilds its object
+// under the original JSONL address, while a tampered run is refused.
+func TestLegacyEntryLooksUpAndSelfHeals(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "sidecar-store"))); err != nil {
+		t.Fatal(err)
+	}
+	want := manifestEntries(t, dir)
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != len(want) || len(want) != 4 {
+		t.Fatalf("Len = %d, manifest holds %d keys, want 4", st.Len(), len(want))
+	}
+	for k, w := range want {
+		if got, ok := st.Lookup(k); !ok || !reflect.DeepEqual(got, w) || got.HashScheme != "" {
+			t.Errorf("legacy entry %s/%d: Lookup = (%+v, %v), want %+v untagged", w.Scenario, k.Seed, got, ok, w)
+		}
+	}
+
+	k := key("b-scn", 10, 1)
+	e := want[k]
+	res := syntheticResult("b-scn", 10, 1, 30, false)
+	if got, err := traceHash(res.Trace, ""); err != nil || got != e.Artifact {
+		t.Fatalf("fixture artifact %s is not the JSONL hash of its run (%s, %v)", e.Artifact, got, err)
+	}
+	if _, ok, err := st.Get(k); err == nil || ok {
+		t.Errorf("missing legacy artifact: ok=%v err=%v, want error", ok, err)
+	}
+	_, _, err = st.Put("b-scn", k, syntheticResult("b-scn", 10, 1, 29, false))
+	assertDrifted(t, st, err)
+	healed, created, err := st.Put("b-scn", k, res)
+	if err != nil || !created {
+		t.Fatalf("legacy self-heal put: created=%v err=%v", created, err)
+	}
+	if !reflect.DeepEqual(healed, e) {
+		t.Errorf("self-heal changed the legacy entry: %+v, want %+v", healed, e)
+	}
+	if _, err := os.Stat(st.ObjectPath(e.Artifact)); err != nil {
+		t.Errorf("healed object not at its JSONL address: %v", err)
+	}
+	if got, ok, err := st.Get(k); err != nil || !ok {
+		t.Fatalf("get after legacy heal: ok=%v err=%v", ok, err)
+	} else if !reflect.DeepEqual(got, res) {
+		t.Error("legacy healed result differs")
+	}
+}
+
+// assertDrifted checks a self-heal Put of a tampered run: the drift
+// error is reported, and nothing is written: no object under the
+// recorded address or any other, no temp file left behind.
+func assertDrifted(t *testing.T, st *Store, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "semantics drifted") {
+		t.Fatalf("tampered re-put under a missing artifact: err = %v, want semantics drift", err)
+	}
+	if files := objectFiles(t, st.Dir()); len(files) != 0 {
+		t.Errorf("tampered re-put left files under objects/: %v", files)
+	}
+}
+
+// objectFiles lists every regular file under dir/objects, temp files
+// included.
+func objectFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.Walk(filepath.Join(dir, "objects"), func(path string, info os.FileInfo, err error) error {
+		if err == nil && info.Mode().IsRegular() {
+			out = append(out, filepath.Base(path))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// zytHash is the SHA-256 of the trace's ZYT1 encoding, in hex.
+func zytHash(t *testing.T, tr *trace.Trace) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteZYT(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestPutFailedRenameLeavesNothing: when the streamed object cannot be
+// renamed into place, Put fails without a manifest line, an index
+// entry or a temp file. The point's address comes from a sibling store
+// (runs are deterministic); a regular file planted at objects/<aa>
+// makes the rename fail after the temp file is fully written, which
+// works even for root, where a read-only directory would not.
+func TestPutFailedRenameLeavesNothing(t *testing.T) {
+	sibling, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sibling.Close()
+	res := syntheticResult("renamefail", 10, 1, 30, false)
+	k := key("renamefail", 10, 1)
+	want, _, err := sibling.Put("renamefail", k, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// One archived point whose object lives outside the planted prefix,
+	// so the failed Put has an existing manifest and index to spare.
+	for seed := int64(2); ; seed++ {
+		e, _, err := st.Put("renamefail", key("renamefail", 10, seed), syntheticResult("renamefail", 10, seed, 30, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Artifact[:2] != want.Artifact[:2] {
+			break
+		}
+	}
+	before, err := os.ReadFile(filepath.Join(dir, "manifest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := st.Len()
+	planted := filepath.Join(dir, "objects", want.Artifact[:2])
+	if err := os.WriteFile(planted, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, err := st.Put("renamefail", k, res); err == nil {
+		t.Fatal("Put with an unwritable object path: want error")
+	}
+	after, err := os.ReadFile(filepath.Join(dir, "manifest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) || st.Len() != n {
+		t.Errorf("failed Put changed the manifest (%d -> %d bytes) or Len (%d -> %d)", len(before), len(after), n, st.Len())
+	}
+	for _, f := range objectFiles(t, dir) {
+		if strings.HasPrefix(f, ".tmp-") {
+			t.Errorf("failed Put left temp file %s", f)
+		}
+	}
+
+	// Clearing the obstacle lets the same point archive at its address.
+	if err := os.Remove(planted); err != nil {
+		t.Fatal(err)
+	}
+	got, created, err := st.Put("renamefail", k, res)
+	if err != nil || !created || got.Artifact != want.Artifact {
+		t.Fatalf("retry Put = (%s, created=%v, %v), want %s", got.Artifact, created, err, want.Artifact)
 	}
 }
 

@@ -40,6 +40,12 @@ package trace
 // bounds every count it reads against the bytes that remain, so
 // truncated, bit-flipped, or adversarial inputs fail cleanly without
 // large allocations (FuzzTraceDecode pins this).
+//
+// The encoding is canonical: a trace has exactly one ZYT1 encoding, and
+// re-encoding a decoded trace reproduces the bytes it was decoded from.
+// The store addresses objects by the SHA-256 of these bytes, so a change
+// to TestZYTGolden's bytes is a store-format change and needs a new
+// hash-scheme tag (store.HashZYT).
 
 import (
 	"bufio"

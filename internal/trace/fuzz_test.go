@@ -49,7 +49,9 @@ func FuzzRead(f *testing.F) {
 // FuzzTraceDecode drives the ZYT1 binary decoder with arbitrary bytes:
 // truncation, bit flips, and hostile length claims must all reject
 // with an error — no panics, no unbounded allocations — and anything
-// the decoder accepts must survive a binary write→read round trip.
+// the decoder accepts must survive a binary write→read round trip, and
+// re-encoding must be idempotent: the store addresses objects by their
+// ZYT1 bytes, so WriteZYT(ReadZYT(WriteZYT(tr))) must equal WriteZYT(tr).
 func FuzzTraceDecode(f *testing.F) {
 	var valid bytes.Buffer
 	if err := sampleTrace().WriteZYT(&valid); err != nil {
@@ -79,6 +81,7 @@ func FuzzTraceDecode(f *testing.F) {
 		if err := tr.WriteZYT(&out); err != nil {
 			t.Fatalf("accepted trace failed to re-encode: %v", err)
 		}
+		first := append([]byte(nil), out.Bytes()...)
 		tr2, err := ReadZYT(&out)
 		if err != nil {
 			t.Fatalf("round trip of accepted trace failed: %v", err)
@@ -88,6 +91,13 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 		if (tr.Collision == nil) != (tr2.Collision == nil) {
 			t.Fatal("round trip changed collision presence")
+		}
+		var again bytes.Buffer
+		if err := tr2.WriteZYT(&again); err != nil {
+			t.Fatalf("re-decoded trace failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), first) {
+			t.Fatal("re-encoding a decoded trace changed its ZYT1 bytes")
 		}
 	})
 }

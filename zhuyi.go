@@ -298,8 +298,8 @@ type (
 	// CampaignStats summarizes a campaign: points executed, memory and
 	// disk cache hits, failures, skipped points, wall time.
 	CampaignStats = engine.CampaignStats
-	// RunStore is the content-addressed on-disk campaign store: gzip
-	// JSONL trace artifacts plus a manifest keyed by (scenario spec
+	// RunStore is the content-addressed on-disk campaign store: ZYT1
+	// binary trace artifacts plus a manifest keyed by (scenario spec
 	// fingerprint, FPR, seed, sim version). See internal/store.
 	RunStore = store.Store
 )
