@@ -52,22 +52,47 @@ type actorSample struct {
 	lng   float64 // actor length
 }
 
-// trajSampler evaluates a trajectory at candidate resolution times. A
-// plain struct (not a closure) so the latency search keeps it on the
-// stack — the serving tier's pooled /v1/rate path requires the whole
-// search to run without heap allocation.
+// trajSampler evaluates a trajectory at candidate resolution times in
+// the ego frame at t0. A plain struct (not a closure) so the latency
+// search keeps it on the stack — the serving tier's pooled /v1/rate
+// path requires the whole search to run without heap allocation.
+//
+// The ego's frame rotation and heading vector are computed once per
+// search rather than once per sample, with the same expressions as
+// geom.Pose.ToLocal and geom.Pose.Forward, so samples are bit-identical
+// to theirs; traj keeps its search hint across the search's samples.
 type trajSampler struct {
-	traj  *world.Trajectory
-	ego   *EgoState
-	t0    float64
-	width float64
-	lng   float64
+	traj     world.Sampler // non-empty
+	t0       float64
+	origin   geom.Vec2 // ego position at t0
+	sin, cos float64   // geom.SinCos(-ego heading): the world-to-ego rotation
+	fwd      geom.Vec2 // ego heading unit vector
+	width    float64
+	lng      float64
+}
+
+func newTrajSampler(pts []world.TrajectoryPoint, ego *EgoState, length, width float64) trajSampler {
+	s := trajSampler{traj: world.Sampler{Points: pts}, t0: pts[0].T, origin: ego.Pose.Pos, fwd: ego.Pose.Forward(), width: width, lng: length}
+	s.sin, s.cos = geom.SinCos(-ego.Pose.Heading)
+	return s
+}
+
+// toLocal is geom.Pose.ToLocal for the ego pose at t0.
+func (s *trajSampler) toLocal(p geom.Vec2) geom.Vec2 {
+	d := p.Sub(s.origin)
+	return geom.Vec2{X: d.X*s.cos - d.Y*s.sin, Y: d.X*s.sin + d.Y*s.cos}
+}
+
+// local returns the actor's ego-frame position at t0+tn: all the
+// threat screen needs.
+func (s *trajSampler) local(tn float64) geom.Vec2 {
+	return s.toLocal(s.traj.Pos(s.t0 + tn))
 }
 
 func (s *trajSampler) sample(tn float64) actorSample {
 	pt := s.traj.At(s.t0 + tn)
-	local := s.ego.Pose.ToLocal(pt.Pos)
-	vAlong := geom.FromAngle(pt.Heading).Scale(pt.Speed).Dot(s.ego.Pose.Forward())
+	local := s.toLocal(pt.Pos)
+	vAlong := geom.FromAngle(pt.Heading).Scale(pt.Speed).Dot(s.fwd)
 	if vAlong < 0 {
 		vAlong = 0
 	}
@@ -88,10 +113,7 @@ func TolerableLatency(ego EgoState, traj world.Trajectory, actorDims [2]float64,
 	if len(traj.Points) == 0 {
 		return LatencyResult{Latency: p.LMax, Feasible: true, NoThreat: true}
 	}
-	t0 := traj.Start()
-	length, width := actorDims[0], actorDims[1]
-
-	smp := trajSampler{traj: &traj, ego: &ego, t0: t0, width: width, lng: length}
+	smp := newTrajSampler(traj.Points, &ego, actorDims[0], actorDims[1])
 
 	// Threat screening: does the trajectory ever occupy the ego's
 	// forward corridor within the horizon?
@@ -125,17 +147,16 @@ func TolerableLatency(ego EgoState, traj world.Trajectory, actorDims [2]float64,
 // with the rear actor (the RSS convention); the paper's scenarios with
 // rear actors accordingly report the idle estimate of 1 FPR.
 func findConflict(smp *trajSampler, ego EgoState, p Params) (float64, bool) {
-	s0 := smp.sample(0)
-	if s0.long < -(ego.Length+s0.lng)/2 {
+	if smp.local(0).X < -(ego.Length+smp.lng)/2 {
 		return 0, false
 	}
 	const scanDT = 0.1
 	for tn := 0.0; tn <= p.Horizon; tn += scanDT {
-		s := smp.sample(tn)
-		if math.Abs(s.lat) > (ego.Width+s.width)/2+p.LateralMargin {
+		l := smp.local(tn)
+		if math.Abs(l.Y) > (ego.Width+smp.width)/2+p.LateralMargin {
 			continue
 		}
-		if s.long < -(ego.Length+s.lng)/2 {
+		if l.X < -(ego.Length+smp.lng)/2 {
 			continue // fully behind the ego
 		}
 		return tn, true

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/trace"
+	"repro/internal/world"
 )
 
 // OfflineOptions configures the pre-deployment trace evaluation (§3.1).
@@ -121,11 +122,12 @@ func (r *OfflineResult) AccelSeries() (times, accels []float64) {
 // safety evaluator. The current processing latency l0 is taken from the
 // trace metadata (1/FPR).
 //
-// One EstimateScratch serves every evaluated instant: each actor's
-// recorded future is appended into it straight from the trace and the
-// shared estimateInto core runs on it, so beyond the result itself
-// (the Points slice and each point's two camera maps) the walk
-// allocates only while the scratch grows to its working size.
+// Each actor's recorded future is a subslice of a per-call futureIndex
+// built once per trace, and one EstimateScratch serves every evaluated
+// instant through the shared estimateInto core, so beyond the result
+// itself (the Points slice and each point's two camera maps) the walk
+// allocates only the index and while the scratch grows to its working
+// size.
 func (e *Estimator) EvaluateTrace(tr *trace.Trace, opt OfflineOptions) (*OfflineResult, error) {
 	if tr.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
@@ -151,16 +153,20 @@ func (e *Estimator) EvaluateTrace(tr *trace.Trace, opt OfflineOptions) (*Offline
 		Cameras:  cams,
 	}
 
+	futures := newFutureIndex(tr, stride, e.Params.Horizon)
 	var sc EstimateScratch
 	est := Estimate{CameraThreat: make(map[string]bool, len(cams))}
 	for i := 0; i < tr.Len(); i += rowEvery {
 		row := &tr.Rows[i]
+		class, q, end := futures.instant(i)
 		sc.trajs = sc.trajs[:0]
-		sc.points = sc.points[:0]
 		sc.actorTraj = sc.actorTraj[:0]
 		for k := range row.Actors {
 			start := len(sc.trajs)
-			sc.trajs, sc.points = tr.AppendActorFuture(sc.trajs, sc.points, row.Actors[k].ID, i, e.Params.Horizon, stride)
+			id := row.Actors[k].ID
+			if pts := class.future(id, q, end); pts != nil {
+				sc.trajs = append(sc.trajs, world.Trajectory{ActorID: id, Prob: 1, Points: pts})
+			}
 			sc.actorTraj = append(sc.actorTraj, [2]int{start, len(sc.trajs)})
 		}
 		// Each point keeps its own camera maps; the threat map is

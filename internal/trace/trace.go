@@ -72,63 +72,6 @@ func (tr *Trace) Snapshot(i int) world.Snapshot {
 	return world.Snapshot{Time: r.Time, Ego: r.Ego, Actors: r.Actors}
 }
 
-// AppendActorFuture appends the recorded ground-truth future trajectory
-// of one actor, starting at row i, up to horizon seconds ahead and
-// sampled every stride rows: the |T| = 1 trajectory set of the paper's
-// pre-deployment evaluation. The trajectory's Points are carved out of
-// buf (capacity-limited so later carves cannot alias them) and the
-// trajectory is appended to dst, the predict.AppendForAgent convention,
-// so an evaluator reusing dst and buf across instants allocates nothing
-// once they reach steady-state capacity. Rows and agents are read in
-// place, never copied.
-//
-// The future ends at the first sampled row where the actor is absent;
-// in a row that lists the ID more than once, the first listing is
-// used. Nothing is appended if the actor is absent at row i or i is
-// out of range.
-func (tr *Trace) AppendActorFuture(dst []world.Trajectory, buf []world.TrajectoryPoint, id string, i int, horizon float64, stride int) ([]world.Trajectory, []world.TrajectoryPoint) {
-	if stride < 1 {
-		stride = 1
-	}
-	if i < 0 || i >= len(tr.Rows) {
-		return dst, buf
-	}
-	start := tr.Rows[i].Time
-	first := len(buf)
-	for j := i; j < len(tr.Rows); j += stride {
-		row := &tr.Rows[j]
-		if row.Time-start > horizon {
-			break
-		}
-		a := row.actor(id)
-		if a == nil {
-			break
-		}
-		buf = append(buf, world.TrajectoryPoint{
-			T:       row.Time,
-			Pos:     a.Pose.Pos,
-			Heading: a.Pose.Heading,
-			Speed:   a.Speed,
-			Accel:   a.Accel,
-		})
-	}
-	if len(buf) == first {
-		return dst, buf
-	}
-	pts := buf[first:len(buf):len(buf)]
-	return append(dst, world.Trajectory{ActorID: id, Prob: 1, Points: pts}), buf
-}
-
-// actor returns the row's first agent with the given ID, or nil.
-func (r *Row) actor(id string) *world.Agent {
-	for k := range r.Actors {
-		if r.Actors[k].ID == id {
-			return &r.Actors[k]
-		}
-	}
-	return nil
-}
-
 // header is the first JSONL line.
 type header struct {
 	Meta      Meta       `json:"meta"`

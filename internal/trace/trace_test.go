@@ -56,100 +56,6 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestAppendActorFuture(t *testing.T) {
-	tr := sampleTrace()
-	trajs, buf := tr.AppendActorFuture(nil, nil, "a1", 0, 0.5, 5)
-	if len(trajs) != 1 {
-		t.Fatalf("appended %d trajectories, want 1", len(trajs))
-	}
-	traj := trajs[0]
-	if traj.ActorID != "a1" || traj.Prob != 1 {
-		t.Errorf("traj = %q prob %v", traj.ActorID, traj.Prob)
-	}
-	if traj.Start() != 0 {
-		t.Errorf("start = %v", traj.Start())
-	}
-	// Stride 5 over a 0.5 s horizon at dt = 10 ms: rows 0, 5, ..., 50.
-	if len(traj.Points) != 11 || len(buf) != 11 {
-		t.Errorf("points = %d (buf %d), want 11", len(traj.Points), len(buf))
-	}
-	if traj.End() < 0.45 || traj.End() > 0.55 {
-		t.Errorf("end = %v", traj.End())
-	}
-	// Position interpolates the recorded motion.
-	at := traj.At(0.2)
-	if math.Abs(at.Pos.X-53) > 0.01 {
-		t.Errorf("pos at 0.2 = %v", at.Pos.X)
-	}
-	if err := traj.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAppendActorFutureHorizonEnd(t *testing.T) {
-	tr := sampleTrace()
-	// Starting near the end, the future stops at the last row rather
-	// than at the horizon.
-	trajs, _ := tr.AppendActorFuture(nil, nil, "a1", 90, 5, 3)
-	if len(trajs) != 1 {
-		t.Fatalf("appended %d trajectories, want 1", len(trajs))
-	}
-	pts := trajs[0].Points
-	if len(pts) != 4 || math.Abs(pts[len(pts)-1].T-0.99) > 1e-9 {
-		t.Errorf("points = %d ending at %v, want 4 ending at 0.99", len(pts), pts[len(pts)-1].T)
-	}
-}
-
-func TestAppendActorFutureAppends(t *testing.T) {
-	tr := sampleTrace()
-	trajs, buf := tr.AppendActorFuture(nil, nil, "a1", 0, 0.1, 1)
-	first := append([]world.TrajectoryPoint(nil), trajs[0].Points...)
-	trajs, buf = tr.AppendActorFuture(trajs, buf, "a1", 50, 0.1, 1)
-	if len(trajs) != 2 || len(buf) != 2*len(first) {
-		t.Fatalf("trajs = %d, buf = %d", len(trajs), len(buf))
-	}
-	// The second carve must not have overwritten the first.
-	for k, p := range trajs[0].Points {
-		if p != first[k] {
-			t.Fatalf("first trajectory point %d changed: %+v -> %+v", k, first[k], p)
-		}
-	}
-	if trajs[1].Start() != 0.5 {
-		t.Errorf("second start = %v", trajs[1].Start())
-	}
-}
-
-func TestAppendActorFutureMissingActor(t *testing.T) {
-	tr := sampleTrace()
-	for _, c := range []struct {
-		id string
-		i  int
-	}{{"ghost", 0}, {"a1", -1}, {"a1", 1000}} {
-		trajs, buf := tr.AppendActorFuture(nil, nil, c.id, c.i, 1, 1)
-		if len(trajs) != 0 || len(buf) != 0 {
-			t.Errorf("%s at row %d: appended %d trajectories, %d points", c.id, c.i, len(trajs), len(buf))
-		}
-	}
-}
-
-func TestAppendActorFutureGapAndDuplicate(t *testing.T) {
-	tr := sampleTrace()
-	// Row 20 lists a1 twice; the first listing wins.
-	dup := tr.Rows[20].Actors[0]
-	dup.Pose.Pos.X += 100
-	tr.Rows[20].Actors = []world.Agent{tr.Rows[20].Actors[0], dup}
-	// a1 vanishes at row 40 and reappears after it.
-	tr.Rows[40].Actors = nil
-	trajs, _ := tr.AppendActorFuture(nil, nil, "a1", 0, 1, 10)
-	pts := trajs[0].Points
-	if len(pts) != 4 {
-		t.Fatalf("points = %d, want 4 (rows 0-30, stopping at the gap)", len(pts))
-	}
-	if want := tr.Rows[20].Actors[0].Pose.Pos.X; pts[2].Pos.X != want {
-		t.Errorf("duplicate row sampled x = %v, want first listing %v", pts[2].Pos.X, want)
-	}
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	tr.Collision = &Collision{Time: 0.7, ActorID: "a1"}

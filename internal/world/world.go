@@ -147,19 +147,58 @@ func (tr Trajectory) End() float64 {
 // At returns the interpolated state at absolute time t. Times before the
 // first sample return the first sample; times beyond the last sample
 // extrapolate at constant velocity from the last sample, which keeps the
-// Zhuyi search well-defined near the horizon edge.
+// Zhuyi search well-defined near the horizon edge. It is Sampler.At on a
+// fresh sampler.
 func (tr Trajectory) At(t float64) TrajectoryPoint {
-	n := len(tr.Points)
+	s := Sampler{Points: tr.Points}
+	return s.At(t)
+}
+
+// Sampler evaluates one trajectory's points at a run of query times.
+// It remembers the segment the previous query landed in: a caller
+// whose times mostly move forward (the Zhuyi threat scan and t_n walk)
+// finds the next segment a step or two ahead instead of binary
+// searching. Values do not depend on the query order. A Sampler is a
+// plain value, so a caller can keep it on the stack.
+type Sampler struct {
+	Points []TrajectoryPoint // time-ordered, as in Trajectory
+	hint   int               // index the last interior search returned
+}
+
+// search returns the first index whose T is >= t, for a t strictly
+// inside (Points[0].T, Points[n-1].T), as sort.Search over Points
+// would. When the point before the hint is earlier than t, time order
+// puts the answer at or after the hint and a forward walk finds it;
+// otherwise it falls back to sort.Search. The walk stops at n-1 at the
+// latest, since Points[n-1].T > t.
+func (s *Sampler) search(t float64) int {
+	pts := s.Points
+	i := s.hint
+	if i > 0 && pts[i-1].T < t {
+		for pts[i].T < t {
+			i++
+		}
+	} else {
+		i = sort.Search(len(pts), func(i int) bool { return pts[i].T >= t })
+	}
+	s.hint = i
+	return i
+}
+
+// At returns the state at absolute time t under Trajectory.At's rules.
+func (s *Sampler) At(t float64) TrajectoryPoint {
+	pts := s.Points
+	n := len(pts)
 	if n == 0 {
 		return TrajectoryPoint{T: t}
 	}
-	if t <= tr.Points[0].T {
-		p := tr.Points[0]
+	if t <= pts[0].T {
+		p := pts[0]
 		p.T = t
 		return p
 	}
-	if t >= tr.Points[n-1].T {
-		last := tr.Points[n-1]
+	if t >= pts[n-1].T {
+		last := pts[n-1]
 		dt := t - last.T
 		p := last
 		p.T = t
@@ -167,8 +206,8 @@ func (tr Trajectory) At(t float64) TrajectoryPoint {
 		p.Accel = 0
 		return p
 	}
-	i := sort.Search(n, func(i int) bool { return tr.Points[i].T >= t }) // first >= t
-	a, b := tr.Points[i-1], tr.Points[i]
+	i := s.search(t)
+	a, b := pts[i-1], pts[i]
 	span := b.T - a.T
 	if span <= 0 {
 		return b
@@ -181,6 +220,30 @@ func (tr Trajectory) At(t float64) TrajectoryPoint {
 		Speed:   a.Speed + (b.Speed-a.Speed)*u,
 		Accel:   a.Accel + (b.Accel-a.Accel)*u,
 	}
+}
+
+// Pos is At(t).Pos without interpolating heading, speed or
+// acceleration.
+func (s *Sampler) Pos(t float64) geom.Vec2 {
+	pts := s.Points
+	n := len(pts)
+	if n == 0 {
+		return geom.Vec2{}
+	}
+	if t <= pts[0].T {
+		return pts[0].Pos
+	}
+	if t >= pts[n-1].T {
+		last := &pts[n-1]
+		return last.Pos.Add(geom.FromAngle(last.Heading).Scale(last.Speed * (t - last.T)))
+	}
+	i := s.search(t)
+	a, b := &pts[i-1], &pts[i]
+	span := b.T - a.T
+	if span <= 0 {
+		return b.Pos
+	}
+	return a.Pos.Lerp(b.Pos, (t-a.T)/span)
 }
 
 // Validate reports structural problems: unsorted times or an invalid

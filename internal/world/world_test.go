@@ -164,6 +164,32 @@ func TestTrajectoryAtMonotone(t *testing.T) {
 	}
 }
 
+// TestSamplerMatchesAt drives one Sampler forward, then backward, over
+// a trajectory with a repeated sample time, and requires At's values:
+// the search hint must not change a result.
+func TestSamplerMatchesAt(t *testing.T) {
+	tr := makeTraj()
+	tr.Points = append(tr.Points[:2:2], TrajectoryPoint{T: 1, Pos: geom.V(11, 0), Speed: 9}, tr.Points[2])
+	s := Sampler{Points: tr.Points}
+	var ts []float64
+	for q := -0.5; q <= 2.5; q += 0.25 {
+		ts = append(ts, q)
+	}
+	for k := len(ts) - 1; k >= 0; k-- {
+		ts = append(ts, ts[k])
+	}
+	for _, q := range ts {
+		want := tr.At(q)
+		if got, pos := s.At(q), s.Pos(q); got != want || pos != want.Pos {
+			t.Fatalf("t=%v: At %+v, Pos %v, want %+v", q, got, pos, want)
+		}
+	}
+	var empty Sampler
+	if got, pos := empty.At(5), empty.Pos(5); got != (TrajectoryPoint{T: 5}) || pos != (geom.Vec2{}) {
+		t.Errorf("empty sampler: At %+v, Pos %v", got, pos)
+	}
+}
+
 func TestTrajectoryValidate(t *testing.T) {
 	tr := makeTraj()
 	if err := tr.Validate(); err != nil {
