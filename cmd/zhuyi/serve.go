@@ -23,12 +23,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/admission"
-	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 func cmdServe(args []string) error {
@@ -51,23 +48,22 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("serve: -replicas requires -coordinator")
 	}
 
-	// Campaign responses stream summaries, never traces, so the service
-	// engine records at summary level; with a store attached the engine
-	// upgrades archivable points back to full.
-	opts, closeStore, err := engineOptions(*storeDir, *workers, trace.LevelSummary)
-	if err != nil {
-		return err
+	// server.New builds the service engine: summary-level recording
+	// (responses carry summaries, never traces; store-archived points
+	// are upgraded back to full) and one admission gate shared by the
+	// campaign workers and the /v1/rate path, so batch traffic cannot
+	// starve the latency-sensitive endpoint.
+	var st *store.Store
+	if *storeDir != "" {
+		var err error
+		if st, err = store.Open(*storeDir); err != nil {
+			return err
+		}
+		defer st.Close()
 	}
-	defer closeStore()
-	// One admission gate shared by the engine's campaign workers and
-	// the server's rate path: workers yield between jobs while a rate
-	// request is in flight, so batch traffic cannot starve the
-	// latency-sensitive endpoint.
-	gate := admission.NewGate(0)
-	opts.Admission = gate
-	eng := engine.New(opts)
+	srv := server.New(server.Options{Workers: *workers, Store: st})
+	eng := srv.Engine()
 	defer eng.Close()
-	srv := server.New(server.Options{Engine: eng, Admission: gate})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -89,9 +85,9 @@ func cmdServe(args []string) error {
 	// asynchronous archive queue so every fresh run this process
 	// produced is on disk before the final stats print and exit.
 	eng.Drain()
-	st := eng.Stats()
+	es := eng.Stats()
 	fmt.Printf("zhuyi serve: done — %d fresh simulations, %d memory hits, %d disk hits, %d archived\n",
-		st.Executed, st.CacheHits, st.DiskHits, st.Archived)
+		es.Executed, es.CacheHits, es.DiskHits, es.Archived)
 	return nil
 }
 

@@ -8,9 +8,7 @@
 // tens of kilobytes regardless of how many observations it absorbs.
 //
 // The serving tier keeps one Histogram per route (see
-// internal/server); cmd/loadtest reuses the same implementation on the
-// client side so server-reported and driver-reported quantiles are
-// bucketed identically.
+// internal/server) and reports them on GET /v1/stats.
 package hist
 
 import (

@@ -2,8 +2,8 @@
 
 // Allocation budget and benchmarks for the pooled /v1/rate path, gated
 // only on non-race builds (race instrumentation allocates; CI runs the
-// gate as a dedicated loadtest job). The budget is the PR's contract:
-// at most 5 allocations per JSON request, exactly 0 per binary
+// gate as a step of its loadtest job). The budget is the serving path's
+// contract: at most 5 allocations per JSON request, exactly 0 per binary
 // request, measured below net/http at the serveRate boundary.
 package server
 
@@ -13,8 +13,8 @@ import (
 	"testing"
 )
 
-// rateBenchRequest is the fixed snapshot the loadtest driver posts
-// too: six actors and an operating point so the check branch runs.
+// rateBenchRequest is the fixed snapshot the budget and the benchmarks
+// post: six actors and an operating point so the check branch runs.
 func rateBenchRequest() RateRequest {
 	return RateRequest{
 		Time: 4.2,

@@ -6,12 +6,11 @@ package server
 // response buffer all live in it and are reused across requests, so a
 // steady-state rate request performs no heap allocation at all on the
 // binary wire format and stays within a small fixed budget on JSON
-// (both pinned by TestRateServeAllocBudget and gated in CI via
-// BENCH_serve.json). The scratch also carries a stable histogram shard
-// hint, so latency self-recording never contends across pooled
-// requests. Admission priority (internal/admission) brackets the
-// compute; the engine's campaign workers yield while any rate request
-// is in flight.
+// (both pinned by TestRateServeAllocBudget, a step of the CI loadtest
+// job). The scratch also carries a stable histogram shard hint, so
+// latency self-recording never contends across pooled requests.
+// Admission priority (internal/admission) brackets the compute; the
+// engine's campaign workers yield while any rate request is in flight.
 
 import (
 	"fmt"

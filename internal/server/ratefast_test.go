@@ -8,16 +8,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
@@ -124,6 +127,35 @@ func TestRateNotStarvedByCampaign(t *testing.T) {
 	}
 }
 
+// TestBuiltEngineSharesAdmissionGate pins the wiring `zhuyi serve`
+// relies on: the engine New builds yields to the server's own gate. A
+// point run while a rate request holds the gate must park its worker,
+// and /v1/stats must count that yield.
+func TestBuiltEngineSharesAdmissionGate(t *testing.T) {
+	s := New(Options{Workers: 1})
+	t.Cleanup(s.Engine().Close)
+	sc, ok := s.reg.Lookup(scenario.CutOut)
+	if !ok {
+		t.Fatalf("scenario %q not registered", scenario.CutOut)
+	}
+	s.gate.Enter()
+	_, err := s.Engine().Run(context.Background(), engine.Job{Scenario: sc, FPR: 30, Seed: 1})
+	s.gate.Leave()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	var st StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.Admission == nil {
+		t.Fatal("stats response has no admission block")
+	}
+	if st.Admission.Yields < 1 {
+		t.Errorf("admission yields %d after a point run under a held gate, want >= 1", st.Admission.Yields)
+	}
+}
+
 func findLatency(rows []EndpointLatency, route string) *EndpointLatency {
 	for i := range rows {
 		if rows[i].Route == route {
@@ -133,8 +165,8 @@ func findLatency(rows []EndpointLatency, route string) *EndpointLatency {
 	return nil
 }
 
-// rateHammerRequest mirrors the loadtest driver's snapshot: a braking
-// lead plus flanking traffic, with an operating point so the safety
+// rateHammerRequest is the starvation test's snapshot: a braking lead
+// plus flanking traffic, with an operating point so the safety
 // check runs on every request.
 func rateHammerRequest() RateRequest {
 	return RateRequest{

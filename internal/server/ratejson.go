@@ -49,13 +49,6 @@ var (
 	keyStatic  = []byte("static")
 )
 
-// pow10Tab covers the exactly-representable powers of ten: the Clinger
-// fast path multiplies/divides by these without rounding error.
-var pow10Tab = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
-
 // rateDecoder walks one request body. Errors allocate (they leave the
 // hot path); success does not, beyond first-seen ID interning.
 type rateDecoder struct {
@@ -380,7 +373,8 @@ func (d *rateDecoder) floatField(dst *float64) error {
 	if err != nil {
 		return err
 	}
-	f, err := parseJSONFloat(lit)
+	// The conversion of a short literal stays on the stack.
+	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
 		return err
 	}
@@ -675,89 +669,6 @@ func (d *rateDecoder) scanNumber() ([]byte, error) {
 	return d.data[start:d.pos], nil
 }
 
-// parseJSONFloat converts a grammar-valid JSON number literal to a
-// float64 with the same rounding and range behavior as
-// strconv.ParseFloat. The Clinger fast path (exact mantissa, |decimal
-// exponent| ≤ 22) covers every realistic kinematic value without
-// allocating; everything else falls back to ParseFloat on a copied
-// string — rare, and correct by construction.
-func parseJSONFloat(lit []byte) (float64, error) {
-	i := 0
-	neg := false
-	if lit[i] == '-' {
-		neg = true
-		i++
-	}
-	var mant uint64
-	nd := 0
-	exp10 := 0
-	afterDot := false
-	truncated := false
-loop:
-	for ; i < len(lit); i++ {
-		switch c := lit[i]; {
-		case c >= '0' && c <= '9':
-			if nd >= 19 {
-				truncated = true
-				if !afterDot {
-					exp10++
-				}
-				continue
-			}
-			if c == '0' && nd == 0 {
-				if afterDot {
-					exp10--
-				}
-				continue
-			}
-			mant = mant*10 + uint64(c-'0')
-			nd++
-			if afterDot {
-				exp10--
-			}
-		case c == '.':
-			afterDot = true
-		default: // 'e' or 'E'; the grammar admits nothing else here
-			i++
-			eneg := false
-			if lit[i] == '+' {
-				i++
-			} else if lit[i] == '-' {
-				eneg = true
-				i++
-			}
-			e := 0
-			for ; i < len(lit); i++ {
-				if e < 100000 {
-					e = e*10 + int(lit[i]-'0')
-				}
-			}
-			if eneg {
-				e = -e
-			}
-			exp10 += e
-			break loop
-		}
-	}
-	if truncated || mant >= 1<<53 || exp10 < -22 || exp10 > 22 {
-		f, err := strconv.ParseFloat(string(lit), 64)
-		if err != nil {
-			return 0, err
-		}
-		return f, nil
-	}
-	f := float64(mant)
-	if exp10 > 0 {
-		f *= pow10Tab[exp10]
-	} else if exp10 < 0 {
-		f /= pow10Tab[-exp10]
-	}
-	if neg {
-		f = -f
-	}
-	return f, nil
-}
-
 // parseJSONInt converts a grammar-valid JSON number literal with
 // strconv.ParseInt semantics: fractions and exponents are errors, as
 // is anything outside int64.
@@ -767,30 +678,11 @@ func parseJSONInt(lit []byte) (int64, error) {
 			return 0, fmt.Errorf("cannot decode number %s into an integer field", lit)
 		}
 	}
-	i := 0
-	neg := false
-	if lit[i] == '-' {
-		neg = true
-		i++
-	}
-	var n uint64
-	for ; i < len(lit); i++ {
-		d := uint64(lit[i] - '0')
-		if n > (1<<63-1)/10 {
-			return 0, fmt.Errorf("number %s overflows an integer field", lit)
-		}
-		n = n*10 + d
-	}
-	if neg {
-		if n > 1<<63 {
-			return 0, fmt.Errorf("number %s overflows an integer field", lit)
-		}
-		return -int64(n-1) - 1, nil
-	}
-	if n > 1<<63-1 {
+	n, err := strconv.ParseInt(string(lit), 10, 64)
+	if err != nil {
 		return 0, fmt.Errorf("number %s overflows an integer field", lit)
 	}
-	return int64(n), nil
+	return n, nil
 }
 
 func isHex4(b []byte) bool {

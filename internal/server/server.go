@@ -72,12 +72,6 @@ type Options struct {
 	Registry *scenario.Registry
 	// MaxCampaignPoints caps points per campaign request (0 = 100000).
 	MaxCampaignPoints int
-	// Admission is the priority gate bracketing /v1/rate requests. nil
-	// builds a private gate; when the engine is also built privately the
-	// gate is shared with it, so campaign workers yield to rate traffic.
-	// Callers that pass their own Engine should pass the same gate to
-	// both (as `zhuyi serve` does) for admission to take effect.
-	Admission *admission.Gate
 	// Latency overrides the per-route latency histogram set; nil builds
 	// a private one. A fabric coordinator shares its set with its inner
 	// server so both layers' locally answered requests merge.
@@ -104,13 +98,13 @@ type Server struct {
 // records at summary level: every response on this API carries run
 // summaries, never traces, so per-step rows would be materialized only
 // to be discarded — except for store-archived points, which the engine
-// upgrades to full so the persistent tier stays complete. Callers that
-// pass their own Engine keep its recording policy.
+// upgrades to full so the persistent tier stays complete. It also
+// shares the server's admission gate, so its campaign workers yield
+// between jobs while a /v1/rate request is in flight. Callers that pass
+// their own Engine keep its recording policy and get no yields (the
+// fabric coordinator's inner engine never simulates).
 func New(opts Options) *Server {
-	gate := opts.Admission
-	if gate == nil {
-		gate = admission.NewGate(0)
-	}
+	gate := admission.NewGate(0)
 	eng := opts.Engine
 	st := opts.Store
 	if eng == nil {
