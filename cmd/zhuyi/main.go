@@ -12,7 +12,7 @@
 //	zhuyi record -store DIR -tags table1     archive a corpus of runs into a persistent store
 //	zhuyi replay -store DIR                  re-evaluate archived traces (no simulation)
 //	zhuyi diff -store DIR                    diff a replay against recorded baselines
-//	zhuyi store migrate -store DIR -to zyt   rewrite archived trace objects between formats
+//	zhuyi store migrate -store DIR           upgrade legacy gzip-JSONL trace objects to ZYT1
 //	zhuyi campaign -fprs 5,30 -seeds 3       batch of seeded runs, local or -server URL
 //	zhuyi serve -addr :8080 -store DIR       the HTTP campaign service (see docs/api.md)
 //

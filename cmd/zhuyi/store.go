@@ -53,34 +53,29 @@ func cmdStore(args []string) error {
 	}
 }
 
-// cmdStoreMigrate rewrites every archived trace object to the target
-// on-disk format in place: each object is decoded, verified against
-// its address under either hash scheme, rewritten through a temp
-// file, fsynced, and renamed — a crash mid-migration leaves every
-// object readable in one format or the other, never half-written.
+// cmdStoreMigrate upgrades every legacy gzip-JSONL trace object to
+// ZYT1 in place: each object is decoded, verified against its address
+// under either hash scheme, rewritten through a temp file, fsynced,
+// and renamed — a crash mid-migration leaves every object readable in
+// one format or the other, never half-written.
 func cmdStoreMigrate(args []string) error {
 	fs := flag.NewFlagSet("store migrate", flag.ExitOnError)
 	dir := fs.String("store", "", "store directory (required)")
-	to := fs.String("to", string(store.FormatZYT), "target object format: zyt (binary columnar) or jsonl (legacy gzip JSONL)")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("store migrate: -store is required")
-	}
-	target, err := store.ParseFormat(*to)
-	if err != nil {
-		return err
 	}
 	st, err := store.Open(*dir)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	stats, err := st.Migrate(target)
+	stats, err := st.Migrate()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("migrated %s to %s: %d objects scanned, %d rewritten, %d already current (%d -> %d bytes)\n",
-		*dir, target, stats.Scanned, stats.Rewritten, stats.Skipped, stats.BytesIn, stats.BytesOut)
+	fmt.Printf("migrated %s to zyt: %d objects scanned, %d rewritten, %d already current (%d -> %d bytes)\n",
+		*dir, stats.Scanned, stats.Rewritten, stats.Skipped, stats.BytesIn, stats.BytesOut)
 	return nil
 }
 

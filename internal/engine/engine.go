@@ -67,8 +67,8 @@ type Options struct {
 	CacheSize int
 	// Runner executes jobs; nil defaults to DefaultRunner.
 	Runner Runner
-	// Store attaches a persistent cache tier: plain jobs (no Variant,
-	// no Configure, not NoCache) missing the in-memory cache are looked
+	// Store attaches a persistent cache tier: plain jobs (no Configure,
+	// not NoCache) missing the in-memory cache are looked
 	// up on disk before simulating — a hit loads the archived trace
 	// instead of running — and every fresh successful plain run is
 	// archived back (the record hook). Store errors never fail a run:
@@ -116,19 +116,15 @@ type Job struct {
 	Scenario scenario.Scenario
 	FPR      float64
 	Seed     int64
-	// Variant discriminates non-default run configurations (e.g. a rate
-	// controller attached via Configure) in the cache key, so they never
-	// alias the plain run at the same point. Empty for plain runs.
-	Variant string
 	// NoCache schedules the job through the pool but bypasses the cache
 	// on both lookup and store. Required when Configure captures state
 	// the caller reads back after the run (controller alarm counts):
 	// serving such a job from cache would skip the side effects.
 	NoCache bool
 	// Configure mutates the built simulator configuration before the
-	// run. Only the default runner applies it. A job with a Configure
-	// hook must carry a Variant or NoCache so it cannot alias the plain
-	// run's cache slot; the engine forces NoCache otherwise.
+	// run. Only the default runner applies it. The engine forces NoCache
+	// on a job with a Configure hook, so it can never alias the plain
+	// run's cache slot.
 	Configure func(*sim.Config)
 	// Record is the job's engine-stamped trace recording level, assigned
 	// from Options.Record before the job reaches the Runner; caller-set
@@ -147,19 +143,18 @@ type Key struct {
 	Scenario string
 	FPR      float64
 	Seed     int64
-	Variant  string
 }
 
 func (j Job) key() Key {
-	return Key{Scenario: j.Scenario.Name, FPR: j.FPR, Seed: j.Seed, Variant: j.Variant}
+	return Key{Scenario: j.Scenario.Name, FPR: j.FPR, Seed: j.Seed}
 }
 
 // persistable reports whether the job's result may be served from or
 // archived to the persistent store: only plain (scenario, FPR, seed)
-// points qualify — the store key carries no variant, and Configure
-// hooks change the run in ways the key cannot see.
+// points qualify — Configure hooks change the run in ways the key
+// cannot see.
 func (j Job) persistable() bool {
-	return j.Variant == "" && j.Configure == nil && !j.NoCache
+	return j.Configure == nil && !j.NoCache
 }
 
 // Source says where a job's result came from.
@@ -563,9 +558,9 @@ func (e *Engine) Run(ctx context.Context, job Job) (*sim.Result, error) {
 // flight), or the persistent store.
 func (e *Engine) run(ctx context.Context, job Job) (*sim.Result, Source, error) {
 	e.startWorkers()
-	if job.Configure != nil && job.Variant == "" {
-		// Un-discriminated configured runs would poison the plain run's
-		// cache slot at the same point.
+	if job.Configure != nil {
+		// Configured runs would poison the plain run's cache slot at the
+		// same point.
 		job.NoCache = true
 	}
 	job.Record, job.fullForStore = e.effectiveLevel(job)

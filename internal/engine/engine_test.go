@@ -231,9 +231,9 @@ func TestFailuresNotCached(t *testing.T) {
 	}
 }
 
-// TestNoCacheAndVariant: NoCache jobs always execute; Variant keys
-// separate cache slots from the plain run at the same point.
-func TestNoCacheAndVariant(t *testing.T) {
+// TestNoCache: NoCache jobs always execute, even with the plain run at
+// the same point cached.
+func TestNoCache(t *testing.T) {
 	fr := &fakeRunner{}
 	e := New(Options{Workers: 2, Runner: fr.run})
 	sc := fakeScenario("s")
@@ -243,21 +243,14 @@ func TestNoCacheAndVariant(t *testing.T) {
 	if _, err := e.Run(ctx, plain); err != nil {
 		t.Fatal(err)
 	}
-	variant := Job{Scenario: sc, FPR: 30, Seed: 1, Variant: "controller"}
-	if _, err := e.Run(ctx, variant); err != nil {
-		t.Fatal(err)
-	}
-	if got := fr.calls.Load(); got != 2 {
-		t.Fatalf("variant aliased the plain run: calls = %d", got)
-	}
 	nocache := Job{Scenario: sc, FPR: 30, Seed: 1, NoCache: true}
 	for i := 0; i < 2; i++ {
 		if _, err := e.Run(ctx, nocache); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := fr.calls.Load(); got != 4 {
-		t.Errorf("NoCache served from cache: calls = %d, want 4", got)
+	if got := fr.calls.Load(); got != 3 {
+		t.Errorf("NoCache served from cache: calls = %d, want 3", got)
 	}
 }
 
@@ -337,9 +330,8 @@ func TestClose(t *testing.T) {
 	e.Close() // idempotent
 }
 
-// TestConfigureRequiresDiscriminator: a Configure hook without a
-// Variant is forced to NoCache so it cannot poison the plain run's
-// cache slot.
+// TestConfigureRequiresDiscriminator: a Configure hook is forced to
+// NoCache so it cannot poison the plain run's cache slot.
 func TestConfigureRequiresDiscriminator(t *testing.T) {
 	fr := &fakeRunner{}
 	e := New(Options{Workers: 1, Runner: fr.run})

@@ -148,19 +148,19 @@ func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 	}
 }
 
-// TestPersistentTierSkipsNonPersistableJobs: variants, configured
-// runs, and NoCache jobs must never be served from or archived to the
-// store — their store key cannot see what distinguishes them.
+// TestPersistentTierSkipsNonPersistableJobs: configured runs and
+// NoCache jobs must never be served from or archived to the store —
+// their store key cannot see what distinguishes them.
 func TestPersistentTierSkipsNonPersistableJobs(t *testing.T) {
 	st := openStore(t)
 	fr := &tracedRunner{}
 	e := New(Options{Workers: 2, Runner: fr.run, Store: st})
 
 	plain := Job{Scenario: fakeScenario("np"), FPR: 5, Seed: 1}
-	variant := Job{Scenario: fakeScenario("np"), FPR: 5, Seed: 1, Variant: "ctrl"}
+	configured := Job{Scenario: fakeScenario("np"), FPR: 5, Seed: 1, Configure: func(*sim.Config) {}}
 	nocache := Job{Scenario: fakeScenario("np"), FPR: 5, Seed: 1, NoCache: true}
 
-	for _, j := range []Job{plain, variant, nocache} {
+	for _, j := range []Job{plain, configured, nocache} {
 		if _, err := e.Run(context.Background(), j); err != nil {
 			t.Fatal(err)
 		}
@@ -170,17 +170,17 @@ func TestPersistentTierSkipsNonPersistableJobs(t *testing.T) {
 		t.Fatalf("store holds %d entries, want only the plain run", st.Len())
 	}
 
-	// A fresh engine must execute the variant and NoCache jobs again
+	// A fresh engine must execute the configured and NoCache jobs again
 	// even though the plain point is on disk.
 	fr2 := &tracedRunner{}
 	e2 := New(Options{Workers: 2, Runner: fr2.run, Store: st})
-	for _, j := range []Job{plain, variant, nocache} {
+	for _, j := range []Job{plain, configured, nocache} {
 		if _, err := e2.Run(context.Background(), j); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := fr2.calls.Load(); got != 2 {
-		t.Fatalf("fresh engine ran %d jobs, want 2 (variant + nocache)", got)
+		t.Fatalf("fresh engine ran %d jobs, want 2 (configured + nocache)", got)
 	}
 	if s := e2.Stats(); s.DiskHits != 1 {
 		t.Fatalf("fresh engine stats = %+v, want 1 disk hit", s)

@@ -59,7 +59,7 @@ func TestEngineRecordLevelThreadsToRuns(t *testing.T) {
 // TestStoreUpgradesRecordLevel proves the "store-recorded runs stay
 // full" policy: on a summary-level engine with a persistent store,
 // persistable jobs run (and archive) full traces, while
-// non-persistable variant jobs keep the summary level.
+// non-persistable NoCache jobs keep the summary level.
 func TestStoreUpgradesRecordLevel(t *testing.T) {
 	sc := specScenario("record-upgrade")
 	st := openStore(t)
@@ -81,15 +81,15 @@ func TestStoreUpgradesRecordLevel(t *testing.T) {
 		t.Fatalf("archived = %d, want 1", got)
 	}
 
-	variant, err := e.Run(context.Background(), Job{Scenario: sc, FPR: 10, Seed: 1, Variant: "v"})
+	nocache, err := e.Run(context.Background(), Job{Scenario: sc, FPR: 10, Seed: 1, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if variant.Level != trace.LevelSummary {
-		t.Errorf("variant job level = %v, want summary (not persistable, no upgrade)", variant.Level)
+	if nocache.Level != trace.LevelSummary {
+		t.Errorf("NoCache job level = %v, want summary (not persistable, no upgrade)", nocache.Level)
 	}
 	if st.Len() != 1 {
-		t.Errorf("variant run reached the store (%d entries)", st.Len())
+		t.Errorf("NoCache run reached the store (%d entries)", st.Len())
 	}
 }
 

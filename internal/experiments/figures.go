@@ -161,12 +161,11 @@ func figure7WithAgg(fpr float64, seed int64, agg core.AggregateOptions) (*Online
 		pred: predict.MultiHypothesis{Horizon: est.Params.Horizon, Dt: 0.1},
 		l0:   1 / fpr,
 	}
-	// The probe records estimates from inside the loop, so this run is a
-	// NoCache variant: replaying it from cache would leave the probe
-	// empty.
+	// The probe records estimates from inside the loop, so this run is
+	// NoCache: replaying it from cache would leave the probe empty.
 	res, err := engine.Default().Run(context.Background(), engine.Job{
 		Scenario: sc, FPR: fpr, Seed: seed,
-		Variant: "online-probe", NoCache: true,
+		NoCache: true,
 		Configure: func(cfg *sim.Config) {
 			cfg.RateController = probe
 			cfg.RateEpoch = 0.1

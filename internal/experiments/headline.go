@@ -67,7 +67,7 @@ func headlineRow(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, 
 		{Scenario: sc, FPR: 30, Seed: seed},
 		{
 			Scenario: sc, FPR: 30, Seed: seed,
-			Variant: "zhuyi-controller", NoCache: true,
+			NoCache: true,
 			// Start at the provisioned rate; the controller lowers it.
 			Configure: func(cfg *sim.Config) { cfg.RateController = ctrl },
 		},
@@ -155,7 +155,7 @@ func Prioritization(name string, budget float64, seed int64) (PrioritizationRow,
 	batch, err := engine.Default().RunBatch(context.Background(), []engine.Job{
 		{
 			Scenario: sc, FPR: 30, Seed: seed,
-			Variant: fmt.Sprintf("uniform-budget-%g", budget), NoCache: true,
+			NoCache: true,
 			Configure: func(cfg *sim.Config) {
 				if cfg.Rig == nil {
 					cfg.Rig = sensor.DefaultRig()
@@ -165,7 +165,7 @@ func Prioritization(name string, budget float64, seed int64) (PrioritizationRow,
 		},
 		{
 			Scenario: sc, FPR: 30, Seed: seed,
-			Variant: fmt.Sprintf("zhuyi-budget-%g", budget), NoCache: true,
+			NoCache: true,
 			Configure: func(cfg *sim.Config) {
 				cfg.RateController = safety.NewController(
 					est,

@@ -69,10 +69,6 @@ type Options struct {
 	// it backs the coordinator's warm tier and /v1/store endpoints. nil
 	// disables the warm tier (every point delegates).
 	Store *store.Store
-	// Registry resolves scenario names; nil uses scenario.Default().
-	Registry *scenario.Registry
-	// VirtualNodes is the per-replica vnode count on the ring (0 = 64).
-	VirtualNodes int
 	// StallTimeout bounds the wait for each point completion during a
 	// delegated campaign: a replica that streams nothing for this long
 	// is treated as dead and its unanswered points are retried on the
@@ -84,8 +80,6 @@ type Options struct {
 	// Backoff is the base delay before each retry wave, scaled by the
 	// attempt number. 0 means 200ms.
 	Backoff time.Duration
-	// MaxCampaignPoints caps points per campaign request (0 = 100000).
-	MaxCampaignPoints int
 	// HTTPClient overrides the transport used for replica traffic; nil
 	// uses http.DefaultClient. The stall watchdog, not a client
 	// timeout, bounds campaign streams.
@@ -112,7 +106,6 @@ type Coordinator struct {
 	reg     *scenario.Registry
 	inner   http.Handler       // a server.Server over eng, for non-fabric routes
 	lat     *server.LatencySet // shared with the inner server; /v1/rate lands here
-	maxPts  int
 	stall   time.Duration
 	retries int
 	backoff time.Duration
@@ -129,13 +122,9 @@ type Coordinator struct {
 
 // New builds a Coordinator over its replica set.
 func New(opts Options) (*Coordinator, error) {
-	ring, err := NewRing(opts.Replicas, opts.VirtualNodes)
+	ring, err := NewRing(opts.Replicas)
 	if err != nil {
 		return nil, err
-	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = scenario.Default()
 	}
 	c := &Coordinator{
 		ring: ring,
@@ -149,16 +138,12 @@ func New(opts Options) (*Coordinator, error) {
 			Runner: func(engine.Job) (*sim.Result, error) { return nil, errCold },
 		}),
 		st:       opts.Store,
-		reg:      reg,
-		maxPts:   opts.MaxCampaignPoints,
+		reg:      scenario.Default(),
 		stall:    opts.StallTimeout,
 		retries:  opts.Retries,
 		backoff:  opts.Backoff,
 		clients:  make(map[string]*zhuyi.Client, len(opts.Replicas)),
 		replicas: make(map[string]*replicaState, len(opts.Replicas)),
-	}
-	if c.maxPts <= 0 {
-		c.maxPts = 100_000
 	}
 	if c.stall <= 0 {
 		c.stall = 60 * time.Second
@@ -182,7 +167,7 @@ func New(opts Options) (*Coordinator, error) {
 	// the same histograms its own /v1/stats reports, proving the rate
 	// path never depends on replica health.
 	c.lat = server.NewLatencySet()
-	c.inner = server.New(server.Options{Engine: c.eng, Registry: reg, MaxCampaignPoints: c.maxPts, Latency: c.lat}).Handler()
+	c.inner = server.New(server.Options{Engine: c.eng, Latency: c.lat}).Handler()
 	return c, nil
 }
 
@@ -222,21 +207,6 @@ func (c *Coordinator) Handler() http.Handler {
 		c.requests.Add(1)
 		mux.ServeHTTP(w, r)
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		code, data = http.StatusInternalServerError,
-			[]byte(fmt.Sprintf("{\"error\": %q}", "response encoding failed: "+err.Error()))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // campaignPlan is one validated campaign: the request points plus each
@@ -297,27 +267,28 @@ func (m *mergeSink) fail(replica string, err error) {
 // one campaign over the replica set.
 func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	var req server.CampaignRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad campaign request: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, server.MaxRequestBytes)).Decode(&req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "bad campaign request: %v", err)
 		return
 	}
 	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "campaign has no points")
+		server.WriteError(w, http.StatusBadRequest, "campaign has no points")
 		return
 	}
-	if len(req.Points) > c.maxPts {
-		writeError(w, http.StatusBadRequest, "campaign has %d points (limit %d)", len(req.Points), c.maxPts)
+	if len(req.Points) > server.DefaultMaxCampaignPoints {
+		server.WriteError(w, http.StatusBadRequest, "campaign has %d points (limit %d)",
+			len(req.Points), server.DefaultMaxCampaignPoints)
 		return
 	}
 	plan := campaignPlan{points: req.Points, scs: make([]scenario.Scenario, len(req.Points)), fps: make([]string, len(req.Points))}
 	for i, pt := range req.Points {
 		sc, ok := c.reg.Lookup(pt.Scenario)
 		if !ok {
-			writeError(w, http.StatusBadRequest, "point %d: unknown scenario %q (GET /v1/scenarios)", i, pt.Scenario)
+			server.WriteError(w, http.StatusBadRequest, "point %d: unknown scenario %q (GET /v1/scenarios)", i, pt.Scenario)
 			return
 		}
 		if pt.FPR <= 0 {
-			writeError(w, http.StatusBadRequest, "point %d: non-positive fpr %g", i, pt.FPR)
+			server.WriteError(w, http.StatusBadRequest, "point %d: non-positive fpr %g", i, pt.FPR)
 			return
 		}
 		plan.scs[i] = sc
@@ -497,26 +468,27 @@ func (c *Coordinator) handleMRF(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("scenario")
 	sc, ok := c.reg.Lookup(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown scenario %q (GET /v1/scenarios)", name)
+		server.WriteError(w, http.StatusNotFound, "unknown scenario %q (GET /v1/scenarios)", name)
 		return
 	}
 	seeds, fprs, err := server.ParseMRFQuery(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if seeds*len(fprs) > c.maxPts {
-		writeError(w, http.StatusBadRequest, "mrf search of %d seeds x %d rates exceeds the %d-point limit", seeds, len(fprs), c.maxPts)
+	if !server.WithinPoints(server.DefaultMaxCampaignPoints, seeds, len(fprs)) {
+		server.WriteError(w, http.StatusBadRequest, "mrf search of %d seeds x %d rates exceeds the %d-point limit",
+			seeds, len(fprs), server.DefaultMaxCampaignPoints)
 		return
 	}
 	c.refreshManifest()
 	m, err := metrics.FindMRFContext(r.Context(), c.eng, sc, fprs, seeds)
 	if err == nil {
-		writeJSON(w, http.StatusOK, server.MRFResponseFor(m, fprs))
+		server.WriteJSON(w, http.StatusOK, server.MRFResponseFor(m, fprs))
 		return
 	}
 	if !errors.Is(err, errCold) {
-		writeError(w, http.StatusInternalServerError, "mrf %s: %v", name, err)
+		server.WriteError(w, http.StatusInternalServerError, "mrf %s: %v", name, err)
 		return
 	}
 	c.proxied.Add(1)
@@ -544,7 +516,7 @@ func (c *Coordinator) proxyMRF(w http.ResponseWriter, r *http.Request, rep strin
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "proxy %s: %v", rep, err)
+		server.WriteError(w, http.StatusInternalServerError, "proxy %s: %v", rep, err)
 		return
 	}
 	httpc := c.clients[rep].HTTPClient
@@ -555,7 +527,7 @@ func (c *Coordinator) proxyMRF(w http.ResponseWriter, r *http.Request, rep strin
 	if err != nil {
 		st.failures.Add(1)
 		st.healthy.Store(false)
-		writeError(w, http.StatusBadGateway, "replica %s: %v", rep, err)
+		server.WriteError(w, http.StatusBadGateway, "replica %s: %v", rep, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -600,5 +572,5 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
 		sum := c.st.Summarize()
 		resp.Store = &sum
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }

@@ -84,11 +84,11 @@ func coordStats(t *testing.T, baseURL string) server.StatsResponse {
 
 func TestRingStability(t *testing.T) {
 	urls := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1, err := NewRing(urls, 0)
+	r1, err := NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(urls, 0)
+	r2, err := NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,10 @@ func TestRingStability(t *testing.T) {
 		t.Errorf("all table-1 scenarios landed on one replica: %v (vnode spread broken?)", owners)
 	}
 
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty replica set accepted")
 	}
-	if _, err := NewRing([]string{"http://a:1", "http://a:1"}, 0); err == nil {
+	if _, err := NewRing([]string{"http://a:1", "http://a:1"}); err == nil {
 		t.Error("duplicate replicas accepted")
 	}
 }
@@ -457,6 +457,21 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 	if code := post(`{"points":[{"scenario":"cut-out-fast","fpr":-1,"seed":1}]}`); code != http.StatusBadRequest {
 		t.Errorf("negative fpr: status %d, want 400", code)
+	}
+	// Budget factors whose product wraps int are refused, not compared
+	// against the limit after wrapping.
+	for _, query := range []string{
+		"seeds=4611686018427387904&fprs=1,2,3,4",
+		"seeds=9223372036854775807",
+	} {
+		resp, err := http.Get(cts.URL + "/v1/mrf/cut-out?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("mrf %s: status %d, want 400", query, resp.StatusCode)
+		}
 	}
 
 	// Every replica dead: the client must get per-point errors and the

@@ -28,14 +28,11 @@ type Ring struct {
 	owner    []int    // hashes[i] belongs to replicas[owner[i]]
 }
 
-// NewRing builds a ring of vnodes virtual nodes per replica (0 uses
-// the default). Replica URLs must be non-empty and distinct.
-func NewRing(replicas []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring of defaultVirtualNodes virtual nodes per
+// replica. Replica URLs must be non-empty and distinct.
+func NewRing(replicas []string) (*Ring, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("fabric: ring needs at least one replica")
-	}
-	if vnodes <= 0 {
-		vnodes = defaultVirtualNodes
 	}
 	seen := make(map[string]bool, len(replicas))
 	r := &Ring{replicas: replicas}
@@ -47,7 +44,7 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("fabric: duplicate replica %q", rep)
 		}
 		seen[rep] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < defaultVirtualNodes; v++ {
 			r.hashes = append(r.hashes, hash64(fmt.Sprintf("%s#%d", rep, v)))
 			r.owner = append(r.owner, i)
 		}

@@ -194,6 +194,3 @@ func requiredDecel(v, vLead, dist float64) float64 {
 	}
 	return (v*v - vLead*vLead) / (2 * dist)
 }
-
-// AEBActive exposes the latch for tests and telemetry.
-func (p *Planner) AEBActive() bool { return p.aebActive }

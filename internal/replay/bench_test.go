@@ -1,7 +1,10 @@
 package replay
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"os"
 	"testing"
 
 	"repro/internal/engine"
@@ -17,10 +20,10 @@ const (
 	benchSeed = int64(1)
 )
 
-// benchRecordedStore records the benchmark points and migrates the
-// objects to the requested on-disk format, so format-sensitive
+// benchRecordedStore records the benchmark points, optionally
+// rewriting every object as legacy gzip JSONL, so format-sensitive
 // subbenchmarks compare decoders over identical content.
-func benchRecordedStore(b *testing.B, seeds int, format store.Format) (*store.Store, scenario.Scenario, []engine.Job) {
+func benchRecordedStore(b *testing.B, seeds int, legacy bool) (*store.Store, scenario.Scenario, []engine.Job) {
 	b.Helper()
 	sc, ok := scenario.Lookup(scenario.CutOut)
 	if !ok {
@@ -40,10 +43,37 @@ func benchRecordedStore(b *testing.B, seeds int, format store.Format) (*store.St
 	if _, err := eng.RunBatch(context.Background(), jobs); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := st.Migrate(format); err != nil {
-		b.Fatal(err)
+	if legacy {
+		writeLegacy(b, st)
 	}
 	return st, sc, jobs
+}
+
+// writeLegacy rewrites every archived object as gzip JSONL at its
+// LegacyObjectPath, at gzip.BestSpeed as the retired legacy writer did,
+// and removes the .zyt copy.
+func writeLegacy(b *testing.B, st *store.Store) {
+	b.Helper()
+	for _, e := range st.Entries() {
+		tr, err := st.Trace(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+		if err := tr.Write(zw); err != nil {
+			b.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(st.LegacyObjectPath(e.Artifact), buf.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Remove(st.ObjectPath(e.Artifact)); err != nil && !os.IsNotExist(err) {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkReplayVsSimulate is the headline speed claim of the replay
@@ -61,7 +91,7 @@ func BenchmarkReplayVsSimulate(b *testing.B) {
 		}
 	})
 	b.Run("Replay", func(b *testing.B) {
-		st, _, _ := benchRecordedStore(b, 1, store.FormatZYT)
+		st, _, _ := benchRecordedStore(b, 1, false)
 		entry := st.Entries()[0]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -74,9 +104,9 @@ func BenchmarkReplayVsSimulate(b *testing.B) {
 			}
 		}
 	})
-	diskGet := func(format store.Format) func(b *testing.B) {
+	diskGet := func(legacy bool) func(b *testing.B) {
 		return func(b *testing.B) {
-			st, _, _ := benchRecordedStore(b, 1, format)
+			st, _, _ := benchRecordedStore(b, 1, legacy)
 			key := store.KeyFor(scenario.CutOut, benchFPR, benchSeed)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -86,8 +116,8 @@ func BenchmarkReplayVsSimulate(b *testing.B) {
 			}
 		}
 	}
-	b.Run("DiskGetZYT", diskGet(store.FormatZYT))
-	b.Run("DiskGetJSONL", diskGet(store.FormatJSONL))
+	b.Run("DiskGetZYT", diskGet(false))
+	b.Run("DiskGetJSONL", diskGet(true))
 }
 
 // BenchmarkMRFSearch measures a full minimum-required-FPR search cold
@@ -154,7 +184,7 @@ func BenchmarkPersistentWarmStart(b *testing.B) {
 		}
 	})
 	b.Run("WarmDisk", func(b *testing.B) {
-		st, _, jobs := benchRecordedStore(b, seeds, store.FormatZYT)
+		st, _, jobs := benchRecordedStore(b, seeds, false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// A new engine per iteration: the memory cache starts empty,

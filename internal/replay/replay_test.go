@@ -3,6 +3,8 @@ package replay
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -97,6 +99,41 @@ func TestRecordReplayDiffZeroDivergences(t *testing.T) {
 	}
 	if divs := Diff(base, again.Summaries); len(divs) != 0 {
 		t.Fatalf("replay of unchanged store diverged: %v", divs)
+	}
+}
+
+// TestLegacyStoreFixtureDiffsClean replays the store package's frozen
+// legacy fixture — gzip-JSONL objects and baselines written by the last
+// release that wrote that format — against its recorded baselines, then
+// upgrades it to ZYT1 and replays again: zero divergences both times.
+func TestLegacyStoreFixtureDiffsClean(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "store", "testdata", "legacy-store"))); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	base, err := LoadBaselines(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, when := range []string{"legacy", "migrated"} {
+		rep, err := Run(context.Background(), st, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if len(rep.Summaries) != len(base) || len(base) != 5 {
+			t.Fatalf("%s: replayed %d runs against %d baselines, want 5", when, len(rep.Summaries), len(base))
+		}
+		if divs := Diff(base, rep.Summaries); len(divs) != 0 {
+			t.Errorf("%s: fixture diverged from its baselines: %v", when, divs)
+		}
+		if _, err := st.Migrate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

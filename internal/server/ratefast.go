@@ -32,7 +32,7 @@ import (
 const maxInternEntries = 4096
 
 // rateStatusFallback signals the handler to re-encode through the
-// reflective writeJSON path: a non-finite float reached the wire and
+// reflective WriteJSON path: a non-finite float reached the wire and
 // the legacy behavior (a 500 from MarshalIndent) must be preserved.
 const rateStatusFallback = -1
 
@@ -161,7 +161,7 @@ func (sc *rateScratch) readBody(r io.Reader) error {
 // serveRate runs the pooled path end to end: read, decode (JSON or
 // binary per Content-Type), validate, compute, encode. On success it
 // returns (0, "") with the response encoded in sc.out; otherwise the
-// HTTP status and message for writeError, or rateStatusFallback.
+// HTTP status and message for WriteError, or rateStatusFallback.
 // Validation order and error messages match the pre-pooled handler
 // exactly. Error paths may allocate — they are off the hot path.
 func (s *Server) serveRate(sc *rateScratch, body io.Reader, binary bool) (int, string) {
@@ -225,7 +225,7 @@ func (s *Server) serveRate(sc *rateScratch, body io.Reader, binary bool) (int, s
 
 // fallbackResponse rebuilds the wire response allocating freely; only
 // the non-finite-float fallback uses it, to reproduce the exact legacy
-// writeJSON behavior (a 500 from MarshalIndent).
+// WriteJSON behavior (a 500 from MarshalIndent).
 func (sc *rateScratch) fallbackResponse() RateResponse {
 	resp := RateResponse{
 		Time:      sc.e.Time,

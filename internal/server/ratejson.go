@@ -9,7 +9,7 @@ package server
 // matching, null handling, duplicate-key merging, trailing data
 // ignored after a complete top-level value); FuzzRateRequestDecode
 // pins the agreement. The encoder emits byte-for-byte what
-// writeJSON (json.MarshalIndent + newline) produced before this path
+// WriteJSON (json.MarshalIndent + newline) produced before this path
 // existed, so the response body is indistinguishable from the
 // reflective one — the golden wire test pins that.
 
@@ -778,7 +778,7 @@ func (sc *rateScratch) unescape(s []byte) []byte {
 
 // ---------------------------------------------------------------------
 // Encoder: byte-identical to json.MarshalIndent(v, "", "  ") plus the
-// trailing newline writeJSON appends.
+// trailing newline WriteJSON appends.
 
 const jsonHex = "0123456789abcdef"
 
@@ -899,7 +899,7 @@ func (sc *rateScratch) appendFloatMapIndent(b []byte, m map[string]float64, leve
 
 // encodeJSONResponse renders the response from the scratch's computed
 // state. It reports false when a non-finite float reaches the wire
-// (JSON cannot carry it); the handler then falls back to writeJSON for
+// (JSON cannot carry it); the handler then falls back to WriteJSON for
 // the identical legacy 500.
 func (sc *rateScratch) encodeJSONResponse() bool {
 	b := sc.out[:0]

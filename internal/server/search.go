@@ -20,7 +20,7 @@ import (
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad search request: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad search request: %v", err)
 		return
 	}
 	var fams []scenario.Family
@@ -40,11 +40,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Reject bad budgets and unknown families before streaming: once
 	// the NDJSON flow starts, errors can only ride in the trailer.
 	if err := opt.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if pts := searchPoints(req); pts > s.maxPts {
-		writeError(w, http.StatusBadRequest, "search budget of %d points exceeds the %d-point limit", pts, s.maxPts)
+	if nfam, gens, pop, seeds, grid := searchBudget(req); !WithinPoints(s.maxPts, nfam, gens, pop, seeds, grid) {
+		WriteError(w, http.StatusBadRequest,
+			"search budget of %d families x %d generations x %d candidates x %d seeds x %d rates exceeds the %d-point limit",
+			nfam, gens, pop, seeds, grid, s.maxPts)
 		return
 	}
 
@@ -70,11 +72,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	emit(SearchLine{Corpus: res})
 }
 
-// searchPoints bounds the work of a search request: the worst-case
-// engine points of the resolved budget (every candidate fresh, every
-// rate of the grid probed).
-func searchPoints(req SearchRequest) int {
-	gens, pop, seeds := req.Generations, req.Population, req.Seeds
+// searchBudget resolves the factors of a search request's worst-case
+// engine points (every candidate fresh, every rate of the grid probed):
+// families x generations x population x seeds x rates.
+func searchBudget(req SearchRequest) (nfam, gens, pop, seeds, grid int) {
+	gens, pop, seeds = req.Generations, req.Population, req.Seeds
 	if gens == 0 {
 		gens = search.DefaultGenerations
 	}
@@ -84,13 +86,13 @@ func searchPoints(req SearchRequest) int {
 	if seeds == 0 {
 		seeds = search.DefaultSeeds
 	}
-	nfam := len(req.Families)
+	nfam = len(req.Families)
 	if nfam == 0 {
 		nfam = len(scenario.Families())
 	}
-	grid := len(req.FPRGrid)
+	grid = len(req.FPRGrid)
 	if grid == 0 {
 		grid = len(metrics.DefaultFPRGrid())
 	}
-	return nfam * gens * pop * seeds * grid
+	return nfam, gens, pop, seeds, grid
 }

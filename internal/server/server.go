@@ -48,12 +48,31 @@ import (
 	"repro/internal/world"
 )
 
-// maxRequestBytes bounds request bodies; a campaign request is a list
-// of points, so even huge campaigns fit comfortably.
-const maxRequestBytes = 8 << 20
+// MaxRequestBytes bounds request bodies, on a worker and on the fabric
+// coordinator; a campaign request is a list of points, so even huge
+// campaigns fit comfortably.
+const MaxRequestBytes = 8 << 20
 
-// defaultMaxCampaignPoints caps points per campaign request.
-const defaultMaxCampaignPoints = 100_000
+// DefaultMaxCampaignPoints caps the engine points one request may
+// schedule: a campaign's points, an MRF search's seeds x rates, a
+// search's worst-case budget. The fabric coordinator enforces the same
+// limit.
+const DefaultMaxCampaignPoints = 100_000
+
+// WithinPoints reports whether the product of non-negative work
+// factors is at most limit. Each partial product is checked before the
+// next multiply, so client-supplied factors whose product would wrap
+// int are refused instead of compared after wrapping.
+func WithinPoints(limit int, factors ...int) bool {
+	n := 1
+	for _, f := range factors {
+		if f < 0 || n > 0 && f > limit/n {
+			return false
+		}
+		n *= f
+	}
+	return true
+}
 
 // Options configures a Server.
 type Options struct {
@@ -68,9 +87,7 @@ type Options struct {
 	// the /v1/store endpoints. Ignored when Engine is set (the engine's
 	// attached store is used instead).
 	Store *store.Store
-	// Registry resolves scenario names; nil uses scenario.Default().
-	Registry *scenario.Registry
-	// MaxCampaignPoints caps points per campaign request (0 = 100000).
+	// MaxCampaignPoints caps points per request (0 = DefaultMaxCampaignPoints).
 	MaxCampaignPoints int
 	// Latency overrides the per-route latency histogram set; nil builds
 	// a private one. A fabric coordinator shares its set with its inner
@@ -112,20 +129,16 @@ func New(opts Options) *Server {
 	} else {
 		st = eng.Store()
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = scenario.Default()
-	}
 	maxPts := opts.MaxCampaignPoints
 	if maxPts <= 0 {
-		maxPts = defaultMaxCampaignPoints
+		maxPts = DefaultMaxCampaignPoints
 	}
 	lat := opts.Latency
 	if lat == nil {
 		lat = NewLatencySet()
 	}
 	return &Server{
-		eng: eng, st: st, reg: reg, maxPts: maxPts,
+		eng: eng, st: st, reg: scenario.Default(), maxPts: maxPts,
 		gate: gate, lat: lat, rateHist: lat.Histogram("POST /v1/rate"),
 	}
 }
@@ -189,15 +202,16 @@ func (s *Server) handlerFor(r Route) (http.HandlerFunc, bool) {
 func (s *Server) counting(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
-		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 		next.ServeHTTP(w, r)
 	})
 }
 
-// writeJSON marshals before writing any header, so an encoding failure
-// (e.g. a non-finite float reaching a wire type) surfaces as a 500
-// instead of a 200 with an empty body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as an indented JSON response with status code.
+// It marshals before writing any header, so an encoding failure (e.g. a
+// non-finite float reaching a wire type) surfaces as a 500 instead of a
+// 200 with an empty body. The fabric coordinator answers through it too.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
@@ -210,8 +224,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(data, '\n'))
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError writes an ErrorResponse with status code.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -228,26 +243,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	var req CampaignRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad campaign request: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad campaign request: %v", err)
 		return
 	}
 	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "campaign has no points")
+		WriteError(w, http.StatusBadRequest, "campaign has no points")
 		return
 	}
 	if len(req.Points) > s.maxPts {
-		writeError(w, http.StatusBadRequest, "campaign has %d points (limit %d)", len(req.Points), s.maxPts)
+		WriteError(w, http.StatusBadRequest, "campaign has %d points (limit %d)", len(req.Points), s.maxPts)
 		return
 	}
 	jobs := make([]engine.Job, len(req.Points))
 	for i, pt := range req.Points {
 		sc, ok := s.reg.Lookup(pt.Scenario)
 		if !ok {
-			writeError(w, http.StatusBadRequest, "point %d: unknown scenario %q (GET /v1/scenarios)", i, pt.Scenario)
+			WriteError(w, http.StatusBadRequest, "point %d: unknown scenario %q (GET /v1/scenarios)", i, pt.Scenario)
 			return
 		}
 		if pt.FPR <= 0 {
-			writeError(w, http.StatusBadRequest, "point %d: non-positive fpr %g", i, pt.FPR)
+			WriteError(w, http.StatusBadRequest, "point %d: non-positive fpr %g", i, pt.FPR)
 			return
 		}
 		jobs[i] = engine.Job{Scenario: sc, FPR: pt.FPR, Seed: pt.Seed}
@@ -284,27 +299,27 @@ func (s *Server) handleMRF(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("scenario")
 	sc, ok := s.reg.Lookup(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown scenario %q (GET /v1/scenarios)", name)
+		WriteError(w, http.StatusNotFound, "unknown scenario %q (GET /v1/scenarios)", name)
 		return
 	}
 	seeds, fprs, err := ParseMRFQuery(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// One cheap GET must not schedule unbounded work on the shared
 	// engine: the search costs at most seeds x len(grid) points, capped
 	// by the same limit as a campaign request.
-	if seeds*len(fprs) > s.maxPts {
-		writeError(w, http.StatusBadRequest, "mrf search of %d seeds x %d rates exceeds the %d-point limit", seeds, len(fprs), s.maxPts)
+	if !WithinPoints(s.maxPts, seeds, len(fprs)) {
+		WriteError(w, http.StatusBadRequest, "mrf search of %d seeds x %d rates exceeds the %d-point limit", seeds, len(fprs), s.maxPts)
 		return
 	}
 	m, err := metrics.FindMRFContext(r.Context(), s.eng, sc, fprs, seeds)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "mrf %s: %v", name, err)
+		WriteError(w, http.StatusInternalServerError, "mrf %s: %v", name, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MRFResponseFor(m, fprs))
+	WriteJSON(w, http.StatusOK, MRFResponseFor(m, fprs))
 }
 
 // ParseMRFQuery parses the seeds/fprs query parameters of
@@ -400,10 +415,10 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 		w.Write(sc.out)
 	case rateStatusFallback:
 		// A non-finite float reached the JSON wire: reproduce the
-		// legacy writeJSON behavior exactly (a 500 from MarshalIndent).
-		writeJSON(w, http.StatusOK, sc.fallbackResponse())
+		// legacy WriteJSON behavior exactly (a 500 from MarshalIndent).
+		WriteJSON(w, http.StatusOK, sc.fallbackResponse())
 	default:
-		writeError(w, code, "%s", msg)
+		WriteError(w, code, "%s", msg)
 	}
 	if s.rateHist != nil {
 		s.rateHist.ObserveShard(time.Since(start), sc.shard)
@@ -422,14 +437,14 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("corpus"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 || n > 10_000 {
-			writeError(w, http.StatusBadRequest, "bad corpus size %q (1..10000)", v)
+			WriteError(w, http.StatusBadRequest, "bad corpus size %q (1..10000)", v)
 			return
 		}
 		var seed int64 = 1
 		if sv := q.Get("seed"); sv != "" {
 			seed, err = strconv.ParseInt(sv, 10, 64)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad seed %q", sv)
+				WriteError(w, http.StatusBadRequest, "bad seed %q", sv)
 				return
 			}
 		}
@@ -439,7 +454,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		}
 		opt := scenario.GenOptions{Seed: seed, Families: fams}
 		if err := opt.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		specs := scenario.NewGenerator(opt).Generate(n)
@@ -447,10 +462,10 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		for _, sp := range specs {
 			resp.Scenarios = append(resp.Scenarios, scenario.InfoOf(sp))
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, ScenariosResponse{Scenarios: s.reg.Catalog(splitComma(q.Get("tags"))...)})
+	WriteJSON(w, http.StatusOK, ScenariosResponse{Scenarios: s.reg.Catalog(splitComma(q.Get("tags"))...)})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -475,13 +490,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Yields:       yields,
 		WaitedMS:     float64(waited) / 1e6,
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // requireStore answers nil when no persistent store is attached.
 func (s *Server) requireStore(w http.ResponseWriter) *store.Store {
 	if s.st == nil {
-		writeError(w, http.StatusNotFound, "no persistent store attached (start with `zhuyi serve -store DIR`)")
+		WriteError(w, http.StatusNotFound, "no persistent store attached (start with `zhuyi serve -store DIR`)")
 		return nil
 	}
 	return s.st
@@ -493,7 +508,7 @@ func (s *Server) handleStore(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	_, err := os.Stat(replay.BaselinePath(st))
-	writeJSON(w, http.StatusOK, StoreResponse{Dir: st.Dir(), Summary: st.Summarize(), Baselines: err == nil})
+	WriteJSON(w, http.StatusOK, StoreResponse{Dir: st.Dir(), Summary: st.Summarize(), Baselines: err == nil})
 }
 
 func (s *Server) handleStoreManifest(w http.ResponseWriter, r *http.Request) {
@@ -512,7 +527,7 @@ func (s *Server) handleStoreManifest(w http.ResponseWriter, r *http.Request) {
 		}
 		entries = filtered
 	}
-	writeJSON(w, http.StatusOK, ManifestResponse{Entries: entries})
+	WriteJSON(w, http.StatusOK, ManifestResponse{Entries: entries})
 }
 
 func (s *Server) handleStorePeek(w http.ResponseWriter, r *http.Request) {
@@ -523,25 +538,25 @@ func (s *Server) handleStorePeek(w http.ResponseWriter, r *http.Request) {
 	name := q.Get("scenario")
 	sc, ok := s.reg.Lookup(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown scenario %q", name)
+		WriteError(w, http.StatusNotFound, "unknown scenario %q", name)
 		return
 	}
 	fpr, err := strconv.ParseFloat(q.Get("fpr"), 64)
 	if err != nil || fpr <= 0 {
-		writeError(w, http.StatusBadRequest, "bad fpr %q", q.Get("fpr"))
+		WriteError(w, http.StatusBadRequest, "bad fpr %q", q.Get("fpr"))
 		return
 	}
 	seed, err := strconv.ParseInt(q.Get("seed"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad seed %q", q.Get("seed"))
+		WriteError(w, http.StatusBadRequest, "bad seed %q", q.Get("seed"))
 		return
 	}
 	ent, ok := s.eng.Peek(engine.Job{Scenario: sc, FPR: fpr, Seed: seed})
 	if !ok {
-		writeError(w, http.StatusNotFound, "point not archived: %s fpr %g seed %d", name, fpr, seed)
+		WriteError(w, http.StatusNotFound, "point not archived: %s fpr %g seed %d", name, fpr, seed)
 		return
 	}
-	writeJSON(w, http.StatusOK, ent)
+	WriteJSON(w, http.StatusOK, ent)
 }
 
 func (s *Server) handleStoreDiff(w http.ResponseWriter, r *http.Request) {
@@ -552,15 +567,15 @@ func (s *Server) handleStoreDiff(w http.ResponseWriter, r *http.Request) {
 	base, err := replay.LoadBaselines(st)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			writeError(w, http.StatusNotFound, "no baselines in %s (run `zhuyi record` first)", st.Dir())
+			WriteError(w, http.StatusNotFound, "no baselines in %s (run `zhuyi record` first)", st.Dir())
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "baselines: %v", err)
+		WriteError(w, http.StatusInternalServerError, "baselines: %v", err)
 		return
 	}
 	rep, err := replay.Run(r.Context(), st, replay.Options{})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "replay: %v", err)
+		WriteError(w, http.StatusInternalServerError, "replay: %v", err)
 		return
 	}
 	divs := replay.Diff(base, rep.Summaries)
@@ -568,7 +583,7 @@ func (s *Server) handleStoreDiff(w http.ResponseWriter, r *http.Request) {
 	for _, d := range divs {
 		resp.Divergences = append(resp.Divergences, d.String())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func geomPose(x, y, heading float64) geom.Pose {

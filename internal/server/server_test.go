@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -248,6 +249,55 @@ func TestMRFAboveGridAndUnsortedInput(t *testing.T) {
 	}
 	if resp := getJSON(t, ts.URL+"/v1/mrf/cut-out?seeds=1&fprs=inf", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("fprs=inf: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestPointBudgetOverflowRejected: client-supplied budget factors
+// whose product wraps int must be refused with 400, not compared
+// against the point limit after wrapping to something small.
+func TestPointBudgetOverflowRejected(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"search generations x population", http.MethodPost, "/v1/search",
+			`{"families":["cut-in"],"generations":2147483648,"population":2147483648,"seeds":4,"fpr_grid":[1]}`},
+		{"search seeds", http.MethodPost, "/v1/search",
+			`{"families":["cut-in"],"generations":1,"population":1,"seeds":9223372036854775807,"fpr_grid":[1,2]}`},
+		{"mrf seeds x rates", http.MethodGet, "/v1/mrf/cut-out?seeds=4611686018427387904&fprs=1,2,3,4", ""},
+		{"mrf seeds x default grid", http.MethodGet, "/v1/mrf/cut-out?seeds=9223372036854775807", ""},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+}
+
+func TestWithinPoints(t *testing.T) {
+	for _, tc := range []struct {
+		limit   int
+		factors []int
+		want    bool
+	}{
+		{100, nil, true},
+		{100, []int{10, 10}, true},
+		{100, []int{10, 11}, false},
+		{100, []int{101}, false},
+		{100, []int{0, math.MaxInt, math.MaxInt}, true},
+		{100, []int{-1, 2}, false},
+		{100_000, []int{1 << 62, 4}, false},
+		{100_000, []int{1, 1 << 31, 1 << 31, 4, 1}, false},
+	} {
+		if got := WithinPoints(tc.limit, tc.factors...); got != tc.want {
+			t.Errorf("WithinPoints(%d, %v) = %v, want %v", tc.limit, tc.factors, got, tc.want)
+		}
 	}
 }
 

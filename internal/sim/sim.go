@@ -39,8 +39,6 @@ package sim
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/behavior"
 	"repro/internal/perception"
@@ -192,10 +190,4 @@ func plannerConfig(cfg Config) planner.Config {
 		return *cfg.Planner
 	}
 	return planner.DefaultConfig(cfg.DesiredSpeed, cfg.EgoParams)
-}
-
-// SortedCameraNames returns rate-map keys in stable order (helper for
-// deterministic reporting).
-func SortedCameraNames(rates map[string]float64) []string {
-	return slices.Sorted(maps.Keys(rates))
 }

@@ -223,9 +223,6 @@ func (s *Simulation) Result() *Result {
 // mid-pipeline, of the executing step).
 func (s *Simulation) Time() float64 { return float64(s.step) * s.cfg.Dt }
 
-// StepIndex returns the index of the next step to execute.
-func (s *Simulation) StepIndex() int { return s.step }
-
 // Steps returns the total step count of a full-length run (the final
 // step index is Steps, giving Steps+1 recorded instants).
 func (s *Simulation) Steps() int { return s.steps }

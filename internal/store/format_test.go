@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -30,6 +31,34 @@ func countObjects(t *testing.T, dir string) (zyt, jsonl int) {
 		return nil
 	})
 	return zyt, jsonl
+}
+
+// writeLegacy rewrites every archived object as gzip JSONL at its
+// LegacyObjectPath, at gzip.BestSpeed as the retired legacy writer did,
+// and removes the .zyt copy: the view of a store recorded before the
+// binary format, which the store itself no longer writes.
+func writeLegacy(t *testing.T, st *Store) {
+	t.Helper()
+	for _, e := range st.Entries() {
+		tr, err := st.Trace(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+		if err := tr.Write(zw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.LegacyObjectPath(e.Artifact), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(st.ObjectPath(e.Artifact)); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestPropertyFormatsEveryScenarioEveryLevel is the cross-format
@@ -72,7 +101,7 @@ func TestPropertyFormatsEveryScenarioEveryLevel(t *testing.T) {
 				continue
 			}
 			// Store-layer equivalence: archive (written as .zyt), read
-			// back, then migrate the object to legacy gzip JSONL and read
+			// back, then rewrite the object as legacy gzip JSONL and read
 			// again — all three views must be deep-equal.
 			k := KeyForScenario(sc, 10, 1)
 			if _, _, err := st.Put(sc.Name, k, res); err != nil {
@@ -88,7 +117,7 @@ func TestPropertyFormatsEveryScenarioEveryLevel(t *testing.T) {
 		}
 	}
 
-	// Flip the whole store to the legacy format and require identical
+	// Rewrite the whole store in the legacy format and require identical
 	// reconstructions through the gzip-JSONL decoder.
 	fresh := map[Key]*sim.Result{}
 	for _, sc := range scenario.Default().List() {
@@ -98,9 +127,7 @@ func TestPropertyFormatsEveryScenarioEveryLevel(t *testing.T) {
 		}
 		fresh[KeyForScenario(sc, 10, 1)] = res
 	}
-	if _, err := st.Migrate(FormatJSONL); err != nil {
-		t.Fatalf("migrate to jsonl: %v", err)
-	}
+	writeLegacy(t, st)
 	for k, res := range fresh {
 		got, ok, err := st.Get(k)
 		if err != nil || !ok {
@@ -179,9 +206,9 @@ func zytRoundTripTrace(t *testing.T, tr *trace.Trace) *trace.Trace {
 }
 
 // TestMigrateMixedFormatStore drives the full migration workflow: a
-// store recorded in the current format, migrated to legacy, extended
+// store recorded in the current format, rewritten as legacy, extended
 // with new recordings (mixed formats on disk), read transparently, and
-// migrated back.
+// migrated forward.
 func TestMigrateMixedFormatStore(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -206,15 +233,9 @@ func TestMigrateMixedFormatStore(t *testing.T) {
 	if z, j := countObjects(t, dir); z != 3 || j != 0 {
 		t.Fatalf("fresh store objects: %d zyt, %d jsonl; want 3, 0", z, j)
 	}
-	stats, err := st.Migrate(FormatJSONL)
-	if err != nil {
-		t.Fatalf("migrate to jsonl: %v", err)
-	}
-	if stats.Rewritten != 3 || stats.Skipped != 0 {
-		t.Errorf("migrate stats %+v, want 3 rewritten", stats)
-	}
+	writeLegacy(t, st)
 	if z, j := countObjects(t, dir); z != 0 || j != 3 {
-		t.Fatalf("post-migrate objects: %d zyt, %d jsonl; want 0, 3", z, j)
+		t.Fatalf("legacy objects: %d zyt, %d jsonl; want 0, 3", z, j)
 	}
 
 	// New recordings land in the current format → a mixed store.
@@ -233,14 +254,14 @@ func TestMigrateMixedFormatStore(t *testing.T) {
 	}
 
 	// Migrate everything forward; re-running is an idempotent no-op.
-	stats, err = st.Migrate(FormatZYT)
+	stats, err := st.Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rewritten != 3 || stats.Skipped != 1 {
 		t.Errorf("forward migrate stats %+v, want 3 rewritten / 1 skipped", stats)
 	}
-	stats, err = st.Migrate(FormatZYT)
+	stats, err = st.Migrate()
 	if err != nil || stats.Rewritten != 0 || stats.Skipped != 4 {
 		t.Errorf("idempotent migrate stats %+v err=%v, want 0 rewritten / 4 skipped", stats, err)
 	}
@@ -255,9 +276,9 @@ func TestMigrateMixedFormatStore(t *testing.T) {
 	}
 }
 
-// TestMigrateRefusesCorruptObject: a truncated object must survive a
-// migration attempt untouched — the error is reported and the bad copy
-// is not replaced by garbage, nor deleted.
+// TestMigrateRefusesCorruptObject: a truncated legacy object must
+// survive a migration attempt untouched — the error is reported and the
+// bad copy is not replaced by garbage, nor deleted.
 func TestMigrateRefusesCorruptObject(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -270,7 +291,8 @@ func TestMigrateRefusesCorruptObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := st.ObjectPath(e.Artifact)
+	writeLegacy(t, st)
+	path := st.LegacyObjectPath(e.Artifact)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +300,7 @@ func TestMigrateRefusesCorruptObject(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := st.Migrate(FormatJSONL)
+	stats, err := st.Migrate()
 	if err == nil {
 		t.Fatal("migrating a corrupt object: want error")
 	}
@@ -288,22 +310,71 @@ func TestMigrateRefusesCorruptObject(t *testing.T) {
 	if _, statErr := os.Stat(path); statErr != nil {
 		t.Error("corrupt source object was deleted")
 	}
+	if _, statErr := os.Stat(st.ObjectPath(e.Artifact)); !os.IsNotExist(statErr) {
+		t.Errorf("corrupt source object was upgraded: stat = %v", statErr)
+	}
 }
 
-// TestParseFormat pins the accepted spellings.
-func TestParseFormat(t *testing.T) {
-	for in, want := range map[string]Format{
-		"zyt": FormatZYT, ".zyt": FormatZYT,
-		"jsonl": FormatJSONL, "jsonl.gz": FormatJSONL, ".jsonl.gz": FormatJSONL,
-		"ZYT": FormatZYT,
-	} {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = (%v, %v), want %v", in, got, err, want)
+// TestLegacyStoreFixture checks the legacy decoder and the one-way
+// upgrade against bytes this code did not write. testdata/legacy-store
+// was recorded by the last release that could write gzip JSONL: the
+// four untagged (JSONL-addressed) entries of testdata/sidecar-store,
+// healed, plus one "hash":"zyt" entry, every object then rewritten as
+// .jsonl.gz. Each run is syntheticResult(scenario, 10, seed, 30,
+// seed == 2). Its baselines.jsonl seeds the CI store smoke's diff.
+func TestLegacyStoreFixture(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "legacy-store"))); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, "manifest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	entries := st.Entries()
+	schemes := map[string]int{}
+	for _, e := range entries {
+		schemes[e.HashScheme]++
+	}
+	if len(entries) != 5 || schemes[""] != 4 || schemes[HashZYT] != 1 {
+		t.Fatalf("fixture holds %d entries by scheme %v, want 4 untagged and 1 %q", len(entries), schemes, HashZYT)
+	}
+	checkGets := func(when string) {
+		t.Helper()
+		for _, e := range entries {
+			want := syntheticResult(e.Scenario, e.Key.FPR, e.Key.Seed, 30, e.Key.Seed == 2)
+			got, ok, err := st.Get(e.Key)
+			if err != nil || !ok {
+				t.Fatalf("%s: get %s/%d: ok=%v err=%v", when, e.Scenario, e.Key.Seed, ok, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s/%d differs from its synthetic run", when, e.Scenario, e.Key.Seed)
+			}
 		}
 	}
-	if _, err := ParseFormat("parquet"); err == nil {
-		t.Error("ParseFormat accepted an unknown format")
+
+	if z, j := countObjects(t, dir); z != 0 || j != 5 {
+		t.Fatalf("fixture objects: %d zyt, %d jsonl; want 0, 5", z, j)
+	}
+	checkGets("legacy")
+	stats, err := st.Migrate()
+	if err != nil || stats.Rewritten != 5 || stats.Skipped != 0 {
+		t.Fatalf("migrate = (%+v, %v), want 5 rewritten", stats, err)
+	}
+	if z, j := countObjects(t, dir); z != 5 || j != 0 {
+		t.Fatalf("migrated objects: %d zyt, %d jsonl; want 5, 0", z, j)
+	}
+	checkGets("migrated")
+	if stats, err := st.Migrate(); err != nil || stats.Rewritten != 0 || stats.Skipped != 5 {
+		t.Errorf("second migrate = (%+v, %v), want 0 rewritten / 5 skipped", stats, err)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, "manifest.jsonl")); err != nil || !bytes.Equal(after, manifest) {
+		t.Errorf("migrate changed manifest.jsonl (read err %v)", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"compress/gzip"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,55 +9,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Format names an on-disk object encoding for Migrate.
-type Format string
-
-// The two object encodings a store can hold.
-const (
-	// FormatZYT is the current binary columnar encoding (.zyt).
-	FormatZYT Format = "zyt"
-	// FormatJSONL is the legacy gzip JSONL encoding (.jsonl.gz).
-	FormatJSONL Format = "jsonl"
-)
-
-// ParseFormat maps a user-facing format name to a Format.
-func ParseFormat(name string) (Format, error) {
-	switch strings.ToLower(name) {
-	case string(FormatZYT), extZYT:
-		return FormatZYT, nil
-	case string(FormatJSONL), "jsonl.gz", extJSONL:
-		return FormatJSONL, nil
-	}
-	return "", fmt.Errorf("store: unknown object format %q (want %q or %q)", name, FormatZYT, FormatJSONL)
-}
-
-func (f Format) ext() string {
-	if f == FormatJSONL {
-		return extJSONL
-	}
-	return extZYT
-}
-
 // MigrateStats reports what one Migrate pass did.
 type MigrateStats struct {
 	Scanned   int   `json:"scanned"`   // objects examined
-	Rewritten int   `json:"rewritten"` // objects converted to the target format
-	Skipped   int   `json:"skipped"`   // objects already in the target format
-	BytesIn   int64 `json:"bytes_in"`  // on-disk size of converted source objects
+	Rewritten int   `json:"rewritten"` // legacy objects upgraded to ZYT1
+	Skipped   int   `json:"skipped"`   // objects already in ZYT1
+	BytesIn   int64 `json:"bytes_in"`  // on-disk size of upgraded source objects
 	BytesOut  int64 `json:"bytes_out"` // on-disk size of their replacements
 }
 
-// Migrate rewrites every object in the store to the target format, in
-// place: each source object is decoded, re-encoded to a temp file,
-// fsynced, verified to hash back to its content address, renamed over
-// the target path, and only then is the source removed. A crash at any
-// point leaves each artifact readable in at least one format (readers
-// probe both), and a decode or hash mismatch skips the object with an
-// error rather than destroying the only good copy. Migrate walks the
-// objects directory rather than the manifest, so shared and orphaned
-// objects convert too; manifest entries are untouched (an object keeps
-// its address, whichever hash scheme produced it, in either format).
-func (s *Store) Migrate(target Format) (MigrateStats, error) {
+// Migrate upgrades every legacy gzip-JSONL object in the store to the
+// ZYT1 format, in place: each source object is decoded, verified to
+// hash back to its content address, re-encoded to a temp file,
+// fsynced, renamed over the .zyt path, and only then is the source
+// removed. A crash at any point leaves each artifact readable in at
+// least one format (readers probe both), and a decode or hash mismatch
+// skips the object with an error rather than destroying the only good
+// copy. Migrate walks the objects directory rather than the manifest,
+// so shared and orphaned objects upgrade too; manifest entries are
+// untouched (an object keeps its address, whichever hash scheme
+// produced it). The upgrade is one way: the store never writes gzip
+// JSONL.
+func (s *Store) Migrate() (MigrateStats, error) {
 	var st MigrateStats
 	root := filepath.Join(s.dir, "objects")
 	var firstErr error
@@ -67,27 +39,21 @@ func (s *Store) Migrate(target Format) (MigrateStats, error) {
 			return err
 		}
 		name := info.Name()
-		var hash string
-		var from Format
 		switch {
 		case strings.HasSuffix(name, extZYT):
-			hash, from = strings.TrimSuffix(name, extZYT), FormatZYT
-		case strings.HasSuffix(name, extJSONL):
-			hash, from = strings.TrimSuffix(name, extJSONL), FormatJSONL
-		default:
+			st.Scanned++
+			st.Skipped++
+			return nil
+		case !strings.HasSuffix(name, extJSONL):
 			return nil // temp debris or foreign files
 		}
 		st.Scanned++
-		if from == target {
-			st.Skipped++
-			return nil
-		}
-		out, err := s.convertObject(path, hash, from, target)
+		out, err := s.upgradeObject(path, strings.TrimSuffix(name, extJSONL))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
-			return nil // keep converting the rest
+			return nil // keep upgrading the rest
 		}
 		st.Rewritten++
 		st.BytesIn += info.Size()
@@ -100,10 +66,10 @@ func (s *Store) Migrate(target Format) (MigrateStats, error) {
 	return st, firstErr
 }
 
-// convertObject rewrites one artifact to the target format and removes
-// the source, returning the new object's on-disk size.
-func (s *Store) convertObject(srcPath, hash string, from, target Format) (int64, error) {
-	tr, err := readObjectFile(srcPath, from)
+// upgradeObject rewrites one legacy artifact as ZYT1 and removes the
+// source, returning the new object's on-disk size.
+func (s *Store) upgradeObject(srcPath, hash string) (int64, error) {
+	tr, err := readObject(srcPath, true)
 	if err != nil {
 		return 0, fmt.Errorf("store: migrate %s: %w", hash, err)
 	}
@@ -116,23 +82,13 @@ func (s *Store) convertObject(srcPath, hash string, from, target Format) (int64,
 		return 0, fmt.Errorf("store: migrate %s: %w", hash, err)
 	}
 
-	dst := s.objectPathExt(hash, target.ext())
+	dst := s.ObjectPath(hash)
 	tmp, err := os.CreateTemp(filepath.Dir(dst), ".tmp-"+hash+"-*")
 	if err != nil {
 		return 0, fmt.Errorf("store: migrate %s: %w", hash, err)
 	}
 	defer os.Remove(tmp.Name())
-	switch target {
-	case FormatJSONL:
-		zw, _ := gzip.NewWriterLevel(tmp, gzip.BestSpeed)
-		if err = tr.Write(zw); err == nil {
-			err = zw.Close()
-		} else {
-			zw.Close()
-		}
-	default:
-		err = tr.WriteZYT(tmp)
-	}
+	err = tr.WriteZYT(tmp)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -169,22 +125,4 @@ func verifyAddress(tr *trace.Trace, hash string) error {
 		return err
 	}
 	return fmt.Errorf("decoded object hashes to %s (zyt) and %s (jsonl) — refusing to rewrite", zyt, jsonl)
-}
-
-// readObjectFile decodes one object file in the given format.
-func readObjectFile(path string, f Format) (*trace.Trace, error) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer file.Close()
-	if f == FormatJSONL {
-		zr, err := gzip.NewReader(file)
-		if err != nil {
-			return nil, err
-		}
-		defer zr.Close()
-		return trace.Read(zr)
-	}
-	return trace.ReadZYT(file)
 }

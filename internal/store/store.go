@@ -33,8 +33,9 @@
 //
 // New objects are written in the ZYT1 binary columnar format
 // (trace.WriteZYT, stored raw — its decoder is what makes the disk
-// tier faster than re-simulating); old gzip-JSONL objects stay readable
-// forever, and Migrate rewrites between the two in place, keeping every
+// tier faster than re-simulating), and ZYT1 is the only format the
+// store writes. Old gzip-JSONL objects stay readable forever, and
+// Migrate upgrades them to ZYT1 in place, one way, keeping every
 // address. The manifest maps a Key — scenario spec fingerprint, FPR,
 // seed, simulator version — to its artifact hash plus the run summary
 // needed to reconstruct a sim.Result without re-simulating (collision,
@@ -680,29 +681,30 @@ func (s *Store) Trace(e Entry) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: artifact %s: %w", e.Artifact, err)
-	}
-	defer f.Close()
-	var tr *trace.Trace
-	if legacy {
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("store: artifact %s: %w", e.Artifact, err)
-		}
-		defer zr.Close()
-		tr, err = trace.Read(zr)
-		if err != nil {
-			return nil, fmt.Errorf("store: artifact %s: %w", e.Artifact, err)
-		}
-		return tr, nil
-	}
-	tr, err = trace.ReadZYT(bufio.NewReaderSize(f, 256<<10))
+	tr, err := readObject(path, legacy)
 	if err != nil {
 		return nil, fmt.Errorf("store: artifact %s: %w", e.Artifact, err)
 	}
 	return tr, nil
+}
+
+// readObject decodes one object file: gzip JSONL when legacy, else
+// ZYT1 through a 256 KiB buffered reader (the disk tier's hot path).
+func readObject(path string, legacy bool) (*trace.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if !legacy {
+		return trace.ReadZYT(bufio.NewReaderSize(f, 256<<10))
+	}
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	defer zr.Close()
+	return trace.Read(zr)
 }
 
 // Get reconstructs the archived sim.Result for a key: the parsed trace

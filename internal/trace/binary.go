@@ -75,11 +75,6 @@ const (
 	zytBlockRows = 4096
 )
 
-// IsZYT reports whether the byte prefix looks like a binary trace.
-func IsZYT(prefix []byte) bool {
-	return len(prefix) >= len(ZYTMagic) && string(prefix[:len(ZYTMagic)]) == ZYTMagic
-}
-
 // WriteZYT serializes the trace in the ZYT1 binary columnar format.
 // The encoding covers exactly the fields the JSONL encoding covers;
 // ReadZYT(WriteZYT(tr)) is deep-equal to Read(Write(tr)).

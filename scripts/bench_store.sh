@@ -94,7 +94,7 @@ cat > "$out" <<JSON
     "mrf_cold_vs_warm_manifest": $r_warm_manifest
   },
   "notes": [
-    "disk_get_zyt vs disk_get_jsonl decode identical archived content (the store is migrated between formats in the bench fixture), so the ratio isolates the ZYT1 columnar decoder against the legacy gzip-JSONL decoder: gate >= 5x.",
+    "disk_get_zyt vs disk_get_jsonl decode identical archived content (the bench fixture rewrites the recorded objects as gzip JSONL, as the retired legacy writer did), so the ratio isolates the ZYT1 columnar decoder against the legacy gzip-JSONL decoder: gate >= 5x.",
     "simulate_vs_disk_get_zyt compares acquiring one archived result from the disk tier against re-simulating the point from scratch: gate >= 1x, so warm-starting is never slower than the simulator it replaces. Against a DriveSim-class stack, where one closed-loop run costs minutes of GPU inference, the same ratio grows by orders of magnitude.",
     "mrf_cold_vs_warm_manifest is the manifest-only warm tier: MRF-style collision waves answer from the store manifest alone (no artifact decode, no simulation).",
     "replay = artifact load + offline evaluator + alarm count + trace-re-derived min-gap/ego-stopped: the bit-stable regression summary zhuyi diff re-derives without touching the simulator.",
