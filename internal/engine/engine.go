@@ -39,13 +39,13 @@ type Runner func(Job) (*sim.Result, error)
 // simulation of the scenario at the job's rate. The recording level is
 // the lesser of what the built configuration declares (a spec-declared
 // level survives the engine path) and the job's engine-stamped level —
-// unless the point will be archived, in which case the engine requires
-// a full trace and the job says so (fullForStore). Configure may still
-// override cfg.Record.
+// unless the run must keep its rows — it will be archived, or Trace
+// asked for them — and the job says so (fullTrace). Configure may
+// still override cfg.Record.
 func DefaultRunner(j Job) (*sim.Result, error) {
 	cfg := j.Scenario.Build(j.FPR, j.Seed)
 	switch {
-	case j.fullForStore:
+	case j.fullTrace:
 		cfg.Record = trace.LevelFull
 	case j.Record > cfg.Record:
 		cfg.Record = j.Record // the engine's policy records less than the spec declares
@@ -68,12 +68,12 @@ type Options struct {
 	// Runner executes jobs; nil defaults to DefaultRunner.
 	Runner Runner
 	// Store attaches a persistent cache tier: plain jobs (no Configure,
-	// not NoCache) missing the in-memory cache are looked
-	// up on disk before simulating — a hit loads the archived trace
-	// instead of running — and every fresh successful plain run is
+	// not NoCache) missing the in-memory cache are looked up in the
+	// store manifest before simulating — a hit answers with the entry's
+	// run summary (store.Entry.Result), no rows, and Trace reads the
+	// archived rows on demand — and every fresh successful plain run is
 	// archived back (the record hook). Store errors never fail a run:
-	// the point falls through to a fresh simulation and the error is
-	// counted in Stats.StoreErrors. nil disables the tier.
+	// they are counted in Stats.StoreErrors. nil disables the tier.
 	Store *store.Store
 	// Record is the trace recording level the engine runs its jobs at.
 	// The zero value is trace.LevelFull. Engines whose consumers only
@@ -130,12 +130,11 @@ type Job struct {
 	// from Options.Record before the job reaches the Runner; caller-set
 	// values are overwritten. The default runner records at the lesser
 	// of this and any level the scenario's own spec declares, except
-	// when fullForStore demands an archivable trace.
+	// when fullTrace demands every row.
 	Record trace.Level
-	// fullForStore marks a persistable job on a store-attached engine:
-	// the run must produce a full trace for the archive hook, whatever
-	// the engine policy or the spec declare.
-	fullForStore bool
+	// fullTrace makes the run record every row whatever the engine
+	// policy or the spec declare: the archive hook and Trace need them.
+	fullTrace bool
 }
 
 // Key is the cache identity of a job.
@@ -167,7 +166,8 @@ const (
 	// SourceMemory — served from the in-memory cache, or joined an
 	// execution another caller already had in flight.
 	SourceMemory
-	// SourceDisk — loaded from the persistent store; no simulation.
+	// SourceDisk — the persistent store's manifest summary; no
+	// simulation and no rows (read them through Engine.Trace).
 	SourceDisk
 )
 
@@ -217,12 +217,7 @@ type Stats struct {
 	DiskHits    int64 // persistent-store hits
 	Archived    int64 // fresh runs written to the persistent store
 	Failures    int64
-	StoreErrors int64 // store lookups/archives that failed (runs unaffected)
-	// ManifestHits counts Peek answers: queries satisfied from the
-	// manifest summary alone, no artifact decode and no simulation (each
-	// also counts as a DiskHit). The fabric coordinator's warm tier runs
-	// entirely on these.
-	ManifestHits int64
+	StoreErrors int64 // archives and artifact reads that failed (runs unaffected)
 	// ArchivePending gauges the async archiver's backlog: fresh results
 	// handed to the background store writer but not yet on disk. Zero
 	// after any Drain/RunBatch return.
@@ -265,31 +260,23 @@ type Engine struct {
 	cache  map[Key]*entry
 	order  []Key // insertion order for FIFO eviction
 
-	// diskSem bounds concurrent persistent-tier artifact loads to the
-	// pool size: disk hits run on the submitting goroutine (RunBatch
-	// spawns one per job), and an unbounded warm campaign would
-	// otherwise decompress and decode hundreds of traces at once.
-	diskSem chan struct{}
-
 	// arch is the bounded async archiver (nil without a store): fresh
 	// results are enqueued before waiters unblock and written to the
 	// store off the waiter path. RunBatch and Drain flush it.
 	arch *archiver
 
-	executed     atomic.Int64
-	cacheHits    atomic.Int64
-	diskHits     atomic.Int64
-	manifestHits atomic.Int64
-	archived     atomic.Int64
-	failures     atomic.Int64
-	storeErrs    atomic.Int64
+	executed  atomic.Int64
+	cacheHits atomic.Int64
+	diskHits  atomic.Int64
+	archived  atomic.Int64
+	failures  atomic.Int64
+	storeErrs atomic.Int64
 }
 
 // New builds an engine. Workers are started lazily on first submission.
 func New(opts Options) *Engine {
 	e := &Engine{opts: opts.withDefaults(), cache: make(map[Key]*entry)}
 	e.cond = sync.NewCond(&e.mu)
-	e.diskSem = make(chan struct{}, e.opts.Workers)
 	if e.opts.Store != nil {
 		// Bound the backlog at a few results per worker: deep enough that
 		// bursts of fast summary runs never stall on fsync, small enough
@@ -328,13 +315,12 @@ func (e *Engine) Store() *store.Store { return e.opts.Store }
 // Stats snapshots the engine-lifetime counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Executed:     e.executed.Load(),
-		CacheHits:    e.cacheHits.Load(),
-		DiskHits:     e.diskHits.Load(),
-		Archived:     e.archived.Load(),
-		Failures:     e.failures.Load(),
-		StoreErrors:  e.storeErrs.Load(),
-		ManifestHits: e.manifestHits.Load(),
+		Executed:    e.executed.Load(),
+		CacheHits:   e.cacheHits.Load(),
+		DiskHits:    e.diskHits.Load(),
+		Archived:    e.archived.Load(),
+		Failures:    e.failures.Load(),
+		StoreErrors: e.storeErrs.Load(),
 
 		ArchivePending: e.archivePending(),
 	}
@@ -475,41 +461,23 @@ func (e *Engine) archive(j Job, res *sim.Result) {
 	}
 }
 
-// Peek returns the persistent store's manifest entry for a plain job
-// without loading or decoding its trace artifact. Campaigns that only
-// need a run's summary — an MRF collision wave reads nothing but the
-// collision outcome — use it to skip both the simulation and the
-// artifact decode; the entry's summary fields are exactly what the
-// full result would report. Peek hits count as disk hits.
-func (e *Engine) Peek(j Job) (store.Entry, bool) {
+// lookup finds a plain job's manifest entry in the persistent store.
+func (e *Engine) lookup(j Job) (store.Entry, bool) {
 	if e.opts.Store == nil || !j.persistable() {
 		return store.Entry{}, false
 	}
-	ent, ok := e.opts.Store.Lookup(store.KeyForScenario(j.Scenario, j.FPR, j.Seed))
-	if ok {
-		e.diskHits.Add(1)
-		e.manifestHits.Add(1)
-	}
-	return ent, ok
+	return e.opts.Store.Lookup(store.KeyForScenario(j.Scenario, j.FPR, j.Seed))
 }
 
-// storeLookup tries the persistent tier for a plain job. Lookup errors
-// degrade to a miss (the point re-simulates) and are counted.
+// storeLookup answers a plain job from the persistent tier: a hit is
+// the manifest entry's run summary, with no artifact read.
 func (e *Engine) storeLookup(j Job) (*sim.Result, bool) {
-	if e.opts.Store == nil || !j.persistable() {
+	ent, ok := e.lookup(j)
+	if !ok {
 		return nil, false
 	}
-	e.diskSem <- struct{}{}
-	defer func() { <-e.diskSem }()
-	res, ok, err := e.opts.Store.Get(store.KeyForScenario(j.Scenario, j.FPR, j.Seed))
-	if err != nil {
-		e.storeErrs.Add(1)
-		return nil, false
-	}
-	if ok {
-		e.diskHits.Add(1)
-	}
-	return res, ok
+	e.diskHits.Add(1)
+	return ent.Result(), true
 }
 
 // finish publishes the task's outcome. Failures are never cached:
@@ -532,7 +500,7 @@ func (e *Engine) finish(t *task, res *sim.Result, err error) {
 // effectiveLevel resolves the recording level a job runs at: the
 // engine's configured level, upgraded to full for persistable jobs on
 // a store-attached engine (the archive hook needs a complete trace —
-// the fullForStore flag tells the runner the upgrade is mandatory and
+// the fullTrace flag tells the runner the upgrade is mandatory and
 // overrides even a spec-declared level).
 func (e *Engine) effectiveLevel(j Job) (trace.Level, bool) {
 	if e.opts.Store != nil && j.persistable() {
@@ -563,7 +531,7 @@ func (e *Engine) run(ctx context.Context, job Job) (*sim.Result, Source, error) 
 		// same point.
 		job.NoCache = true
 	}
-	job.Record, job.fullForStore = e.effectiveLevel(job)
+	job.Record, job.fullTrace = e.effectiveLevel(job)
 	cacheable := !job.NoCache && e.opts.CacheSize > 0
 	if cacheable {
 		key := job.key()
@@ -613,11 +581,47 @@ func (e *Engine) run(ctx context.Context, job Job) (*sim.Result, Source, error) 
 	if res, hit := e.storeLookup(job); hit {
 		return res, SourceDisk, nil
 	}
+	res, err := e.runUncached(ctx, job)
+	return res, SourceFresh, err
+}
+
+// runUncached executes a job on the pool outside the cache and waits
+// for its outcome.
+func (e *Engine) runUncached(ctx context.Context, job Job) (*sim.Result, error) {
 	ent := &entry{done: make(chan struct{})}
-	t := &task{ctx: ctx, job: job, ent: ent}
-	e.enqueue(t)
+	e.enqueue(&task{ctx: ctx, job: job, ent: ent})
 	<-ent.done
-	return ent.res, SourceFresh, ent.err
+	return ent.res, ent.err
+}
+
+// Trace returns the job's full recorded trace, the rows a disk-tier
+// result does not carry. It runs the job as Run does, then takes the
+// rows from the memory tier's result, else from the archived artifact
+// on the caller's goroutine. A missing or unreadable artifact counts
+// one StoreErrors and falls back to a fresh full-level run, whose
+// archive (drained before Trace returns) rewrites a missing object.
+func (e *Engine) Trace(ctx context.Context, job Job) (*trace.Trace, error) {
+	res, err := e.Run(ctx, job)
+	if err != nil {
+		return nil, err
+	}
+	if res.Level == trace.LevelFull {
+		return res.Trace, nil
+	}
+	if ent, ok := e.lookup(job); ok {
+		tr, err := e.opts.Store.Trace(ent)
+		if err == nil {
+			return tr, nil
+		}
+		e.storeErrs.Add(1)
+	}
+	job.Record, job.fullTrace = trace.LevelFull, true
+	res, err = e.runUncached(ctx, job)
+	e.Drain()
+	if err != nil {
+		return nil, err
+	}
+	return res.Trace, nil
 }
 
 // evictLocked drops the oldest completed entries until the cache fits.

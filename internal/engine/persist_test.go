@@ -46,6 +46,18 @@ func (f *tracedRunner) run(j Job) (*sim.Result, error) {
 	}, nil
 }
 
+// summaryOf is the run summary every tier must agree on: collision,
+// frames processed, min gap, ego stop and the row count, whether the
+// rows are loaded or not.
+func summaryOf(res *sim.Result) sim.Result {
+	s := *res
+	if s.Trace != nil {
+		s.ArchivedRows = s.Trace.Len()
+	}
+	s.Trace, s.Level = nil, 0
+	return s
+}
+
 func openStore(t *testing.T) *store.Store {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
@@ -57,8 +69,9 @@ func openStore(t *testing.T) *store.Store {
 }
 
 // TestPersistentTierWarmStart replays a recorded campaign on a fresh
-// engine: every point must load from disk (then memory), simulating
-// nothing, with results deep-equal to the fresh pass.
+// engine: every point must answer from disk (then memory), simulating
+// nothing, with the fresh pass's summaries, and Trace must read back
+// the fresh pass's rows.
 func TestPersistentTierWarmStart(t *testing.T) {
 	st := openStore(t)
 	jobs := gridJobs(fakeScenario("persist"), []float64{1, 5, 30}, 3)
@@ -91,13 +104,23 @@ func TestPersistentTierWarmStart(t *testing.T) {
 	if frB.calls.Load() != 0 {
 		t.Fatalf("warm engine simulated %d times", frB.calls.Load())
 	}
-	for i := range jobs {
-		if !reflect.DeepEqual(warm.Outcomes[i].Result, cold.Outcomes[i].Result) {
-			t.Fatalf("outcome %d differs between fresh and disk-loaded", i)
+	for i, j := range jobs {
+		if !reflect.DeepEqual(summaryOf(warm.Outcomes[i].Result), summaryOf(cold.Outcomes[i].Result)) {
+			t.Fatalf("outcome %d summary differs between fresh and disk", i)
 		}
 		if warm.Outcomes[i].Source != SourceDisk || !warm.Outcomes[i].Cached {
 			t.Fatalf("outcome %d source = %v", i, warm.Outcomes[i].Source)
 		}
+		tr, err := b.Trace(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tr, cold.Outcomes[i].Result.Trace) {
+			t.Fatalf("outcome %d: archived trace differs from the fresh one", i)
+		}
+	}
+	if frB.calls.Load() != 0 || b.Stats().StoreErrors != 0 {
+		t.Fatalf("reading rows ran %d simulations, stats %+v", frB.calls.Load(), b.Stats())
 	}
 
 	// Third pass on the warm engine: the disk-filled slots now serve
@@ -112,8 +135,8 @@ func TestPersistentTierWarmStart(t *testing.T) {
 }
 
 // TestPersistentTierEquivalenceRealSim pins the store round-trip
-// against the real simulator: a disk-loaded result must deep-equal the
-// fresh simulation of the same point.
+// against the real simulator: a disk-tier result must carry the fresh
+// simulation's summary, and Trace its rows.
 func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real closed-loop simulation")
@@ -143,8 +166,81 @@ func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 	if s := b.Stats(); s.Executed != 0 || s.DiskHits != 1 {
 		t.Fatalf("warm engine stats = %+v", s)
 	}
-	if !reflect.DeepEqual(fresh, loaded) {
-		t.Error("disk-loaded result differs from fresh simulation")
+	if !reflect.DeepEqual(summaryOf(fresh), summaryOf(loaded)) {
+		t.Error("disk-tier summary differs from fresh simulation")
+	}
+	tr, err := b.Trace(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr, fresh.Trace) {
+		t.Error("archived trace differs from fresh simulation")
+	}
+	if s := b.Stats(); s.Executed != 0 || s.StoreErrors != 0 {
+		t.Fatalf("warm engine stats after Trace = %+v", s)
+	}
+}
+
+// TestTraceHealsMissingObjects: a store whose objects/ directory is
+// gone still answers a summary campaign from its manifest alone — every
+// point a disk hit, no store error, no run. The loss surfaces only when
+// rows are read: Trace counts one store error, re-simulates the point
+// at full level, returns the cold run's rows, and its archive rewrites
+// the object, so the next Trace reads it from disk.
+func TestTraceHealsMissingObjects(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	jobs := gridJobs(specScenario("heal"), []float64{10, 30}, 2)
+	rst, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := New(Options{Workers: 2, Store: rst})
+	cold, err := rec.RunBatch(ctx, jobs)
+	rec.Close()
+	rst.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "objects")); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	e := New(Options{Workers: 2, Store: st})
+	defer e.Close()
+	warm, err := e.RunBatch(ctx, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats.DiskHits != len(jobs) {
+		t.Fatalf("warm campaign stats = %+v, want %d disk hits", warm.Stats, len(jobs))
+	}
+	if s := e.Stats(); s.StoreErrors != 0 || s.Executed != 0 {
+		t.Fatalf("warm campaign engine stats = %+v, want 0 store errors and 0 runs", s)
+	}
+	for i := range jobs {
+		if !reflect.DeepEqual(summaryOf(warm.Outcomes[i].Result), summaryOf(cold.Outcomes[i].Result)) {
+			t.Fatalf("outcome %d summary differs from the cold run", i)
+		}
+	}
+
+	// The first Trace heals the object; the second reads it from disk.
+	for pass := range 2 {
+		tr, err := e.Trace(ctx, jobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tr, cold.Outcomes[0].Result.Trace) {
+			t.Errorf("pass %d: trace differs from the cold run's", pass)
+		}
+		if s := e.Stats(); s.StoreErrors != 1 || s.Executed != 1 {
+			t.Errorf("pass %d: engine stats = %+v, want 1 store error and 1 run", pass, s)
+		}
 	}
 }
 
@@ -187,9 +283,10 @@ func TestPersistentTierSkipsNonPersistableJobs(t *testing.T) {
 	}
 }
 
-// TestPersistentTierConcurrentEngines races two engines over one store
+// TestPersistentTierConcurrentEngines races engines over one store
 // (run with -race): concurrent recorders and disk readers must agree
-// on every result.
+// on every summary, and Trace must return every point's recorded rows
+// while other engines are still archiving.
 func TestPersistentTierConcurrentEngines(t *testing.T) {
 	st := openStore(t)
 	jobs := gridJobs(fakeScenario("race"), []float64{1, 2, 5, 15, 30}, 4)
@@ -208,6 +305,13 @@ func TestPersistentTierConcurrentEngines(t *testing.T) {
 				return
 			}
 			results[i] = br
+			for _, j := range jobs {
+				tr, err := e.Trace(context.Background(), j)
+				want, _ := (&tracedRunner{}).run(j)
+				if err != nil || !reflect.DeepEqual(tr, want.Trace) {
+					t.Errorf("engine %d: Trace(%+v) = %v, want the recorded rows", i, j.key(), err)
+				}
+			}
 		}(i, e)
 	}
 	wg.Wait()
@@ -219,7 +323,7 @@ func TestPersistentTierConcurrentEngines(t *testing.T) {
 	}
 	for i := 1; i < len(results); i++ {
 		for k := range jobs {
-			if !reflect.DeepEqual(results[i].Outcomes[k].Result, results[0].Outcomes[k].Result) {
+			if !reflect.DeepEqual(summaryOf(results[i].Outcomes[k].Result), summaryOf(results[0].Outcomes[k].Result)) {
 				t.Fatalf("engine %d outcome %d differs", i, k)
 			}
 		}

@@ -60,12 +60,12 @@ func BaselineComparison(opt Options) ([]BaselineRow, error) {
 		row.UniformTotal = gs.TotalFPR
 
 		// Zhuyi's demand at the uniform operating point.
-		res, err := opt.Engine.Run(ctx, engine.Job{Scenario: sc, FPR: gs.MinUniformFPR, Seed: 1})
+		tr, err := opt.Engine.Trace(ctx, engine.Job{Scenario: sc, FPR: gs.MinUniformFPR, Seed: 1})
 		if err != nil {
 			return err
 		}
 		est := core.NewEstimator()
-		off, err := est.EvaluateTrace(res.Trace, core.OfflineOptions{EvalEvery: opt.EvalEvery})
+		off, err := est.EvaluateTrace(tr, core.OfflineOptions{EvalEvery: opt.EvalEvery})
 		if err != nil {
 			return err
 		}

@@ -161,12 +161,17 @@ func table1Row(ctx context.Context, sc scenario.Scenario, opt Options) (Table1Ro
 	counts := make(map[float64]int, len(opt.FPRGrid))
 	maxSum := 0.0
 	// Outcomes follow job submission order (ascending rate, then seed),
-	// keeping the float accumulation deterministic.
+	// keeping the float accumulation deterministic. The campaign answers
+	// with run summaries; the offline estimate (§3.1) reads the rows.
 	for _, o := range batch.Outcomes {
 		if o.Result.Collided() {
 			continue // rare boundary collision at a nominally safe rate
 		}
-		off, err := est.EvaluateTrace(o.Result.Trace, core.OfflineOptions{EvalEvery: opt.EvalEvery})
+		tr, err := opt.Engine.Trace(ctx, o.Job)
+		if err != nil {
+			return row, err
+		}
+		off, err := est.EvaluateTrace(tr, core.OfflineOptions{EvalEvery: opt.EvalEvery})
 		if err != nil {
 			return row, err
 		}

@@ -101,7 +101,7 @@ type replicaState struct {
 // its Handler with net/http. Safe for concurrent use.
 type Coordinator struct {
 	ring    *Ring
-	eng     *engine.Engine // manifest-only: Peek answers, runs return errCold
+	eng     *engine.Engine // manifest-only: disk hits answer, runs return errCold
 	st      *store.Store
 	reg     *scenario.Registry
 	inner   http.Handler       // a server.Server over eng, for non-fabric routes
@@ -128,8 +128,8 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		ring: ring,
-		// The inner engine never simulates: Peek serves the warm tier
-		// from the shared manifest, and any job that reaches the runner
+		// The inner engine never simulates: its disk tier answers from
+		// the shared manifest, and any job that reaches the runner
 		// reports errCold. (Cold MRF probes therefore count as engine
 		// Failures here — the price of reusing the engine's batch path
 		// as a manifest query planner.)
@@ -315,9 +315,12 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	// Warm tier: answer archived points from the shared manifest alone.
 	c.refreshManifest()
 	for i, pt := range req.Points {
-		if ent, ok := c.eng.Peek(engine.Job{Scenario: plan.scs[i], FPR: pt.FPR, Seed: pt.Seed}); ok {
-			pr := pointResultFromEntry(i, pt, ent)
-			sink.point(i, pr)
+		if c.st == nil {
+			break // no shared store: every point delegates
+		}
+		if ent, ok := c.st.Lookup(store.KeyForScenario(plan.scs[i], pt.FPR, pt.Seed)); ok {
+			j := engine.Job{Scenario: plan.scs[i], FPR: pt.FPR, Seed: pt.Seed}
+			sink.point(i, server.OutcomeToWire(i, engine.Outcome{Job: j, Result: ent.Result(), Source: engine.SourceDisk}))
 			sink.mu.Lock()
 			sink.agg.DiskHits++
 			sink.mu.Unlock()
@@ -437,27 +440,6 @@ func (c *Coordinator) delegate(ctx context.Context, rep string, plan campaignPla
 	if res != nil {
 		sink.addStats(res.Stats)
 	}
-}
-
-// pointResultFromEntry shapes a manifest entry into the wire form of a
-// disk-tier campaign point (what a replica would have answered, minus
-// the replica).
-func pointResultFromEntry(i int, pt server.Point, ent store.Entry) server.PointResult {
-	pr := server.PointResult{
-		Index: i, Scenario: pt.Scenario, FPR: pt.FPR, Seed: pt.Seed,
-		Source:          engine.SourceDisk.String(),
-		MinBumperGap:    ent.MinBumperGap,
-		MinGapInfinite:  ent.MinGapInfinite,
-		EgoStopped:      ent.EgoStopped,
-		Rows:            ent.Rows,
-		FramesProcessed: ent.FramesProcessed,
-	}
-	if ent.Collision != nil {
-		pr.Collided = true
-		pr.CollisionTime = ent.Collision.Time
-		pr.CollisionActor = ent.Collision.ActorID
-	}
-	return pr
 }
 
 // handleMRF answers an MRF search from the shared manifest when every

@@ -190,9 +190,6 @@ func TestFabricRoundTripAndWarmRerun(t *testing.T) {
 		t.Errorf("warm rerun re-simulated: replica executed %d -> %d", executed, executedAfter)
 	}
 	stats := coordStats(t, cts.URL)
-	if stats.Engine.ManifestHits < int64(len(points)) {
-		t.Errorf("coordinator manifest hits %d, want >= %d", stats.Engine.ManifestHits, len(points))
-	}
 	if stats.Fabric == nil || len(stats.Fabric.Replicas) != 3 {
 		t.Fatalf("fabric stats %+v, want 3 replicas", stats.Fabric)
 	}
@@ -425,8 +422,8 @@ func TestMRFWarmAndProxied(t *testing.T) {
 	if !reflect.DeepEqual(cold, warm) {
 		t.Errorf("warm MRF diverges from proxied MRF:\ncold %+v\nwarm %+v", cold, warm)
 	}
-	if coordStats(t, cts.URL).Engine.ManifestHits == 0 {
-		t.Error("warm MRF reported no manifest hits")
+	if coordStats(t, cts.URL).Engine.DiskHits == 0 {
+		t.Error("warm MRF reported no disk hits")
 	}
 }
 

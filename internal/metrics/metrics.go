@@ -105,23 +105,15 @@ func FindMRFContext(ctx context.Context, eng *engine.Engine, sc scenario.Scenari
 }
 
 // collisionWave runs all seeds of one rate as a single engine campaign
-// and counts collisions. A wave needs nothing but each run's collision
-// outcome, so points archived in the engine's persistent store are
-// answered from the manifest summary alone — no simulation and no
-// trace decode; only the points the store has never seen are
-// scheduled.
+// and counts collisions. A wave reads nothing but each run's collision
+// outcome, which the engine's disk tier answers from the manifest
+// summary alone: archived points cost no simulation and no trace
+// decode.
 func collisionWave(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, fpr float64, seeds int) (int, error) {
 	collided := 0
-	jobs := make([]engine.Job, 0, seeds)
-	for s := 1; s <= seeds; s++ {
-		j := engine.Job{Scenario: sc, FPR: fpr, Seed: int64(s)}
-		if e, ok := eng.Peek(j); ok {
-			if e.Collision != nil {
-				collided++
-			}
-			continue
-		}
-		jobs = append(jobs, j)
+	jobs := make([]engine.Job, seeds)
+	for s := range jobs {
+		jobs[s] = engine.Job{Scenario: sc, FPR: fpr, Seed: int64(s + 1)}
 	}
 	batch, batchErr := eng.RunBatch(ctx, jobs)
 	var errs []error

@@ -271,7 +271,7 @@ func TestSearchWarmStoreRerunZeroFresh(t *testing.T) {
 	if warm.Executed != 0 {
 		t.Fatalf("warm rerun executed %d fresh simulations, want 0 (stats %+v)", warm.Executed, warm)
 	}
-	if warm.ManifestHits == 0 {
+	if warm.DiskHits == 0 {
 		t.Fatal("warm rerun did not touch the manifest")
 	}
 	if !bytes.Equal(corpus1, corpus2) {

@@ -195,10 +195,6 @@ type EngineStats struct {
 	Archived    int64 `json:"archived"`
 	Failures    int64 `json:"failures"`
 	StoreErrors int64 `json:"store_errors"`
-	// ManifestHits counts queries answered from the store manifest
-	// summary alone (no artifact decode, no simulation) — the fabric
-	// coordinator's warm tier.
-	ManifestHits int64 `json:"manifest_hits"`
 	// ArchivePending is the depth of the asynchronous archive queue:
 	// fresh results handed back to their waiters whose store write has
 	// not yet landed on disk.
@@ -333,12 +329,15 @@ func Routes() []Route {
 		{"GET", "/v1/stats", "engine and service counters: fresh runs vs memory/disk hits, store volume"},
 		{"GET", "/v1/store", "attached persistent store: directory, manifest summary, baseline presence"},
 		{"GET", "/v1/store/manifest", "manifest entries, optionally filtered by ?scenario="},
-		{"GET", "/v1/store/peek", "one manifest entry by ?scenario=&fpr=&seed= without decoding its artifact"},
+		{"GET", "/v1/store/peek", "one manifest entry by ?scenario=&fpr=&seed=: the run summary the disk tier answers with"},
 		{"GET", "/v1/store/diff", "differential replay of every archived trace against recorded baselines"},
 	}
 }
 
-func outcomeToPointResult(i int, o engine.Outcome) PointResult {
+// OutcomeToWire shapes an engine outcome into the wire form of campaign
+// point i; the fabric coordinator shares it for the points its warm
+// tier answers, so the two cannot drift apart.
+func OutcomeToWire(i int, o engine.Outcome) PointResult {
 	pr := PointResult{
 		Index:    i,
 		Scenario: o.Job.Scenario.Name,
@@ -366,6 +365,7 @@ func outcomeToPointResult(i int, o engine.Outcome) PointResult {
 	}
 	pr.EgoStopped = res.EgoStopped
 	pr.FramesProcessed = res.FramesProcessed
+	pr.Rows = res.ArchivedRows
 	if res.Trace != nil {
 		pr.Rows = res.Trace.Len()
 	}
@@ -383,7 +383,6 @@ func EngineStatsToWire(s engine.Stats) EngineStats {
 		Archived:       s.Archived,
 		Failures:       s.Failures,
 		StoreErrors:    s.StoreErrors,
-		ManifestHits:   s.ManifestHits,
 		ArchivePending: s.ArchivePending,
 	}
 }

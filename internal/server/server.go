@@ -191,7 +191,7 @@ func (s *Server) handlerFor(r Route) (http.HandlerFunc, bool) {
 	case "/v1/store/manifest":
 		return s.handleStoreManifest, true
 	case "/v1/store/peek":
-		return s.handleStorePeek, true
+		return s.handleStoreEntry, true
 	case "/v1/store/diff":
 		return s.handleStoreDiff, true
 	}
@@ -281,7 +281,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	batch, err := s.eng.RunBatchFunc(r.Context(), jobs, func(i int, o engine.Outcome) {
-		pr := outcomeToPointResult(i, o)
+		pr := OutcomeToWire(i, o)
 		emit(CampaignLine{Point: &pr})
 	})
 	trailer := CampaignLine{}
@@ -530,7 +530,7 @@ func (s *Server) handleStoreManifest(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, ManifestResponse{Entries: entries})
 }
 
-func (s *Server) handleStorePeek(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStoreEntry(w http.ResponseWriter, r *http.Request) {
 	if s.requireStore(w) == nil {
 		return
 	}
@@ -541,17 +541,18 @@ func (s *Server) handleStorePeek(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "unknown scenario %q", name)
 		return
 	}
-	fpr, err := strconv.ParseFloat(q.Get("fpr"), 64)
-	if err != nil || fpr <= 0 {
+	fprs, err := parseFloats(q.Get("fpr"))
+	if err != nil || len(fprs) != 1 {
 		WriteError(w, http.StatusBadRequest, "bad fpr %q", q.Get("fpr"))
 		return
 	}
+	fpr := fprs[0]
 	seed, err := strconv.ParseInt(q.Get("seed"), 10, 64)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad seed %q", q.Get("seed"))
 		return
 	}
-	ent, ok := s.eng.Peek(engine.Job{Scenario: sc, FPR: fpr, Seed: seed})
+	ent, ok := s.st.Lookup(store.KeyForScenario(sc, fpr, seed))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "point not archived: %s fpr %g seed %d", name, fpr, seed)
 		return
@@ -602,7 +603,7 @@ func splitComma(s string) []string {
 	return out
 }
 
-// parseFloats parses a comma-separated positive rate list.
+// parseFloats parses a comma-separated list of positive, finite rates.
 func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, item := range splitComma(s) {

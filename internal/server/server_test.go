@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -96,7 +97,8 @@ func campaignTwoPoints() CampaignRequest {
 // handler level: a first campaign runs fresh, the identical second
 // campaign answers from the memory tier, and a new server process over
 // the same store directory answers from the disk tier — each asserted
-// via /v1/stats.
+// via /v1/stats. The disk tier's lines match the fresh lines in every
+// field but source, row counts included.
 func TestCampaignStreamAndTiers(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -154,9 +156,22 @@ func TestCampaignStreamAndTiers(t *testing.T) {
 	}
 	defer st2.Close()
 	ts2 := newTestServer(t, Options{Store: st2})
-	_, stats = postCampaign(t, ts2.URL, campaignTwoPoints())
+	diskPoints, stats := postCampaign(t, ts2.URL, campaignTwoPoints())
 	if stats.DiskHits != 2 || stats.Executed != 0 {
 		t.Errorf("disk-tier campaign stats %+v, want 2 disk hits", stats)
+	}
+	fresh := map[int]PointResult{}
+	for _, p := range points {
+		fresh[p.Index] = p
+	}
+	for _, p := range diskPoints {
+		if p.Source != "disk" {
+			t.Errorf("point %d source %q, want disk", p.Index, p.Source)
+		}
+		p.Source = "fresh"
+		if !reflect.DeepEqual(p, fresh[p.Index]) {
+			t.Errorf("point %d: disk line %+v differs from fresh line %+v", p.Index, p, fresh[p.Index])
+		}
 	}
 	var stResp2 StatsResponse
 	getJSON(t, ts2.URL+"/v1/stats", &stResp2)
@@ -436,6 +451,12 @@ func TestStoreEndpoints(t *testing.T) {
 	}
 	if resp := getJSON(t, ts.URL+"/v1/store/peek?scenario="+scenario.CutOut+"&fpr=30&seed=99", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("peek miss: status %d, want 404", resp.StatusCode)
+	}
+	// A rate /v1/mrf would refuse is a bad request here too, not a miss.
+	for _, fpr := range []string{"NaN", "inf", "-Inf", "0", "-1"} {
+		if resp := getJSON(t, ts.URL+"/v1/store/peek?scenario="+scenario.CutOut+"&fpr="+fpr+"&seed=1", nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("peek fpr=%s: status %d, want 400", fpr, resp.StatusCode)
+		}
 	}
 
 	// No baselines recorded yet: diff is a 404, not a failure.

@@ -111,12 +111,15 @@ type Config struct {
 type Result struct {
 	// Trace is the recorded execution: all rows at trace.LevelFull,
 	// header-only (Meta and Collision, no rows) at LevelSummary, nil at
-	// LevelOff.
+	// LevelOff and on a store summary (store.Entry.Result).
 	Trace           *trace.Trace
 	Collision       *trace.Collision
 	FramesProcessed map[string]int
 	MinBumperGap    float64 // closest longitudinal approach to any in-corridor actor, m
 	EgoStopped      bool    // the ego came to a complete stop at least once
+	// ArchivedRows is a store summary's row count (store.Entry.Result):
+	// its rows stay on disk. 0 on a result that carries its trace.
+	ArchivedRows int
 	// Level is the recording level the run executed at. The persistent
 	// store refuses to archive anything but trace.LevelFull.
 	Level trace.Level

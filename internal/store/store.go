@@ -707,12 +707,33 @@ func readObject(path string, legacy bool) (*trace.Trace, error) {
 	return trace.Read(zr)
 }
 
-// Get reconstructs the archived sim.Result for a key: the parsed trace
-// plus the manifest's run summary. It reports (nil, false, nil) on a
-// clean miss; a present key whose artifact cannot be read is an error.
-// The reconstruction is deep-equal to the result a fresh simulation of
-// the same point produces (the engine's persistent-tier equivalence
-// test pins this).
+// Result is the entry's run summary as a sim.Result: collision, frames
+// processed, min gap (+Inf when flagged), ego stop and the archived row
+// count, at trace.LevelSummary with no trace. It is the disk tier's
+// answer for a key; Get attaches the decoded trace to it.
+func (e Entry) Result() *sim.Result {
+	res := &sim.Result{
+		Collision:       e.Collision,
+		FramesProcessed: e.FramesProcessed,
+		MinBumperGap:    e.MinBumperGap,
+		EgoStopped:      e.EgoStopped,
+		ArchivedRows:    e.Rows,
+		Level:           trace.LevelSummary,
+	}
+	if res.FramesProcessed == nil {
+		res.FramesProcessed = map[string]int{}
+	}
+	if e.MinGapInfinite {
+		res.MinBumperGap = math.Inf(1)
+	}
+	return res
+}
+
+// Get reconstructs the archived sim.Result for a key: the manifest's
+// run summary (Entry.Result) plus the parsed trace. It reports
+// (nil, false, nil) on a clean miss; a present key whose artifact
+// cannot be read is an error. The reconstruction is deep-equal to the
+// result a fresh simulation of the same point produces.
 func (s *Store) Get(k Key) (*sim.Result, bool, error) {
 	e, ok := s.Lookup(k)
 	if !ok {
@@ -722,19 +743,8 @@ func (s *Store) Get(k Key) (*sim.Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	res := &sim.Result{
-		Trace:           tr,
-		Collision:       tr.Collision,
-		FramesProcessed: e.FramesProcessed,
-		MinBumperGap:    e.MinBumperGap,
-		EgoStopped:      e.EgoStopped,
-		Level:           trace.LevelFull, // only full traces are ever archived
-	}
-	if res.FramesProcessed == nil {
-		res.FramesProcessed = map[string]int{}
-	}
-	if e.MinGapInfinite {
-		res.MinBumperGap = math.Inf(1)
-	}
+	res := e.Result()
+	// Only full traces are ever archived; the trace carries the rows.
+	res.Trace, res.Level, res.ArchivedRows = tr, trace.LevelFull, 0
 	return res, true, nil
 }

@@ -85,7 +85,7 @@ curl -sf "http://$coord/v1/mrf/cut-out?seeds=2" | grep -q '"mrf"'
 [ "$(stat "$coord" proxied)" -eq 1 ]
 curl -sf "http://$coord/v1/mrf/cut-out?seeds=2" | grep -q '"mrf"'
 [ "$(stat "$coord" proxied)" -eq 1 ]
-[ "$(stat "$coord" manifest_hits)" -gt 0 ]
+[ "$(stat "$coord" disk_hits)" -gt 0 ]
 
 # 4. Replica death mid-campaign. Snapshot the survivors, start the full
 # campaign in the background, and SIGKILL the biggest owner mid-flight.

@@ -54,7 +54,9 @@
 //	res, err := zhuyi.Campaign(ctx, eng, points) // Result.Trace carries no rows
 //
 // Engines with a persistent store always record archivable points at
-// RecordFull — the store refuses anything less.
+// RecordFull — the store refuses anything less. A point such an engine
+// answers from the store carries its run summary and row count but no
+// rows (Result.Trace is nil); Engine.Trace reads them on demand.
 //
 // # Generating scenario corpora
 //
