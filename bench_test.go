@@ -27,11 +27,14 @@ import (
 // --- Table 1 ---
 
 // BenchmarkTable1Row measures one scenario row of Table 1 at reduced
-// scale (2 seeds, 3 rates): the MRF search plus offline estimates.
+// scale (2 seeds, 3 rates): the MRF search plus offline estimates. A
+// fresh 4-worker engine per iteration keeps the cache out of the
+// measurement.
 func BenchmarkTable1Row(b *testing.B) {
-	opt := experiments.Options{Seeds: 2, FPRGrid: []float64{1, 5, 30}, Workers: 4}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(opt)
+		eng := engine.New(engine.Options{Workers: 4})
+		rows, err := experiments.Table1(experiments.Options{Seeds: 2, FPRGrid: []float64{1, 5, 30}, Engine: eng})
+		eng.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Command zhuyi runs the Zhuyi model from the command line:
 //
-//	zhuyi estimate -trace trace.jsonl        offline per-camera FPR series from a recorded trace
+//	zhuyi estimate -scenario cut-in -fpr 5   offline per-camera FPR series of one run's trace
+//	zhuyi render -scenario cut-in -fpr 5     the same run as ego-relative ASCII top views
 //	zhuyi sweep -sn 30                       Figure-8 velocity sensitivity grid
 //	zhuyi demand -actors 2 -trajectories 1   the model's own compute demand (§4.2)
 //	zhuyi mrf -scenario cut-out -seeds 10    minimum required FPR search
@@ -25,7 +26,10 @@
 // exits non-zero when any archived run's replay diverges from its
 // baseline. serve exposes the same engine+store stack over HTTP with
 // graceful drain on SIGTERM; campaign -server runs the batch through
-// a remote serve instance via the typed Go client.
+// a remote serve instance via the typed Go client. estimate and render
+// read one (scenario, FPR, seed) point's rows through the engine: with
+// -store an archived point is read back instead of simulated, and a
+// fresh one is archived.
 package main
 
 import (
@@ -39,6 +43,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/render"
 	"repro/internal/scenario"
 	"repro/internal/sensor"
 	"repro/internal/sim"
@@ -54,6 +59,8 @@ func main() {
 	switch os.Args[1] {
 	case "estimate":
 		err = cmdEstimate(os.Args[2:])
+	case "render":
+		err = cmdRender(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
 	case "demand":
@@ -87,23 +94,15 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: zhuyi <estimate|sweep|demand|mrf|rate|scenarios|record|replay|diff|store|campaign|serve> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: zhuyi <estimate|render|sweep|demand|mrf|rate|scenarios|record|replay|diff|store|campaign|serve> [flags]")
 }
 
 func cmdEstimate(args []string) error {
 	fs := flag.NewFlagSet("estimate", flag.ExitOnError)
-	path := fs.String("trace", "", "JSONL trace recorded by simrun")
+	readPoint := pointFlags(fs)
 	every := fs.Float64("every", 0.1, "evaluation period, s")
 	fs.Parse(args)
-	if *path == "" {
-		return fmt.Errorf("estimate: -trace is required")
-	}
-	f, err := os.Open(*path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tr, err := trace.Read(f)
+	tr, err := readPoint()
 	if err != nil {
 		return err
 	}
@@ -126,12 +125,67 @@ func cmdEstimate(args []string) error {
 		fmt.Println()
 	}
 	fmt.Printf("# max estimated FPR: %.2f\n", off.MaxFPR())
-	for cam, f := range off.MaxCameraFPR() {
-		fmt.Printf("#   %s: %.2f\n", cam, f)
+	maxFPR := off.MaxCameraFPR()
+	for _, cam := range off.Cameras {
+		fmt.Printf("#   %s: %.2f\n", cam, maxFPR[cam])
 	}
 	fmt.Printf("# max sum FPR (analyzed cameras): %.2f (fraction of 3x30: %.2f)\n",
 		off.MaxSumFPR(), off.MaxSumFPR()/90)
 	return nil
+}
+
+func cmdRender(args []string) error {
+	fs := flag.NewFlagSet("render", flag.ExitOnError)
+	readPoint := pointFlags(fs)
+	every := fs.Float64("every", 1.0, "seconds between frames")
+	ahead := fs.Float64("ahead", 100, "meters ahead of the ego in view")
+	fs.Parse(args)
+	tr, err := readPoint()
+	if err != nil {
+		return err
+	}
+	v := render.DefaultViewport()
+	v.Ahead = *ahead
+	fmt.Printf("# %s (run at %g FPR, seed %d)\n\n", tr.Meta.Scenario, tr.Meta.FPR, tr.Meta.Seed)
+	fmt.Print(render.Strip(tr, *every, v))
+	return nil
+}
+
+// pointFlags registers the flags naming the one (scenario, FPR, seed)
+// point that estimate and render read, with an optional -store. The
+// returned function, called after fs.Parse, returns the point's rows
+// through Engine.Trace: read back from the store when archived there,
+// else simulated (and archived when a store is given). A stderr line
+// names the tier that answered.
+func pointFlags(fs *flag.FlagSet) func() (*trace.Trace, error) {
+	name := fs.String("scenario", scenario.CutOut, "scenario name (see 'zhuyi scenarios list')")
+	fpr := fs.Float64("fpr", 30, "uniform per-camera frame processing rate")
+	seed := fs.Int64("seed", 1, "noise/jitter seed")
+	storeDir := fs.String("store", "", "persistent run store: an archived point is read back, a fresh one is archived")
+	return func() (*trace.Trace, error) {
+		sc, ok := scenario.Lookup(*name)
+		if !ok {
+			return nil, fmt.Errorf("unknown scenario %q (try 'zhuyi scenarios list')", *name)
+		}
+		if *fpr <= 0 {
+			return nil, fmt.Errorf("%s: -fpr must be positive, got %g", fs.Name(), *fpr)
+		}
+		opts, closeStore, err := engineOptions(*storeDir, 1, trace.LevelFull)
+		if err != nil {
+			return nil, err
+		}
+		defer closeStore()
+		eng := engine.New(opts)
+		tr, err := eng.Trace(context.Background(), engine.Job{Scenario: sc, FPR: *fpr, Seed: *seed})
+		eng.Close() // flushes the archiver before the store closes
+		if err != nil {
+			return nil, err
+		}
+		s := eng.Stats()
+		fmt.Fprintf(os.Stderr, "zhuyi %s: %s fpr %g seed %d: %d fresh, %d disk, %d store errors\n",
+			fs.Name(), sc.Name, *fpr, *seed, s.Executed, s.DiskHits, s.StoreErrors)
+		return tr, nil
+	}
 }
 
 func cmdSweep(args []string) error {

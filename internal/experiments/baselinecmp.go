@@ -40,7 +40,6 @@ type BaselineRow struct {
 // search's MRF waves already simulated it.
 func BaselineComparison(opt Options) ([]BaselineRow, error) {
 	opt = opt.withDefaults()
-	defer opt.release()
 	ctx := context.Background()
 	scenarios := scenario.All()
 	rows := make([]BaselineRow, len(scenarios))

@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -33,17 +32,15 @@ type CorpusOptions struct {
 	// FPRGrid is the tested rate grid (default: the Table-1 grid).
 	FPRGrid []float64
 	// Engine schedules and caches every run; nil uses the shared
-	// default engine.
-	Engine *engine.Engine
-	// Store attaches a persistent cache tier when Engine is nil: an
-	// identically parameterized sweep recorded by an earlier process
-	// replays from disk instead of re-simulating. All sweep members —
-	// generated (unregistered) and registered alike — are spec-backed,
-	// so their store keys carry the spec content fingerprint
+	// default engine. On a store-attached engine an identically
+	// parameterized sweep recorded by an earlier process replays from
+	// disk instead of re-simulating. All sweep members — generated
+	// (unregistered) and registered alike — are spec-backed, so their
+	// store keys carry the spec content fingerprint
 	// (Scenario.Fingerprint): a generator change that alters a
 	// member's parameters misses cleanly instead of serving a stale
 	// trace recorded under the same name.
-	Store *store.Store
+	Engine *engine.Engine
 	// Record is the trace recording level of the sweep's generated
 	// members. An MRF sweep reads nothing but collision outcomes, so
 	// trace.LevelSummary (the `-exp corpus` CLI default) skips every
@@ -53,13 +50,8 @@ type CorpusOptions struct {
 	// cached runs), which means it survives any engine — including the
 	// shared default one; a store-attached engine still upgrades
 	// archivable points to full. Tag-selected registered members keep
-	// their own declared level. When the sweep builds its own engine
-	// (Engine nil), the engine also adopts this level as its policy.
+	// their own declared level.
 	Record trace.Level
-
-	// ownEngine marks a private pool built by withDefaults; CorpusSweep
-	// closes it so repeated sweeps don't leak worker goroutines.
-	ownEngine bool
 }
 
 func (o CorpusOptions) withDefaults() CorpusOptions {
@@ -73,12 +65,7 @@ func (o CorpusOptions) withDefaults() CorpusOptions {
 		o.FPRGrid = metrics.DefaultFPRGrid()
 	}
 	if o.Engine == nil {
-		if o.Store != nil || o.Record != trace.LevelFull {
-			o.Engine = engine.New(engine.Options{Store: o.Store, Record: o.Record})
-			o.ownEngine = true
-		} else {
-			o.Engine = engine.Default()
-		}
+		o.Engine = engine.Default()
 	}
 	return o
 }
@@ -108,9 +95,6 @@ type CorpusResult struct {
 // explicitly to make a corpus addressable by name afterwards.
 func CorpusSweep(ctx context.Context, opt CorpusOptions) (*CorpusResult, error) {
 	opt = opt.withDefaults()
-	if opt.ownEngine {
-		defer opt.Engine.Close()
-	}
 
 	type member struct {
 		sc     scenario.Scenario

@@ -286,9 +286,4 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Engine.Workers() < 1 {
 		t.Errorf("default engine workers = %d", o.Engine.Workers())
 	}
-	// An explicit worker count sizes a private pool.
-	o = Options{Workers: 3}.withDefaults()
-	if o.Engine.Workers() != 3 {
-		t.Errorf("private engine workers = %d, want 3", o.Engine.Workers())
-	}
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/search"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -44,20 +43,14 @@ type HardestOptions struct {
 	Seeds int
 	// FPRGrid is the tested rate grid (default: the Table-1 grid).
 	FPRGrid []float64
-	// Engine schedules and caches every run; nil builds a private
-	// summary-level pool (attaching Store when set).
+	// Engine schedules and caches every run; nil uses the shared
+	// default engine. On a store-attached engine a repeated
+	// identically-budgeted experiment rescores from disk without
+	// simulating.
 	Engine *engine.Engine
-	// Store attaches a persistent cache tier when Engine is nil: a
-	// repeated identically-budgeted experiment rescores from disk
-	// without simulating.
-	Store *store.Store
 	// Progress, when non-nil, receives the search's per-generation
 	// summaries as they happen.
 	Progress func(search.GenerationSummary)
-
-	// ownEngine marks a private pool built by withDefaults;
-	// HardestCorpus closes it.
-	ownEngine bool
 }
 
 func (o HardestOptions) withDefaults() HardestOptions {
@@ -77,8 +70,7 @@ func (o HardestOptions) withDefaults() HardestOptions {
 		o.FPRGrid = metrics.DefaultFPRGrid()
 	}
 	if o.Engine == nil {
-		o.Engine = engine.New(engine.Options{Store: o.Store, Record: trace.LevelSummary})
-		o.ownEngine = true
+		o.Engine = engine.Default()
 	}
 	return o
 }
@@ -172,9 +164,6 @@ type HardestResult struct {
 // simulation.
 func HardestCorpus(ctx context.Context, opt HardestOptions) (*HardestResult, error) {
 	opt = opt.withDefaults()
-	if opt.ownEngine {
-		defer opt.Engine.Close()
-	}
 
 	sres, err := search.Search(ctx, search.Options{
 		Families:    opt.Families,

@@ -17,7 +17,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
-	"repro/internal/store"
 )
 
 // Options controls experiment scale. The zero value is upgraded to the
@@ -27,26 +26,12 @@ type Options struct {
 	Seeds     int       // runs per configuration (paper: 10)
 	FPRGrid   []float64 // tested rates (paper: 1..10, 15, 30)
 	EvalEvery float64   // offline evaluation period, s
-	// Workers sizes a private engine when Engine is nil; 0 keeps the
-	// shared default engine (pool sized to GOMAXPROCS).
-	Workers int
 	// Engine schedules and caches every closed-loop run. nil selects
-	// engine.Default() (or a private pool when Workers or Store is
-	// set), so consecutive experiments in one process reuse each
-	// other's runs.
+	// engine.Default(), so consecutive experiments in one process reuse
+	// each other's runs. Size the pool and attach a persistent store on
+	// the caller's engine: archived points then load from disk and
+	// fresh runs are archived back across processes.
 	Engine *engine.Engine
-	// Store attaches a persistent cache tier to the engine built here:
-	// points archived by an earlier process (e.g. `zhuyi record`) load
-	// from disk instead of simulating, and fresh runs are archived
-	// back, so Table-1 and corpus sweeps warm-start across processes.
-	// Ignored when Engine is provided — attach the store to that
-	// engine's Options instead.
-	Store *store.Store
-
-	// ownEngine marks a private pool built by withDefaults; the entry
-	// point that built it closes it, so repeated calls with Workers set
-	// don't leak worker goroutines and caches.
-	ownEngine bool
 }
 
 func (o Options) withDefaults() Options {
@@ -60,22 +45,9 @@ func (o Options) withDefaults() Options {
 		o.EvalEvery = 0.1
 	}
 	if o.Engine == nil {
-		if o.Workers > 0 || o.Store != nil {
-			o.Engine = engine.New(engine.Options{Workers: o.Workers, Store: o.Store})
-			o.ownEngine = true
-		} else {
-			o.Engine = engine.Default()
-		}
+		o.Engine = engine.Default()
 	}
 	return o
-}
-
-// release winds down a private pool built by withDefaults. Caller-
-// provided engines and the shared default are left running.
-func (o Options) release() {
-	if o.ownEngine {
-		o.Engine.Close()
-	}
 }
 
 // Table1Row is one scenario row of Table 1.
@@ -108,7 +80,6 @@ func Table1(opt Options) ([]Table1Row, error) {
 // estimate pass reuses the MRF search's simulations as cache hits.
 func Table1Context(ctx context.Context, opt Options) ([]Table1Row, error) {
 	opt = opt.withDefaults()
-	defer opt.release()
 	scenarios := scenario.All()
 	rows := make([]Table1Row, len(scenarios))
 	err := forEachIndex(len(scenarios), func(i int) error {

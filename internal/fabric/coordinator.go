@@ -235,7 +235,9 @@ func (m *mergeSink) emitLocked(line server.CampaignLine) {
 
 // point emits one remapped per-point line if its global index has not
 // been answered yet (a watchdog-cancelled replica may race its own
-// retry; first answer wins, duplicates are dropped).
+// retry; first answer wins, duplicates are dropped). The trailer's
+// counts tally the emitted lines, one tier each, so they sum to the
+// point count even when a replica died before sending its own trailer.
 func (m *mergeSink) point(global int, p server.PointResult) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -243,18 +245,19 @@ func (m *mergeSink) point(global int, p server.PointResult) bool {
 		return false
 	}
 	m.answered[global] = true
+	switch {
+	case p.Error != "":
+		m.agg.Failures++
+	case p.Source == engine.SourceMemory.String():
+		m.agg.CacheHits++
+	case p.Source == engine.SourceDisk.String():
+		m.agg.DiskHits++
+	default:
+		m.agg.Executed++
+	}
 	p.Index = global
 	m.emitLocked(server.CampaignLine{Point: &p})
 	return true
-}
-
-func (m *mergeSink) addStats(s zhuyi.CampaignStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.agg.Executed += s.Executed
-	m.agg.CacheHits += s.CacheHits
-	m.agg.DiskHits += s.DiskHits
-	m.agg.Failures += s.Failures
 }
 
 func (m *mergeSink) fail(replica string, err error) {
@@ -271,27 +274,13 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "bad campaign request: %v", err)
 		return
 	}
-	if len(req.Points) == 0 {
-		server.WriteError(w, http.StatusBadRequest, "campaign has no points")
+	scs, err := server.ValidateCampaign(c.reg, req.Points)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Points) > server.DefaultMaxCampaignPoints {
-		server.WriteError(w, http.StatusBadRequest, "campaign has %d points (limit %d)",
-			len(req.Points), server.DefaultMaxCampaignPoints)
-		return
-	}
-	plan := campaignPlan{points: req.Points, scs: make([]scenario.Scenario, len(req.Points)), fps: make([]string, len(req.Points))}
+	plan := campaignPlan{points: req.Points, scs: scs, fps: make([]string, len(req.Points))}
 	for i, pt := range req.Points {
-		sc, ok := c.reg.Lookup(pt.Scenario)
-		if !ok {
-			server.WriteError(w, http.StatusBadRequest, "point %d: unknown scenario %q (GET /v1/scenarios)", i, pt.Scenario)
-			return
-		}
-		if pt.FPR <= 0 {
-			server.WriteError(w, http.StatusBadRequest, "point %d: non-positive fpr %g", i, pt.FPR)
-			return
-		}
-		plan.scs[i] = sc
 		plan.fps[i] = c.reg.Fingerprint(pt.Scenario)
 	}
 	c.campaigns.Add(1)
@@ -321,9 +310,6 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		if ent, ok := c.st.Lookup(store.KeyForScenario(plan.scs[i], pt.FPR, pt.Seed)); ok {
 			j := engine.Job{Scenario: plan.scs[i], FPR: pt.FPR, Seed: pt.Seed}
 			sink.point(i, server.OutcomeToWire(i, engine.Outcome{Job: j, Result: ent.Result(), Source: engine.SourceDisk}))
-			sink.mu.Lock()
-			sink.agg.DiskHits++
-			sink.mu.Unlock()
 		}
 	}
 
@@ -419,7 +405,7 @@ func (c *Coordinator) delegate(ctx context.Context, rep string, plan campaignPla
 	watchdog := time.AfterFunc(c.stall, cancel)
 	defer watchdog.Stop()
 
-	res, err := c.clients[rep].CampaignStream(cctx, sub, func(p zhuyi.PointResult) {
+	_, err := c.clients[rep].CampaignStream(cctx, sub, func(p zhuyi.PointResult) {
 		watchdog.Reset(c.stall)
 		if p.Index < 0 || p.Index >= len(idxs) {
 			return
@@ -437,9 +423,6 @@ func (c *Coordinator) delegate(ctx context.Context, rep string, plan campaignPla
 		return
 	}
 	st.healthy.Store(true)
-	if res != nil {
-		sink.addStats(res.Stats)
-	}
 }
 
 // handleMRF answers an MRF search from the shared manifest when every

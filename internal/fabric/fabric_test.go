@@ -308,6 +308,14 @@ func TestReplicaDeathMidCampaignZeroDuplicates(t *testing.T) {
 		}
 	}
 
+	// The victim streamed one fresh point and no trailer: the
+	// coordinator's trailer must still account for every point.
+	s := res.Stats
+	if sum := s.Executed + s.CacheHits + s.DiskHits + s.Failures; sum != len(points) {
+		t.Errorf("trailer counts %d fresh + %d memory + %d disk + %d failed = %d, want %d points",
+			s.Executed, s.CacheHits, s.DiskHits, s.Failures, sum, len(points))
+	}
+
 	executed := e1.Stats().Executed + e2.Stats().Executed + victimEng.Stats().Executed
 	if executed != int64(len(points)) {
 		t.Errorf("%d fresh simulations across all replicas for %d distinct points — want exactly one each (zero duplicates)",

@@ -43,10 +43,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if nfam, gens, pop, seeds, grid := searchBudget(req); !WithinPoints(s.maxPts, nfam, gens, pop, seeds, grid) {
+	if nfam, gens, pop, seeds, grid := searchBudget(req); !WithinPoints(DefaultMaxCampaignPoints, nfam, gens, pop, seeds, grid) {
 		WriteError(w, http.StatusBadRequest,
 			"search budget of %d families x %d generations x %d candidates x %d seeds x %d rates exceeds the %d-point limit",
-			nfam, gens, pop, seeds, grid, s.maxPts)
+			nfam, gens, pop, seeds, grid, DefaultMaxCampaignPoints)
 		return
 	}
 

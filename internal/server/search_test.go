@@ -126,7 +126,7 @@ func TestSearchEndpointMatchesLibrary(t *testing.T) {
 // TestSearchEndpointRejectsBadRequests: malformed budgets fail with
 // 400 before any streaming starts.
 func TestSearchEndpointRejectsBadRequests(t *testing.T) {
-	ts := newTestServer(t, Options{Engine: searchTestEngine(t), MaxCampaignPoints: 50})
+	ts := newTestServer(t, Options{Engine: searchTestEngine(t)})
 	for name, req := range map[string]SearchRequest{
 		"negative generations": {Generations: -1},
 		"negative population":  {Population: -4},

@@ -74,6 +74,32 @@ func WithinPoints(limit int, factors ...int) bool {
 	return true
 }
 
+// ValidateCampaign resolves each campaign point's scenario through reg.
+// It refuses a request with no points, more than
+// DefaultMaxCampaignPoints, an unknown scenario or a non-positive rate.
+// A worker and the fabric coordinator both validate through it, so
+// their 400 messages cannot drift.
+func ValidateCampaign(reg *scenario.Registry, points []Point) ([]scenario.Scenario, error) {
+	if len(points) == 0 {
+		return nil, errors.New("campaign has no points")
+	}
+	if len(points) > DefaultMaxCampaignPoints {
+		return nil, fmt.Errorf("campaign has %d points (limit %d)", len(points), DefaultMaxCampaignPoints)
+	}
+	scs := make([]scenario.Scenario, len(points))
+	for i, pt := range points {
+		sc, ok := reg.Lookup(pt.Scenario)
+		if !ok {
+			return nil, fmt.Errorf("point %d: unknown scenario %q (GET /v1/scenarios)", i, pt.Scenario)
+		}
+		if pt.FPR <= 0 {
+			return nil, fmt.Errorf("point %d: non-positive fpr %g", i, pt.FPR)
+		}
+		scs[i] = sc
+	}
+	return scs, nil
+}
+
 // Options configures a Server.
 type Options struct {
 	// Engine is the shared run engine every query routes through. nil
@@ -87,8 +113,6 @@ type Options struct {
 	// the /v1/store endpoints. Ignored when Engine is set (the engine's
 	// attached store is used instead).
 	Store *store.Store
-	// MaxCampaignPoints caps points per request (0 = DefaultMaxCampaignPoints).
-	MaxCampaignPoints int
 	// Latency overrides the per-route latency histogram set; nil builds
 	// a private one. A fabric coordinator shares its set with its inner
 	// server so both layers' locally answered requests merge.
@@ -102,7 +126,6 @@ type Server struct {
 	eng       *engine.Engine
 	st        *store.Store
 	reg       *scenario.Registry
-	maxPts    int
 	gate      *admission.Gate
 	lat       *LatencySet
 	rateHist  *hist.Histogram // the rate route's histogram, cached
@@ -129,16 +152,12 @@ func New(opts Options) *Server {
 	} else {
 		st = eng.Store()
 	}
-	maxPts := opts.MaxCampaignPoints
-	if maxPts <= 0 {
-		maxPts = DefaultMaxCampaignPoints
-	}
 	lat := opts.Latency
 	if lat == nil {
 		lat = NewLatencySet()
 	}
 	return &Server{
-		eng: eng, st: st, reg: scenario.Default(), maxPts: maxPts,
+		eng: eng, st: st, reg: scenario.Default(),
 		gate: gate, lat: lat, rateHist: lat.Histogram("POST /v1/rate"),
 	}
 }
@@ -246,26 +265,14 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad campaign request: %v", err)
 		return
 	}
-	if len(req.Points) == 0 {
-		WriteError(w, http.StatusBadRequest, "campaign has no points")
-		return
-	}
-	if len(req.Points) > s.maxPts {
-		WriteError(w, http.StatusBadRequest, "campaign has %d points (limit %d)", len(req.Points), s.maxPts)
+	scs, err := ValidateCampaign(s.reg, req.Points)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	jobs := make([]engine.Job, len(req.Points))
 	for i, pt := range req.Points {
-		sc, ok := s.reg.Lookup(pt.Scenario)
-		if !ok {
-			WriteError(w, http.StatusBadRequest, "point %d: unknown scenario %q (GET /v1/scenarios)", i, pt.Scenario)
-			return
-		}
-		if pt.FPR <= 0 {
-			WriteError(w, http.StatusBadRequest, "point %d: non-positive fpr %g", i, pt.FPR)
-			return
-		}
-		jobs[i] = engine.Job{Scenario: sc, FPR: pt.FPR, Seed: pt.Seed}
+		jobs[i] = engine.Job{Scenario: scs[i], FPR: pt.FPR, Seed: pt.Seed}
 	}
 	s.campaigns.Add(1)
 	s.points.Add(int64(len(jobs)))
@@ -310,8 +317,8 @@ func (s *Server) handleMRF(w http.ResponseWriter, r *http.Request) {
 	// One cheap GET must not schedule unbounded work on the shared
 	// engine: the search costs at most seeds x len(grid) points, capped
 	// by the same limit as a campaign request.
-	if !WithinPoints(s.maxPts, seeds, len(fprs)) {
-		WriteError(w, http.StatusBadRequest, "mrf search of %d seeds x %d rates exceeds the %d-point limit", seeds, len(fprs), s.maxPts)
+	if !WithinPoints(DefaultMaxCampaignPoints, seeds, len(fprs)) {
+		WriteError(w, http.StatusBadRequest, "mrf search of %d seeds x %d rates exceeds the %d-point limit", seeds, len(fprs), DefaultMaxCampaignPoints)
 		return
 	}
 	m, err := metrics.FindMRFContext(r.Context(), s.eng, sc, fprs, seeds)
