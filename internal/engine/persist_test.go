@@ -244,6 +244,58 @@ func TestTraceHealsMissingObjects(t *testing.T) {
 	}
 }
 
+// TestTraceRefusesTruncatedObject: a .zyt object cut short on disk
+// is refused at trace load, since its size disagrees with its manifest
+// entry. Trace counts one store error and returns the rows of a fresh
+// run of the point.
+func TestTraceRefusesTruncatedObject(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	jobs := gridJobs(specScenario("truncated"), []float64{10}, 1)
+	rst, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := New(Options{Workers: 2, Store: rst})
+	cold, err := rec.RunBatch(ctx, jobs)
+	rec.Close()
+	rst.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ents := st.Entries()
+	if len(ents) != 1 {
+		t.Fatalf("store holds %d entries, want 1", len(ents))
+	}
+	path := st.ObjectPath(ents[0].Artifact)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Options{Workers: 2, Store: st})
+	defer e.Close()
+	tr, err := e.Trace(ctx, jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr, cold.Outcomes[0].Result.Trace) {
+		t.Error("trace differs from the fresh run's")
+	}
+	if s := e.Stats(); s.StoreErrors != 1 || s.Executed != 1 {
+		t.Errorf("engine stats = %+v, want 1 store error and 1 run", s)
+	}
+}
+
 // TestPersistentTierSkipsNonPersistableJobs: configured runs and
 // NoCache jobs must never be served from or archived to the store —
 // their store key cannot see what distinguishes them.

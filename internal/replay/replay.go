@@ -6,15 +6,15 @@
 // Systems" applied to this repo's own stack. Replaying a stored trace
 // costs one trace decode and one evaluator pass instead of a
 // closed-loop simulation. Against this repo's kinematic simulator that
-// is not cheaper: for cut-out at 30 FPR a replay costs about 1.0–1.3×
-// a fresh simulation of the same point (replay 2.3–2.7 ms, simulation
-// 2.0–2.5 ms on a shared 2-vCPU AMD EPYC host; the ratio moves with
-// host load, see BENCH_replay.json). About half of it is the trace
-// decode (~1.1 ms) and half the evaluator (~1.3 ms), which runs Zhuyi
-// over a 15 s ground-truth horizon at every 100 ms instant. What
-// replay buys here is a check that does not trust the simulator; it
-// saves time only where simulation is the expensive part, as in a
-// GPU-driven stack.
+// is about even: for cut-out at 30 FPR a replay took 4.4–5.5 ms and a
+// fresh simulation of the same point 4.3–5.9 ms on a shared 2-vCPU
+// Intel Xeon (BENCH_replay.json; the ratio moves with host load).
+// About two fifths of the replay is loading the archived trace (a
+// store read and ZYT1 decode, ~1.9 ms) and the rest the evaluator,
+// which runs Zhuyi over a 15 s ground-truth horizon at every 100 ms
+// instant. What replay buys here is a check that does not trust the
+// simulator; it saves time only where simulation is the expensive
+// part, as in a GPU-driven stack.
 //
 // The quantities diffed per archived run: collision outcome (time and
 // actor), closest bumper approach, the offline estimator's peak

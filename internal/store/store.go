@@ -675,13 +675,19 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 
 // Trace loads and parses an entry's artifact from whichever format it
 // is stored in — ZYT1 binary (current) or gzip JSONL (legacy) — so
-// mixed-format stores read transparently.
+// mixed-format stores read transparently. A ZYT1 object of an entry
+// addressed by its ZYT1 bytes (HashZYT) must be Entry.Bytes long: a
+// truncated or extended object is refused before it is read.
 func (s *Store) Trace(e Entry) (*trace.Trace, error) {
 	path, legacy, err := s.locateObject(e.Artifact)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := readObject(path, legacy)
+	size := int64(-1)
+	if e.HashScheme == HashZYT {
+		size = e.Bytes
+	}
+	tr, err := readObject(path, legacy, size)
 	if err != nil {
 		return nil, fmt.Errorf("store: artifact %s: %w", e.Artifact, err)
 	}
@@ -689,22 +695,35 @@ func (s *Store) Trace(e Entry) (*trace.Trace, error) {
 }
 
 // readObject decodes one object file: gzip JSONL when legacy, else
-// ZYT1 through a 256 KiB buffered reader (the disk tier's hot path).
-func readObject(path string, legacy bool) (*trace.Trace, error) {
+// ZYT1 read whole in one read sized from Stat (the disk tier's hot
+// path). A non-negative size is the ZYT1 object's required length,
+// checked before the read.
+func readObject(path string, legacy bool, size int64) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if !legacy {
-		return trace.ReadZYT(bufio.NewReaderSize(f, 256<<10))
+	if legacy {
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			return nil, err
+		}
+		defer zr.Close()
+		return trace.Read(zr)
 	}
-	zr, err := gzip.NewReader(f)
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	defer zr.Close()
-	return trace.Read(zr)
+	if size >= 0 && fi.Size() != size {
+		return nil, fmt.Errorf("object is %d bytes, the manifest records %d", fi.Size(), size)
+	}
+	b := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, err
+	}
+	return trace.DecodeZYT(b)
 }
 
 // Result is the entry's run summary as a sim.Result: collision, frames

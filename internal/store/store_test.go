@@ -351,6 +351,51 @@ func TestMissingArtifactErrorsAndSelfHeals(t *testing.T) {
 	}
 }
 
+// TestMisSizedObjectRefused: a ZYT-scheme entry's object must be
+// exactly Entry.Bytes long. A shorter or longer file, or one replaced
+// by bytes of another size, is refused on its size before any decode.
+func TestMisSizedObjectRefused(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	res := syntheticResult("missized", 10, 1, 20, false)
+	e, _, err := st.Put("missized", key("missized", 10, 1), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.ObjectPath(e.Artifact)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(valid)) != e.Bytes {
+		t.Fatalf("object is %d bytes, entry records %d", len(valid), e.Bytes)
+	}
+	for name, data := range map[string][]byte{
+		"Truncated": valid[:len(valid)-1],
+		"Extended":  append(append([]byte{}, valid...), 0),
+		"Garbage":   []byte("not a trace"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := st.Trace(e)
+			if err == nil || !strings.Contains(err.Error(), "the manifest records") {
+				t.Errorf("Trace error = %v, want a size mismatch", err)
+			}
+		})
+	}
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Trace(e); err != nil || !reflect.DeepEqual(got, res.Trace) {
+		t.Errorf("restored object: err %v, trace equal %v", err, reflect.DeepEqual(got, res.Trace))
+	}
+}
+
 // TestLegacyEntryLooksUpAndSelfHeals: testdata/sidecar-store is a store
 // from before the hash-scheme tag — untagged entries addressed by the
 // SHA-256 of the canonical JSONL, objects long gone. It opens with

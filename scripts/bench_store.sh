@@ -6,9 +6,15 @@
 #   1. the disk tier's Get through the ZYT1 decoder must run at least
 #      5x the same Get through the legacy gzip-JSONL decoder over
 #      identical archived content, and
-#   2. serving an archived result from disk must be at least as fast
-#      as re-simulating the point (replay-vs-simulate >= 1x), so the
-#      store is never a slower path than the simulator it short-cuts.
+#   2. serving an archived result from disk must be at least 1.5x as
+#      fast as re-simulating the point (simulate-vs-disk-get >= 1.5x),
+#      so the store stays a faster path than the simulator it
+#      short-cuts. The closure-free ZYT1 decoder read 2.29-3.59x over
+#      six runs of this script on a 2-vCPU Intel Xeon; 1.5 is the
+#      largest half-step it clears with a 30% margin.
+#
+# The full replay's ratio to a fresh simulation (simulate_vs_replay) is
+# recorded but not gated: the two sit within host noise of each other.
 #
 # Every benchmark runs BENCH_COUNT times (default 3) and the gates use
 # the minimum of each timing series: noise on a shared machine is
@@ -69,6 +75,7 @@ ratio() { awk -v a="$1" -v b="$2" 'BEGIN { printf "%.2f", a / b }'; }
 
 r_zyt_vs_jsonl=$(ratio "$jsonl_ns" "$zyt_ns")
 r_get_vs_sim=$(ratio "$sim_ns" "$zyt_ns")
+r_replay_vs_sim=$(ratio "$sim_ns" "$replay_ns")
 r_warm_manifest=$(ratio "$mrf_cold_ns" "$mrf_warm_ns")
 
 cat > "$out" <<JSON
@@ -91,12 +98,14 @@ cat > "$out" <<JSON
   "ratios": {
     "disk_get_zyt_vs_jsonl": $r_zyt_vs_jsonl,
     "simulate_vs_disk_get_zyt": $r_get_vs_sim,
+    "simulate_vs_replay": $r_replay_vs_sim,
     "mrf_cold_vs_warm_manifest": $r_warm_manifest
   },
   "notes": [
     "disk_get_zyt vs disk_get_jsonl decode identical archived content (the bench fixture rewrites the recorded objects as gzip JSONL, as the retired legacy writer did), so the ratio isolates the ZYT1 columnar decoder against the legacy gzip-JSONL decoder: gate >= 5x.",
-    "simulate_vs_disk_get_zyt compares acquiring one archived result from the disk tier against re-simulating the point from scratch: gate >= 1x, so warm-starting is never slower than the simulator it replaces. Against a DriveSim-class stack, where one closed-loop run costs minutes of GPU inference, the same ratio grows by orders of magnitude.",
+    "simulate_vs_disk_get_zyt compares acquiring one archived result from the disk tier against re-simulating the point from scratch: gate >= 1.5x, so warm-starting stays faster than the simulator it replaces. Against a DriveSim-class stack, where one closed-loop run costs minutes of GPU inference, the same ratio grows by orders of magnitude.",
     "mrf_cold_vs_warm_manifest is the manifest-only warm tier: MRF-style collision waves answer from the store manifest alone (no artifact decode, no simulation).",
+    "simulate_vs_replay is the full replay against a fresh simulation; recorded, not gated (the two are within host noise).",
     "replay = artifact load + offline evaluator + alarm count + trace-re-derived min-gap/ego-stopped: the bit-stable regression summary zhuyi diff re-derives without touching the simulator.",
     "docs/benchmarks.md explains every series; regenerate with scripts/bench_store.sh."
   ]
@@ -108,7 +117,8 @@ awk -v r="$r_zyt_vs_jsonl" 'BEGIN {
 	printf "bench_store: disk Get via ZYT1 = %.2fx the gzip-JSONL decoder (gate: >= 5.0)\n", r
 	exit (r >= 5.0) ? 0 : 1
 }' || { echo "bench_store: ZYT decode speedup gate FAILED" >&2; exit 1; }
+awk -v r="$r_replay_vs_sim" 'BEGIN { printf "bench_store: replay = %.2fx a fresh simulation (not gated)\n", r }'
 awk -v r="$r_get_vs_sim" 'BEGIN {
-	printf "bench_store: disk Get = %.2fx a fresh simulation (gate: >= 1.0)\n", r
-	exit (r >= 1.0) ? 0 : 1
-}' || { echo "bench_store: replay-vs-simulate gate FAILED" >&2; exit 1; }
+	printf "bench_store: disk Get = %.2fx a fresh simulation (gate: >= 1.5)\n", r
+	exit (r >= 1.5) ? 0 : 1
+}' || { echo "bench_store: disk-Get-vs-simulate gate FAILED" >&2; exit 1; }
