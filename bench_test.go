@@ -33,7 +33,7 @@ import (
 func BenchmarkTable1Row(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := engine.New(engine.Options{Workers: 4})
-		rows, err := experiments.Table1(experiments.Options{Seeds: 2, FPRGrid: []float64{1, 5, 30}, Engine: eng})
+		rows, err := experiments.Table1(context.Background(), eng, experiments.Options{Seeds: 2, FPRGrid: []float64{1, 5, 30}})
 		eng.Close()
 		if err != nil {
 			b.Fatal(err)
@@ -54,7 +54,7 @@ func BenchmarkMRFSearch(b *testing.B) {
 	runs := 0
 	for i := 0; i < b.N; i++ {
 		eng := engine.New(engine.Options{})
-		m, err := metrics.FindMRFContext(context.Background(), eng, sc, metrics.DefaultFPRGrid(), 2)
+		m, err := metrics.FindMRF(context.Background(), eng, sc, metrics.DefaultFPRGrid(), 2)
 		eng.Close()
 		if err != nil {
 			b.Fatal(err)
@@ -87,16 +87,16 @@ func BenchmarkMRFSearchExhaustive(b *testing.B) {
 }
 
 // BenchmarkMRFSearchCached measures the repeated campaign: a warm
-// shared engine serves the whole search from the result cache.
+// engine serves the whole search from the result cache.
 func BenchmarkMRFSearchCached(b *testing.B) {
 	sc, _ := scenario.ByName(scenario.CutOutFast)
 	eng := engine.New(engine.Options{})
-	if _, err := metrics.FindMRFContext(context.Background(), eng, sc, metrics.DefaultFPRGrid(), 2); err != nil {
+	if _, err := metrics.FindMRF(context.Background(), eng, sc, metrics.DefaultFPRGrid(), 2); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.FindMRFContext(context.Background(), eng, sc, metrics.DefaultFPRGrid(), 2); err != nil {
+		if _, err := metrics.FindMRF(context.Background(), eng, sc, metrics.DefaultFPRGrid(), 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,8 +117,10 @@ func BenchmarkFigure1(b *testing.B) {
 
 func benchFigureSeries(b *testing.B, name string) {
 	b.Helper()
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
 	for i := 0; i < b.N; i++ {
-		fs, err := experiments.CameraLatencyFigure(name, 30, 1)
+		fs, err := experiments.CameraLatencyFigure(context.Background(), eng, name, 30, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,8 +141,10 @@ func BenchmarkFigure6CutIn(b *testing.B) { benchFigureSeries(b, scenario.CutIn) 
 // --- Figure 7: post-deployment online estimates ---
 
 func BenchmarkFigure7PostDeployment(b *testing.B) {
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Figure7(30, 1)
+		s, err := experiments.Figure7(context.Background(), eng, 30, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,8 +306,10 @@ func BenchmarkConfirmationDepth(b *testing.B) {
 // simulation.
 func BenchmarkSurakshaGridSearch(b *testing.B) {
 	sc, _ := scenario.ByName(scenario.CutIn)
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
 	for i := 0; i < b.N; i++ {
-		res, err := baseline.UniformGridSearch(sc, []float64{1, 5, 30}, 1, 5)
+		res, err := baseline.UniformGridSearch(context.Background(), eng, sc, []float64{1, 5, 30}, 1, 5)
 		if err != nil {
 			b.Fatal(err)
 		}

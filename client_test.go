@@ -212,7 +212,7 @@ func TestClientTimeoutAndCancellation(t *testing.T) {
 
 // TestCampaignUnknownScenarioLocal: the local facade's error contract.
 func TestCampaignUnknownScenarioLocal(t *testing.T) {
-	_, err := Campaign(context.Background(), nil, []CampaignPoint{{Scenario: "definitely-not-registered", FPR: 30, Seed: 1}})
+	_, err := Campaign(context.Background(), NewEngine(EngineOptions{}), []CampaignPoint{{Scenario: "definitely-not-registered", FPR: 30, Seed: 1}})
 	if err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("err = %v, want unknown-scenario error", err)
 	}
@@ -392,7 +392,7 @@ func TestClientSearchRoundTrip(t *testing.T) {
 
 	eng := NewEngine(EngineOptions{Workers: 2})
 	defer eng.Close()
-	direct, err := SearchScenarios(ctx, SearchOptions{
+	direct, err := SearchScenarios(ctx, eng, SearchOptions{
 		Families:    []ScenarioFamily{"following"},
 		Seed:        9,
 		Generations: 2,
@@ -400,7 +400,6 @@ func TestClientSearchRoundTrip(t *testing.T) {
 		Seeds:       1,
 		TopN:        4,
 		FPRGrid:     []float64{5, 30},
-		Engine:      eng,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,12 +15,13 @@
 // scenarios from seed -corpusseed and can additionally include
 // registered scenarios via -tags (e.g. -tags table1 or -tags variant).
 //
-// With -store DIR the run engine gains a persistent tier backed by the
-// content-addressed campaign store: points archived by an earlier
-// invocation (or by `zhuyi record`) load from disk instead of
-// simulating, fresh runs are archived back, and the invocation ends
-// with a fresh/disk/memory stats line — a warm second `-exp table1`
-// run performs zero fresh simulations.
+// Every experiment runs on one engine, and the invocation ends with its
+// fresh/disk/memory stats line. With -store DIR the engine gains a
+// persistent tier backed by the content-addressed campaign store:
+// points archived by an earlier invocation (or by `zhuyi record`) load
+// from disk instead of simulating and fresh runs are archived back, so
+// a warm second `-exp table1,fig4,fig5,fig6` run performs zero fresh
+// simulations.
 package main
 
 import (
@@ -67,35 +68,30 @@ func main() {
 	}
 	defer stopProf()
 
-	// One engine for the whole invocation: campaigns run on a single
-	// worker pool and later experiments reuse earlier experiments' runs
-	// (the Table-1 sweep caches the points the baselines and figures
-	// re-visit). Without -workers this is the process-wide default
-	// engine — the same one the figure and ablation generators use — so
-	// the cache is shared across every experiment; an explicit -workers
-	// sizes a private pool for the campaign-style experiments instead.
-	// With -store, the engine gains a persistent tier: a second
-	// identical invocation replays entirely from disk and memory,
+	// One engine for the whole invocation: every experiment runs on its
+	// pool, and later experiments reuse earlier experiments' runs (the
+	// Table-1 sweep caches the points the baselines and figures
+	// re-visit). With -store, the engine gains a persistent tier: a
+	// second identical invocation replays from disk and memory,
 	// simulating nothing (the closing stats line shows the split).
-	eng := engine.Default()
-	if *workers > 0 || *storeDir != "" {
-		opts := engine.Options{Workers: *workers}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			defer st.Close()
-			opts.Store = st
+	opts := engine.Options{Workers: *workers}
+	if *storeDir != "" {
+		st, err := store.Open(*storeDir)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
 		}
-		eng = engine.New(opts)
-		defer func() {
-			s := eng.Stats()
-			fmt.Printf("# engine: %d fresh simulations, %d disk hits, %d memory hits, %d archived, %d failures, %d store errors\n",
-				s.Executed, s.DiskHits, s.CacheHits, s.Archived, s.Failures, s.StoreErrors)
-		}()
+		defer st.Close()
+		opts.Store = st
 	}
+	eng := engine.New(opts)
+	defer func() {
+		eng.Close() // flushes the archiver before the store closes
+		s := eng.Stats()
+		fmt.Printf("# engine: %d fresh simulations, %d disk hits, %d memory hits, %d archived, %d failures, %d store errors\n",
+			s.Executed, s.DiskHits, s.CacheHits, s.Archived, s.Failures, s.StoreErrors)
+	}()
+	ctx := context.Background()
 
 	writeCSV := func(name string, fn func(io.Writer) error) {
 		if *csvDir == "" {
@@ -136,8 +132,7 @@ func main() {
 		return nil
 	})
 	run("table1", func() error {
-		opt := experiments.Options{Seeds: *seeds, Engine: eng}
-		rows, err := experiments.Table1(opt)
+		rows, err := experiments.Table1(ctx, eng, experiments.Options{Seeds: *seeds})
 		if err != nil {
 			return err
 		}
@@ -151,15 +146,10 @@ func main() {
 		})
 		return nil
 	})
-	figureScenarios := map[string]string{
-		"fig4": scenario.CutOutFast,
-		"fig5": scenario.ChallengingCutInCurved,
-		"fig6": scenario.CutIn,
-	}
-	for fig, sc := range figureScenarios {
-		fig, sc := fig, sc
+	for i, sc := range []string{scenario.CutOutFast, scenario.ChallengingCutInCurved, scenario.CutIn} {
+		fig := fmt.Sprintf("fig%d", i+4)
 		run(fig, func() error {
-			fs, err := experiments.CameraLatencyFigure(sc, 30, 1)
+			fs, err := experiments.CameraLatencyFigure(ctx, eng, sc, 30, 1)
 			if err != nil {
 				return err
 			}
@@ -169,7 +159,7 @@ func main() {
 		})
 	}
 	run("fig7", func() error {
-		s, err := experiments.Figure7(30, 1)
+		s, err := experiments.Figure7(ctx, eng, 30, 1)
 		if err != nil {
 			return err
 		}
@@ -188,7 +178,7 @@ func main() {
 		return nil
 	})
 	run("headline", func() error {
-		rows, err := experiments.HeadlineContext(context.Background(), eng, 1)
+		rows, err := experiments.Headline(ctx, eng, 1)
 		if err != nil {
 			return err
 		}
@@ -199,8 +189,7 @@ func main() {
 		return nil
 	})
 	run("baselines", func() error {
-		opt := experiments.Options{Seeds: *seeds, Engine: eng}
-		rows, err := experiments.BaselineComparison(opt)
+		rows, err := experiments.BaselineComparison(ctx, eng, experiments.Options{Seeds: *seeds})
 		if err != nil {
 			return err
 		}
@@ -220,13 +209,12 @@ func main() {
 		if err != nil {
 			return err
 		}
-		res, err := experiments.CorpusSweep(context.Background(), experiments.CorpusOptions{
+		res, err := experiments.CorpusSweep(ctx, eng, experiments.CorpusOptions{
 			N:       *corpusN,
 			GenSeed: *corpusSeed,
 			Tags:    fams,
 			Seeds:   *seeds,
 			Record:  level,
-			Engine:  eng,
 		})
 		if err != nil {
 			return err
@@ -239,11 +227,10 @@ func main() {
 	// hundreds of genomes, and the blind baseline doubles the corpus.
 	if want["hardest"] {
 		run("hardest", func() error {
-			res, err := experiments.HardestCorpus(context.Background(), experiments.HardestOptions{
-				TopN:   *hardestN,
-				Seed:   *hardestSeed,
-				Seeds:  *seeds,
-				Engine: eng,
+			res, err := experiments.HardestCorpus(ctx, eng, experiments.HardestOptions{
+				TopN:  *hardestN,
+				Seed:  *hardestSeed,
+				Seeds: *seeds,
 				Progress: func(g search.GenerationSummary) {
 					fmt.Printf("# %s gen %d: best %s\n", g.Family, g.Generation, g.BestMRFString())
 				},
@@ -259,27 +246,27 @@ func main() {
 		})
 	}
 	run("ablations", func() error {
-		if rows, err := experiments.ConfirmationDepthAblation(nil); err != nil {
+		if rows, err := experiments.ConfirmationDepthAblation(ctx, eng, nil); err != nil {
 			return err
 		} else {
 			experiments.WriteAblation(os.Stdout, "confirmation depth K (cut-out-fast trace)", rows)
 		}
-		if rows, err := experiments.AlphaModelAblation(); err != nil {
+		if rows, err := experiments.AlphaModelAblation(ctx, eng); err != nil {
 			return err
 		} else {
 			experiments.WriteAblation(os.Stdout, "confirmation-delay alpha model", rows)
 		}
-		if rows, err := experiments.SearchModeAblation(); err != nil {
+		if rows, err := experiments.SearchModeAblation(ctx, eng); err != nil {
 			return err
 		} else {
 			experiments.WriteAblation(os.Stdout, "Eq.-3 accelerated vs naive search", rows)
 		}
-		if rows, err := experiments.UncertaintyAblation(nil); err != nil {
+		if rows, err := experiments.UncertaintyAblation(ctx, eng, nil); err != nil {
 			return err
 		} else {
 			experiments.WriteAblation(os.Stdout, "perception uncertainty (position sigma)", rows)
 		}
-		rows, err := experiments.AggregationAblation()
+		rows, err := experiments.AggregationAblation(ctx, eng)
 		if err != nil {
 			return err
 		}

@@ -232,7 +232,7 @@ func cmdMRF(args []string) error {
 	}
 	defer closeStore()
 	eng := engine.New(opts)
-	m, err := metrics.FindMRFContext(context.Background(), eng, sc, metrics.DefaultFPRGrid(), *seeds)
+	m, err := metrics.FindMRF(context.Background(), eng, sc, metrics.DefaultFPRGrid(), *seeds)
 	if err != nil {
 		return err
 	}
@@ -266,7 +266,7 @@ func cmdRate(args []string) error {
 	}
 	defer closeStore()
 	eng := engine.New(opts)
-	rate, err := metrics.CollisionRateContext(context.Background(), eng, sc, *fpr, *runs)
+	rate, err := metrics.CollisionRate(context.Background(), eng, sc, *fpr, *runs)
 	if err != nil {
 		return err
 	}

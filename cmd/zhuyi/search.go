@@ -67,7 +67,7 @@ func cmdScenariosSearch(args []string) error {
 	defer eng.Close()
 
 	progress := json.NewEncoder(os.Stdout)
-	res, err := search.Search(context.Background(), search.Options{
+	res, err := search.Search(context.Background(), eng, search.Options{
 		Families:    fams,
 		Seed:        *seed,
 		Generations: *generations,
@@ -75,7 +75,6 @@ func cmdScenariosSearch(args []string) error {
 		Seeds:       *mrfSeeds,
 		TopN:        *top,
 		FPRGrid:     grid,
-		Engine:      eng,
 		Progress:    func(g search.GenerationSummary) { progress.Encode(g) },
 	})
 	if err != nil {

@@ -51,21 +51,15 @@ type GridSearchResult struct {
 }
 
 // UniformGridSearch runs the scenario at every rate in grid (ascending)
-// with the given seeds, Suraksha-style, on the shared default engine.
-// See UniformGridSearchContext.
-func UniformGridSearch(sc scenario.Scenario, grid []float64, seeds, cameras int) (GridSearchResult, error) {
-	return UniformGridSearchContext(context.Background(), engine.Default(), sc, grid, seeds, cameras)
-}
-
-// UniformGridSearchContext searches the minimal safe uniform rate on
-// the given engine. cameras is the rig size used to report the total
+// with the given seeds, Suraksha-style, on eng and returns the minimal
+// safe uniform rate. cameras is the rig size used to report the total
 // frame budget.
-func UniformGridSearchContext(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, grid []float64, seeds, cameras int) (GridSearchResult, error) {
+func UniformGridSearch(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, grid []float64, seeds, cameras int) (GridSearchResult, error) {
 	res := GridSearchResult{Scenario: sc.Name}
 	if len(grid) == 0 {
 		grid = metrics.DefaultFPRGrid()
 	}
-	mrf, err := metrics.FindMRFContext(ctx, eng, sc, grid, seeds)
+	mrf, err := metrics.FindMRF(ctx, eng, sc, grid, seeds)
 	if err != nil {
 		return res, err
 	}

@@ -1,15 +1,21 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
+// testEng is shared by the tests, so their overlapping points are
+// cache hits.
+var testEng = engine.New(engine.Options{})
+
 func TestUniformGridSearchBenign(t *testing.T) {
 	sc, _ := scenario.ByName(scenario.FrontRightActivity1)
-	res, err := UniformGridSearch(sc, []float64{1, 2}, 2, 5)
+	res, err := UniformGridSearch(context.Background(), testEng, sc, []float64{1, 2}, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +41,7 @@ func TestUniformGridSearchCutOut(t *testing.T) {
 	// the grid floor, and its per-vehicle budget is rate x every camera
 	// — the uniform penalty Zhuyi's per-camera estimates avoid.
 	sc, _ := scenario.ByName(scenario.CutOut)
-	res, err := UniformGridSearch(sc, []float64{1, 6, 30}, 2, 5)
+	res, err := UniformGridSearch(context.Background(), testEng, sc, []float64{1, 6, 30}, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

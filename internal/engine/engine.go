@@ -1,7 +1,9 @@
-// Package engine is the shared concurrent run-execution subsystem: one
+// Package engine is the concurrent run-execution subsystem: one
 // scheduler and one result cache behind every layer that fans out
 // closed-loop simulations (the MRF searches in metrics, the Table-1 /
-// headline / baseline campaigns in experiments, and the CLIs).
+// headline / baseline campaigns in experiments, and the CLIs). There
+// is no process-wide engine: each process builds one with New and
+// passes it to every campaign function.
 //
 // The paper's validation protocol (§4.2, Table 1) is embarrassingly
 // parallel — every measurement is a seeded run at a (scenario, FPR,
@@ -290,19 +292,6 @@ func New(opts Options) *Engine {
 	return e
 }
 
-var defaultEngine = struct {
-	once sync.Once
-	e    *Engine
-}{}
-
-// Default returns the process-wide shared engine, creating it with
-// default options on first use. Sharing one engine across layers is
-// what lets a Table-1 estimate pass reuse the MRF search's runs.
-func Default() *Engine {
-	defaultEngine.once.Do(func() { defaultEngine.e = New(Options{}) })
-	return defaultEngine.e
-}
-
 // Workers reports the pool size.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
@@ -375,7 +364,7 @@ func (e *Engine) enqueue(t *task) {
 // afterwards are written synchronously. Cached results remain readable
 // only through jobs already joined; use Close for short-lived engines
 // (benchmarks, one-shot campaigns) so their workers don't outlive
-// them. The shared Default engine is never closed.
+// them.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true

@@ -19,142 +19,89 @@ type AblationRow struct {
 	Evals     int // total constraint evaluations over the trace
 }
 
-// ablationTrace fetches the reference trace all ablations evaluate (the
-// cut-out-fast scenario at 30 FPR, seed 1) through the shared engine —
-// a cache hit whenever Table 1 or the figures already ran that point —
-// and returns an evaluator that re-runs the offline Zhuyi model over it
-// with custom parameters. The evaluator is safe for concurrent use: it
-// builds a fresh estimator per call and only reads the shared trace.
-func ablationTrace() func(core.Params, core.AggregateOptions) (AblationRow, error) {
+// ablate evaluates the reference trace all ablations share (the
+// cut-out-fast scenario at 30 FPR, seed 1, read through eng.Trace — a
+// cache hit whenever Table 1 or the figures already ran that point)
+// once per parameter setting, concurrently, with the paper's
+// 99th-percentile aggregation. Each evaluation builds its own
+// estimator and only reads the shared trace.
+func ablate(ctx context.Context, eng *engine.Engine, labels []string, params []core.Params) ([]AblationRow, error) {
 	sc, _ := scenario.ByName(scenario.CutOutFast)
-	res, err := engine.Default().Run(context.Background(), engine.Job{Scenario: sc, FPR: 30, Seed: 1})
-	eval := func(p core.Params, agg core.AggregateOptions) (AblationRow, error) {
-		if err != nil {
-			return AblationRow{}, err
-		}
+	tr, err := eng.Trace(ctx, engine.Job{Scenario: sc, FPR: 30, Seed: 1})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationRow, len(params))
+	err = forEachIndex(len(params), func(i int) error {
 		e := core.NewEstimator()
-		e.Params = p
-		e.Agg = agg
-		off, err2 := e.EvaluateTrace(res.Trace, core.OfflineOptions{})
-		if err2 != nil {
-			return AblationRow{}, err2
+		e.Params = params[i]
+		off, err := e.EvaluateTrace(tr, core.OfflineOptions{})
+		if err != nil {
+			return err
 		}
 		evals := 0
 		for _, pt := range off.Points {
 			evals += pt.Evals
 		}
-		return AblationRow{MaxFPR: off.MaxFPR(), MaxSumFPR: off.MaxSumFPR(), Evals: evals}, nil
+		rows[i] = AblationRow{Label: labels[i], MaxFPR: off.MaxFPR(), MaxSumFPR: off.MaxSumFPR(), Evals: evals}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return eval
+	return rows, nil
 }
 
 // ConfirmationDepthAblation sweeps the confirmation depth K
 // (DESIGN.md §5): deeper confirmation inflates the reaction time and
 // the estimated rates.
-func ConfirmationDepthAblation(ks []int) ([]AblationRow, error) {
+func ConfirmationDepthAblation(ctx context.Context, eng *engine.Engine, ks []int) ([]AblationRow, error) {
 	if len(ks) == 0 {
 		ks = []int{1, 3, 5, 8}
 	}
-	eval := ablationTrace()
-	rows := make([]AblationRow, len(ks))
-	err := forEachIndex(len(ks), func(i int) error {
-		p := core.DefaultParams()
-		p.K = ks[i]
-		row, err := eval(p, core.AggregateOptions{Mode: core.AggPercentile, Percentile: 99})
-		if err != nil {
-			return err
-		}
-		row.Label = fmt.Sprintf("K=%d", ks[i])
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	labels := make([]string, len(ks))
+	params := make([]core.Params, len(ks))
+	for i, k := range ks {
+		labels[i] = fmt.Sprintf("K=%d", k)
+		params[i] = core.DefaultParams()
+		params[i].K = k
 	}
-	return rows, nil
+	return ablate(ctx, eng, labels, params)
 }
 
 // AlphaModelAblation compares the paper's confirmation-delay model with
 // the steady-state assumption on the same trace.
-func AlphaModelAblation() ([]AblationRow, error) {
-	eval := ablationTrace()
-	modes := []struct {
-		label string
-		alpha core.AlphaModel
-	}{
-		{"alpha=K(l-l0) (paper)", core.AlphaPaper},
-		{"alpha=0 (steady state)", core.AlphaZero},
-	}
-	rows := make([]AblationRow, len(modes))
-	err := forEachIndex(len(modes), func(i int) error {
-		p := core.DefaultParams()
-		p.Alpha = modes[i].alpha
-		row, err := eval(p, core.AggregateOptions{Mode: core.AggPercentile, Percentile: 99})
-		if err != nil {
-			return err
-		}
-		row.Label = modes[i].label
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+func AlphaModelAblation(ctx context.Context, eng *engine.Engine) ([]AblationRow, error) {
+	steady := core.DefaultParams()
+	steady.Alpha = core.AlphaZero
+	return ablate(ctx, eng,
+		[]string{"alpha=K(l-l0) (paper)", "alpha=0 (steady state)"},
+		[]core.Params{core.DefaultParams(), steady})
 }
 
 // SearchModeAblation compares the Eq.-3 accelerated stepping against
 // naive fixed stepping — the paper's performance optimization.
-func SearchModeAblation() ([]AblationRow, error) {
-	eval := ablationTrace()
-	modes := []struct {
-		label string
-		naive bool
-	}{
-		{"eq3 accelerated", false},
-		{"naive 10ms steps", true},
-	}
-	rows := make([]AblationRow, len(modes))
-	err := forEachIndex(len(modes), func(i int) error {
-		p := core.DefaultParams()
-		p.NaiveSearch = modes[i].naive
-		row, err := eval(p, core.AggregateOptions{Mode: core.AggPercentile, Percentile: 99})
-		if err != nil {
-			return err
-		}
-		row.Label = modes[i].label
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+func SearchModeAblation(ctx context.Context, eng *engine.Engine) ([]AblationRow, error) {
+	naive := core.DefaultParams()
+	naive.NaiveSearch = true
+	return ablate(ctx, eng,
+		[]string{"eq3 accelerated", "naive 10ms steps"},
+		[]core.Params{core.DefaultParams(), naive})
 }
 
 // UncertaintyAblation sweeps the perception-uncertainty extension's
 // position sigma (§5 future work implemented in core.Uncertainty).
-func UncertaintyAblation(sigmas []float64) ([]AblationRow, error) {
+func UncertaintyAblation(ctx context.Context, eng *engine.Engine, sigmas []float64) ([]AblationRow, error) {
 	if len(sigmas) == 0 {
 		sigmas = []float64{0, 0.5, 1, 2}
 	}
-	eval := ablationTrace()
-	rows := make([]AblationRow, len(sigmas))
-	err := forEachIndex(len(sigmas), func(i int) error {
-		sigma := sigmas[i]
-		p := core.Uncertainty{PosSigma: sigma, SpeedSigma: sigma / 2}.Apply(core.DefaultParams())
-		row, err := eval(p, core.AggregateOptions{Mode: core.AggPercentile, Percentile: 99})
-		if err != nil {
-			return err
-		}
-		row.Label = fmt.Sprintf("sigma=%.1fm", sigma)
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	labels := make([]string, len(sigmas))
+	params := make([]core.Params, len(sigmas))
+	for i, sigma := range sigmas {
+		labels[i] = fmt.Sprintf("sigma=%.1fm", sigma)
+		params[i] = core.Uncertainty{PosSigma: sigma, SpeedSigma: sigma / 2}.Apply(core.DefaultParams())
 	}
-	return rows, nil
+	return ablate(ctx, eng, labels, params)
 }
 
 // WriteAblation renders ablation rows.
@@ -175,9 +122,9 @@ type AggregationRow struct {
 	Variance   float64 // vs the offline ground truth
 }
 
-// AggregationAblation runs the cut-in online estimation under each
-// aggregation mode.
-func AggregationAblation() ([]AggregationRow, error) {
+// AggregationAblation runs the cut-in online estimation on eng under
+// each aggregation mode.
+func AggregationAblation(ctx context.Context, eng *engine.Engine) ([]AggregationRow, error) {
 	modes := []struct {
 		label string
 		agg   core.AggregateOptions
@@ -189,7 +136,7 @@ func AggregationAblation() ([]AggregationRow, error) {
 	}
 	rows := make([]AggregationRow, len(modes))
 	err := forEachIndex(len(modes), func(i int) error {
-		s, err := figure7WithAgg(30, 1, modes[i].agg)
+		s, err := figure7WithAgg(ctx, eng, 30, 1, modes[i].agg)
 		if err != nil {
 			return err
 		}

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestConfirmationDepthAblationMonotone(t *testing.T) {
-	rows, err := ConfirmationDepthAblation([]int{1, 3, 5, 8})
+	rows, err := ConfirmationDepthAblation(context.Background(), testEng, []int{1, 3, 5, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestConfirmationDepthAblationMonotone(t *testing.T) {
 }
 
 func TestAlphaModelAblation(t *testing.T) {
-	rows, err := AlphaModelAblation()
+	rows, err := AlphaModelAblation(context.Background(), testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestAlphaModelAblation(t *testing.T) {
 }
 
 func TestSearchModeAblation(t *testing.T) {
-	rows, err := SearchModeAblation()
+	rows, err := SearchModeAblation(context.Background(), testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestSearchModeAblation(t *testing.T) {
 }
 
 func TestUncertaintyAblationMonotone(t *testing.T) {
-	rows, err := UncertaintyAblation([]float64{0, 1, 2})
+	rows, err := UncertaintyAblation(context.Background(), testEng, []float64{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestUncertaintyAblationMonotone(t *testing.T) {
 }
 
 func TestAggregationAblationOrdering(t *testing.T) {
-	rows, err := AggregationAblation()
+	rows, err := AggregationAblation(context.Background(), testEng)
 	if err != nil {
 		t.Fatal(err)
 	}

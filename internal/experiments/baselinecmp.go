@@ -35,18 +35,17 @@ type BaselineRow struct {
 }
 
 // BaselineComparison runs the Suraksha-style search and the Zhuyi
-// evaluation for each scenario, concurrently on opt.Engine. The Zhuyi
-// trace at the uniform operating point is a cache hit: the grid
-// search's MRF waves already simulated it.
-func BaselineComparison(opt Options) ([]BaselineRow, error) {
+// evaluation for each scenario, concurrently on eng. The Zhuyi trace
+// at the uniform operating point is a cache hit: the grid search's MRF
+// waves already simulated it.
+func BaselineComparison(ctx context.Context, eng *engine.Engine, opt Options) ([]BaselineRow, error) {
 	opt = opt.withDefaults()
-	ctx := context.Background()
 	scenarios := scenario.All()
 	rows := make([]BaselineRow, len(scenarios))
 	err := forEachIndex(len(scenarios), func(i int) error {
 		sc := scenarios[i]
 		row := BaselineRow{Scenario: sc.Name}
-		gs, err := baseline.UniformGridSearchContext(ctx, opt.Engine, sc, opt.FPRGrid, opt.Seeds, 3)
+		gs, err := baseline.UniformGridSearch(ctx, eng, sc, opt.FPRGrid, opt.Seeds, 3)
 		if err != nil {
 			return err
 		}
@@ -59,7 +58,7 @@ func BaselineComparison(opt Options) ([]BaselineRow, error) {
 		row.UniformTotal = gs.TotalFPR
 
 		// Zhuyi's demand at the uniform operating point.
-		tr, err := opt.Engine.Trace(ctx, engine.Job{Scenario: sc, FPR: gs.MinUniformFPR, Seed: 1})
+		tr, err := eng.Trace(ctx, engine.Job{Scenario: sc, FPR: gs.MinUniformFPR, Seed: 1})
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestBaselineComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("baseline comparison is slow")
 	}
-	rows, err := BaselineComparison(quickOptions())
+	rows, err := BaselineComparison(context.Background(), testEng, quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

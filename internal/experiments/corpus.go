@@ -31,26 +31,15 @@ type CorpusOptions struct {
 	Seeds int
 	// FPRGrid is the tested rate grid (default: the Table-1 grid).
 	FPRGrid []float64
-	// Engine schedules and caches every run; nil uses the shared
-	// default engine. On a store-attached engine an identically
-	// parameterized sweep recorded by an earlier process replays from
-	// disk instead of re-simulating. All sweep members — generated
-	// (unregistered) and registered alike — are spec-backed, so their
-	// store keys carry the spec content fingerprint
-	// (Scenario.Fingerprint): a generator change that alters a
-	// member's parameters misses cleanly instead of serving a stale
-	// trace recorded under the same name.
-	Engine *engine.Engine
 	// Record is the trace recording level of the sweep's generated
 	// members. An MRF sweep reads nothing but collision outcomes, so
 	// trace.LevelSummary (the `-exp corpus` CLI default) skips every
 	// generated run's row materialization. The level is stamped onto
 	// the generated specs themselves (and folded into the corpus name
 	// prefix, so differently-leveled sweeps never alias each other's
-	// cached runs), which means it survives any engine — including the
-	// shared default one; a store-attached engine still upgrades
-	// archivable points to full. Tag-selected registered members keep
-	// their own declared level.
+	// cached runs), which means it survives any engine; a
+	// store-attached engine still upgrades archivable points to full.
+	// Tag-selected registered members keep their own declared level.
 	Record trace.Level
 }
 
@@ -63,9 +52,6 @@ func (o CorpusOptions) withDefaults() CorpusOptions {
 	}
 	if len(o.FPRGrid) == 0 {
 		o.FPRGrid = metrics.DefaultFPRGrid()
-	}
-	if o.Engine == nil {
-		o.Engine = engine.Default()
 	}
 	return o
 }
@@ -89,11 +75,19 @@ type CorpusResult struct {
 }
 
 // CorpusSweep generates a scenario corpus and measures every member's
-// minimum required FPR concurrently on the engine. Generated specs are
+// minimum required FPR concurrently on eng. Generated specs are
 // compiled on the fly (they do not touch the default registry), so
 // sweeps of arbitrary size stay side-effect free; register specs
 // explicitly to make a corpus addressable by name afterwards.
-func CorpusSweep(ctx context.Context, opt CorpusOptions) (*CorpusResult, error) {
+//
+// On a store-attached engine an identically parameterized sweep
+// recorded by an earlier process replays from disk instead of
+// re-simulating. All sweep members — generated (unregistered) and
+// registered alike — are spec-backed, so their store keys carry the
+// spec content fingerprint (Scenario.Fingerprint): a generator change
+// that alters a member's parameters misses cleanly instead of serving
+// a stale trace recorded under the same name.
+func CorpusSweep(ctx context.Context, eng *engine.Engine, opt CorpusOptions) (*CorpusResult, error) {
 	opt = opt.withDefaults()
 
 	type member struct {
@@ -139,7 +133,7 @@ func CorpusSweep(ctx context.Context, opt CorpusOptions) (*CorpusResult, error) 
 	res := &CorpusResult{Rows: make([]CorpusRow, len(members)), Dist: make(map[string]int)}
 	err := forEachIndex(len(members), func(i int) error {
 		m := members[i]
-		mrf, err := metrics.FindMRFContext(ctx, opt.Engine, m.sc, opt.FPRGrid, opt.Seeds)
+		mrf, err := metrics.FindMRF(ctx, eng, m.sc, opt.FPRGrid, opt.Seeds)
 		res.Rows[i] = CorpusRow{
 			Name:        m.sc.Name,
 			Family:      m.family,

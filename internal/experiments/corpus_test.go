@@ -23,9 +23,8 @@ func TestPropertyCorpusSweepSmall(t *testing.T) {
 		GenSeed: 9,
 		Seeds:   2,
 		FPRGrid: []float64{1, 4, 30},
-		Engine:  eng,
 	}
-	res, err := CorpusSweep(context.Background(), opt)
+	res, err := CorpusSweep(context.Background(), eng, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestPropertyCorpusSweepSmall(t *testing.T) {
 	}
 
 	before := eng.Stats().Executed
-	again, err := CorpusSweep(context.Background(), opt)
+	again, err := CorpusSweep(context.Background(), eng, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +85,14 @@ func TestPropertyCorpusSweepSmall(t *testing.T) {
 func TestPropertyCorpusSweepsDontAliasAcrossSeeds(t *testing.T) {
 	eng := engine.New(engine.Options{})
 	defer eng.Close()
-	opt := CorpusOptions{N: 2, GenSeed: 1, Seeds: 1, FPRGrid: []float64{2, 30}, Engine: eng}
-	first, err := CorpusSweep(context.Background(), opt)
+	opt := CorpusOptions{N: 2, GenSeed: 1, Seeds: 1, FPRGrid: []float64{2, 30}}
+	first, err := CorpusSweep(context.Background(), eng, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	executed := eng.Stats().Executed
 	opt.GenSeed = 2
-	second, err := CorpusSweep(context.Background(), opt)
+	second, err := CorpusSweep(context.Background(), eng, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +111,12 @@ func TestPropertyCorpusSweepsDontAliasAcrossSeeds(t *testing.T) {
 func TestCorpusSweepIncludesTaggedRegistered(t *testing.T) {
 	eng := engine.New(engine.Options{})
 	defer eng.Close()
-	res, err := CorpusSweep(context.Background(), CorpusOptions{
+	res, err := CorpusSweep(context.Background(), eng, CorpusOptions{
 		N:       1,
 		GenSeed: 2,
 		Tags:    []string{scenario.TagVariant},
 		Seeds:   1,
 		FPRGrid: []float64{30},
-		Engine:  eng,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,9 +156,9 @@ func TestCorpusSweepRecordLevelStampsGeneratedSpecs(t *testing.T) {
 		return &sim.Result{FramesProcessed: map[string]int{}, Level: cfg.Record}, nil
 	}})
 	defer eng.Close()
-	res, err := CorpusSweep(context.Background(), CorpusOptions{
+	res, err := CorpusSweep(context.Background(), eng, CorpusOptions{
 		N: 2, GenSeed: 7, Seeds: 1, FPRGrid: []float64{5, 30},
-		Record: trace.LevelSummary, Engine: eng,
+		Record: trace.LevelSummary,
 	})
 	if err != nil {
 		t.Fatal(err)

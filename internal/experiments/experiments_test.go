@@ -1,17 +1,26 @@
 package experiments
 
 import (
+	"context"
 	"math"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/scenario"
+	"repro/internal/store"
+	"repro/internal/trace"
 )
+
+// testEng is the one engine the package's real-simulation tests share,
+// so overlapping campaigns reuse each other's runs from the cache.
+var testEng = engine.New(engine.Options{})
 
 // quickOptions keeps experiment tests fast: 2 seeds and a reduced rate
 // grid that still brackets every scenario's true MRF (so the grid does
-// not inflate MRF past the estimates). Tests share the default engine,
-// so overlapping campaigns reuse each other's runs from the cache.
+// not inflate MRF past the estimates).
 func quickOptions() Options {
 	return Options{Seeds: 2, FPRGrid: []float64{1, 2, 3, 5, 30}}
 }
@@ -20,7 +29,7 @@ func TestTable1QuickGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 is slow")
 	}
-	rows, err := Table1(quickOptions())
+	rows, err := Table1(context.Background(), testEng, quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,7 @@ func TestTable1QuickGrid(t *testing.T) {
 }
 
 func TestCameraLatencyFigureCutOutFast(t *testing.T) {
-	fs, err := CameraLatencyFigure(scenario.CutOutFast, 30, 1)
+	fs, err := CameraLatencyFigure(context.Background(), testEng, scenario.CutOutFast, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +130,7 @@ func TestCameraLatencyFigureCutOutFast(t *testing.T) {
 }
 
 func TestCameraLatencyFigureCutIn(t *testing.T) {
-	fs, err := CameraLatencyFigure(scenario.CutIn, 30, 1)
+	fs, err := CameraLatencyFigure(context.Background(), testEng, scenario.CutIn, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +147,68 @@ func TestCameraLatencyFigureCutIn(t *testing.T) {
 	}
 }
 
+// TestCameraLatencyFigureFromStore: a figure point archived by one
+// engine is read back by a fresh engine over the same store without
+// simulating, and the series is the cold one.
+func TestCameraLatencyFigureFromStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	figure := func() (*FigureSeries, engine.Stats) {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		eng := engine.New(engine.Options{Store: st})
+		defer eng.Close()
+		fs, err := CameraLatencyFigure(context.Background(), eng, scenario.CutIn, 30, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Drain()
+		return fs, eng.Stats()
+	}
+	cold, cs := figure()
+	if cs.Executed != 1 || cs.Archived != 1 {
+		t.Fatalf("cold stats = %+v, want 1 run archived", cs)
+	}
+	warm, ws := figure()
+	if ws.Executed != 0 || ws.DiskHits < 1 || ws.StoreErrors != 0 {
+		t.Fatalf("warm stats = %+v, want 0 runs, >= 1 disk hit, 0 store errors", ws)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("warm series differs from the cold one")
+	}
+}
+
+// TestFiguresOnSummaryEngine: an engine that records only summaries
+// still yields the rows Figures 4–7 evaluate.
+func TestFiguresOnSummaryEngine(t *testing.T) {
+	eng := engine.New(engine.Options{Record: trace.LevelSummary})
+	defer eng.Close()
+	fs, err := CameraLatencyFigure(context.Background(), eng, scenario.CutIn, 30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.Times) < 50 {
+		t.Fatalf("series too short: %d", len(fs.Times))
+	}
+	s, err := Figure7(context.Background(), eng, 30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Times) < 20 {
+		t.Fatalf("online series too short: %d", len(s.Times))
+	}
+}
+
 func TestCameraLatencyFigureUnknownScenario(t *testing.T) {
-	if _, err := CameraLatencyFigure("nope", 30, 1); err == nil {
+	if _, err := CameraLatencyFigure(context.Background(), testEng, "nope", 30, 1); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }
 
 func TestFigure7OnlineEstimates(t *testing.T) {
-	s, err := Figure7(30, 1)
+	s, err := Figure7(context.Background(), testEng, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +281,7 @@ func TestHeadlineClosedLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline is slow")
 	}
-	rows, err := Headline(1)
+	rows, err := Headline(context.Background(), testEng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +326,7 @@ func TestPrioritizationBeatsUniformUnderTightBudget(t *testing.T) {
 	// cut-out-fast scenario reliably collides at 2 FPR — while Zhuyi
 	// concentrates the same budget on the front cameras watching the
 	// lead and the revealed obstacle.
-	row, err := Prioritization(scenario.CutOutFast, 10, 1)
+	row, err := Prioritization(context.Background(), testEng, scenario.CutOutFast, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +342,5 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Seeds != 10 || len(o.FPRGrid) != 12 || o.EvalEvery != 0.1 {
 		t.Errorf("defaults = %+v", o)
-	}
-	if o.Engine == nil {
-		t.Fatal("no default engine")
-	}
-	if o.Engine.Workers() < 1 {
-		t.Errorf("default engine workers = %d", o.Engine.Workers())
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sensor"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -30,25 +31,26 @@ type FigureSeries struct {
 	Collided bool
 }
 
-// CameraLatencyFigure runs the named scenario once at the given rate
-// and evaluates the trace offline — the pre-deployment flow behind
-// Figures 4–6. The run goes through the shared engine, so regenerating
-// a figure after a Table-1 campaign reuses the recorded trace.
-func CameraLatencyFigure(name string, fpr float64, seed int64) (*FigureSeries, error) {
+// CameraLatencyFigure reads the named scenario's rows at the given rate
+// and seed through eng.Trace and evaluates them offline — the
+// pre-deployment flow behind Figures 4–6. Regenerating a figure after a
+// Table-1 campaign on the same engine reuses the recorded trace, and a
+// store-attached engine loads an archived point from disk.
+func CameraLatencyFigure(ctx context.Context, eng *engine.Engine, name string, fpr float64, seed int64) (*FigureSeries, error) {
 	sc, ok := scenario.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scenario %q", name)
 	}
-	res, err := engine.Default().Run(context.Background(), engine.Job{Scenario: sc, FPR: fpr, Seed: seed})
+	tr, err := eng.Trace(ctx, engine.Job{Scenario: sc, FPR: fpr, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	est := core.NewEstimator()
-	off, err := est.EvaluateTrace(res.Trace, core.OfflineOptions{})
+	off, err := est.EvaluateTrace(tr, core.OfflineOptions{})
 	if err != nil {
 		return nil, err
 	}
-	fs := &FigureSeries{Scenario: name, RunFPR: fpr, Collided: res.Collided()}
+	fs := &FigureSeries{Scenario: name, RunFPR: fpr, Collided: tr.Collision != nil}
 	for _, pt := range off.Points {
 		fs.Times = append(fs.Times, pt.Time)
 		fs.Left = append(fs.Left, pt.Latency[sensor.Left])
@@ -142,14 +144,15 @@ func (p *onlineProbe) Rates(now float64, ego world.Agent, wm []world.Agent) map[
 // scenario with the Zhuyi model running online. The returned series
 // pairs the online estimates with the offline ground-truth estimates at
 // the same instants, whose difference is the prediction-driven variance
-// the paper discusses.
-func Figure7(fpr float64, seed int64) (*OnlineSeries, error) {
-	return figure7WithAgg(fpr, seed, core.AggregateOptions{Mode: core.AggPercentile, Percentile: 99})
+// the paper discusses. The run goes through eng's pool but never its
+// cache or store: the probe must observe a live run.
+func Figure7(ctx context.Context, eng *engine.Engine, fpr float64, seed int64) (*OnlineSeries, error) {
+	return figure7WithAgg(ctx, eng, fpr, seed, core.AggregateOptions{Mode: core.AggPercentile, Percentile: 99})
 }
 
 // figure7WithAgg is Figure7 with a configurable Eq.-4 aggregation (used
 // by the aggregation-mode ablation).
-func figure7WithAgg(fpr float64, seed int64, agg core.AggregateOptions) (*OnlineSeries, error) {
+func figure7WithAgg(ctx context.Context, eng *engine.Engine, fpr float64, seed int64, agg core.AggregateOptions) (*OnlineSeries, error) {
 	sc, ok := scenario.ByName(scenario.CutIn)
 	if !ok {
 		return nil, fmt.Errorf("experiments: cut-in scenario missing")
@@ -162,13 +165,15 @@ func figure7WithAgg(fpr float64, seed int64, agg core.AggregateOptions) (*Online
 		l0:   1 / fpr,
 	}
 	// The probe records estimates from inside the loop, so this run is
-	// NoCache: replaying it from cache would leave the probe empty.
-	res, err := engine.Default().Run(context.Background(), engine.Job{
+	// NoCache: replaying it from cache would leave the probe empty. The
+	// offline reference below needs every row, whatever eng records.
+	res, err := eng.Run(ctx, engine.Job{
 		Scenario: sc, FPR: fpr, Seed: seed,
 		NoCache: true,
 		Configure: func(cfg *sim.Config) {
 			cfg.RateController = probe
 			cfg.RateEpoch = 0.1
+			cfg.Record = trace.LevelFull
 		},
 	})
 	if err != nil {

@@ -43,11 +43,6 @@ type HardestOptions struct {
 	Seeds int
 	// FPRGrid is the tested rate grid (default: the Table-1 grid).
 	FPRGrid []float64
-	// Engine schedules and caches every run; nil uses the shared
-	// default engine. On a store-attached engine a repeated
-	// identically-budgeted experiment rescores from disk without
-	// simulating.
-	Engine *engine.Engine
 	// Progress, when non-nil, receives the search's per-generation
 	// summaries as they happen.
 	Progress func(search.GenerationSummary)
@@ -68,9 +63,6 @@ func (o HardestOptions) withDefaults() HardestOptions {
 	}
 	if len(o.FPRGrid) == 0 {
 		o.FPRGrid = metrics.DefaultFPRGrid()
-	}
-	if o.Engine == nil {
-		o.Engine = engine.Default()
 	}
 	return o
 }
@@ -158,14 +150,13 @@ type HardestResult struct {
 }
 
 // HardestCorpus runs the adversarial search and the blind generator
-// baseline on one engine and compares their MRF distributions. Both
-// sides are deterministic per options; on an engine with a warm
-// persistent store the whole experiment rescores without a fresh
-// simulation.
-func HardestCorpus(ctx context.Context, opt HardestOptions) (*HardestResult, error) {
+// baseline on eng and compares their MRF distributions. Both sides
+// are deterministic per options; on an engine with a warm persistent
+// store the whole experiment rescores without a fresh simulation.
+func HardestCorpus(ctx context.Context, eng *engine.Engine, opt HardestOptions) (*HardestResult, error) {
 	opt = opt.withDefaults()
 
-	sres, err := search.Search(ctx, search.Options{
+	sres, err := search.Search(ctx, eng, search.Options{
 		Families:    opt.Families,
 		Seed:        opt.Seed,
 		Generations: opt.Generations,
@@ -173,21 +164,19 @@ func HardestCorpus(ctx context.Context, opt HardestOptions) (*HardestResult, err
 		Seeds:       opt.Seeds,
 		TopN:        opt.TopN,
 		FPRGrid:     opt.FPRGrid,
-		Engine:      opt.Engine,
 		Progress:    opt.Progress,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	blind, err := CorpusSweep(ctx, CorpusOptions{
+	blind, err := CorpusSweep(ctx, eng, CorpusOptions{
 		N:        opt.TopN,
 		GenSeed:  opt.Seed,
 		Families: opt.Families,
 		Seeds:    opt.Seeds,
 		FPRGrid:  opt.FPRGrid,
 		Record:   trace.LevelSummary,
-		Engine:   opt.Engine,
 	})
 	if err != nil {
 		return nil, err

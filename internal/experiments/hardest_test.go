@@ -31,7 +31,7 @@ func hardestFakeRunner(grid []float64) engine.Runner {
 	}
 }
 
-func hardestTestOptions(eng *engine.Engine) HardestOptions {
+func hardestTestOptions() HardestOptions {
 	return HardestOptions{
 		TopN:        8,
 		Seed:        3,
@@ -40,7 +40,6 @@ func hardestTestOptions(eng *engine.Engine) HardestOptions {
 		Population:  4,
 		Seeds:       2,
 		FPRGrid:     []float64{5, 10, 30},
-		Engine:      eng,
 	}
 }
 
@@ -54,7 +53,7 @@ func TestHardestCorpusDeterministicAndConsistent(t *testing.T) {
 	run := func() *HardestResult {
 		eng := engine.New(engine.Options{Workers: 4, Runner: hardestFakeRunner(grid)})
 		defer eng.Close()
-		res, err := HardestCorpus(context.Background(), hardestTestOptions(eng))
+		res, err := HardestCorpus(context.Background(), eng, hardestTestOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,17 +29,12 @@ type HeadlineRow struct {
 	WorstAction    safety.Action
 }
 
-// Headline runs every scenario twice — fixed 30 FPR and Zhuyi-
-// controlled — on the shared default engine. See HeadlineContext.
-func Headline(seed int64) ([]HeadlineRow, error) {
-	return HeadlineContext(context.Background(), engine.Default(), seed)
-}
-
-// HeadlineContext computes every scenario row concurrently; the
-// baseline runs are plain cacheable points, while the controller runs
-// are NoCache variants (the controller accumulates alarm state the row
-// reads back, so serving them from cache would be wrong).
-func HeadlineContext(ctx context.Context, eng *engine.Engine, seed int64) ([]HeadlineRow, error) {
+// Headline runs every scenario twice on eng — fixed 30 FPR and Zhuyi-
+// controlled — computing the rows concurrently. The baseline runs are
+// plain cacheable points, while the controller runs are NoCache
+// variants (the controller accumulates alarm state the row reads back,
+// so serving them from cache would be wrong).
+func Headline(ctx context.Context, eng *engine.Engine, seed int64) ([]HeadlineRow, error) {
 	scenarios := scenario.All()
 	rows := make([]HeadlineRow, len(scenarios))
 	err := forEachIndex(len(scenarios), func(i int) error {
@@ -140,8 +135,8 @@ type PrioritizationRow struct {
 }
 
 // Prioritization runs a scenario under a constrained total budget with
-// both allocators, concurrently on the shared default engine.
-func Prioritization(name string, budget float64, seed int64) (PrioritizationRow, error) {
+// both allocators, concurrently on eng.
+func Prioritization(ctx context.Context, eng *engine.Engine, name string, budget float64, seed int64) (PrioritizationRow, error) {
 	row := PrioritizationRow{Scenario: name, Budget: budget}
 	sc, ok := scenario.ByName(name)
 	if !ok {
@@ -152,7 +147,7 @@ func Prioritization(name string, budget float64, seed int64) (PrioritizationRow,
 	est.Cameras = est.Rig.Names()
 	ccfg := safety.DefaultControllerConfig()
 	ccfg.Budget = budget
-	batch, err := engine.Default().RunBatch(context.Background(), []engine.Job{
+	batch, err := eng.RunBatch(ctx, []engine.Job{
 		{
 			Scenario: sc, FPR: 30, Seed: seed,
 			NoCache: true,

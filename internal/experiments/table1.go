@@ -4,6 +4,12 @@
 // (post-deployment estimates), Figure 8 (velocity sensitivity sweep),
 // and the headline resource-fraction claim. Each generator returns
 // structured data and can render the paper's rows/series as text.
+//
+// Every generator that runs simulations takes (ctx, eng, …): the
+// caller builds one engine per process and passes it to each, so later
+// experiments reuse earlier ones' runs and a store-attached engine
+// archives and reloads every plain point, figures and ablations
+// included.
 package experiments
 
 import (
@@ -20,18 +26,11 @@ import (
 )
 
 // Options controls experiment scale. The zero value is upgraded to the
-// paper's protocol (10 seeds, the Table-1 FPR grid) on the shared
-// default run engine.
+// paper's protocol (10 seeds, the Table-1 FPR grid).
 type Options struct {
 	Seeds     int       // runs per configuration (paper: 10)
 	FPRGrid   []float64 // tested rates (paper: 1..10, 15, 30)
 	EvalEvery float64   // offline evaluation period, s
-	// Engine schedules and caches every closed-loop run. nil selects
-	// engine.Default(), so consecutive experiments in one process reuse
-	// each other's runs. Size the pool and attach a persistent store on
-	// the caller's engine: archived points then load from disk and
-	// fresh runs are archived back across processes.
-	Engine *engine.Engine
 }
 
 func (o Options) withDefaults() Options {
@@ -43,9 +42,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EvalEvery <= 0 {
 		o.EvalEvery = 0.1
-	}
-	if o.Engine == nil {
-		o.Engine = engine.Default()
 	}
 	return o
 }
@@ -70,20 +66,15 @@ type Table1Row struct {
 
 // Table1 reproduces the paper's Table 1: per scenario, the minimum
 // required FPR from closed-loop runs and the offline Zhuyi estimates
-// from traces recorded at each tested rate.
-func Table1(opt Options) ([]Table1Row, error) {
-	return Table1Context(context.Background(), opt)
-}
-
-// Table1Context is Table1 with cancellation. Scenario rows assemble
-// concurrently; every underlying run is scheduled on opt.Engine, so the
+// from traces recorded at each tested rate. Scenario rows assemble
+// concurrently; every underlying run is scheduled on eng, so the
 // estimate pass reuses the MRF search's simulations as cache hits.
-func Table1Context(ctx context.Context, opt Options) ([]Table1Row, error) {
+func Table1(ctx context.Context, eng *engine.Engine, opt Options) ([]Table1Row, error) {
 	opt = opt.withDefaults()
 	scenarios := scenario.All()
 	rows := make([]Table1Row, len(scenarios))
 	err := forEachIndex(len(scenarios), func(i int) error {
-		row, err := table1Row(ctx, scenarios[i], opt)
+		row, err := table1Row(ctx, eng, scenarios[i], opt)
 		rows[i] = row
 		return err
 	})
@@ -93,7 +84,7 @@ func Table1Context(ctx context.Context, opt Options) ([]Table1Row, error) {
 	return rows, nil
 }
 
-func table1Row(ctx context.Context, sc scenario.Scenario, opt Options) (Table1Row, error) {
+func table1Row(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, opt Options) (Table1Row, error) {
 	row := Table1Row{
 		Scenario:    sc.Name,
 		EgoSpeedMPH: sc.EgoSpeedMPH,
@@ -102,7 +93,7 @@ func table1Row(ctx context.Context, sc scenario.Scenario, opt Options) (Table1Ro
 		Left:        sc.LeftActivity,
 		Estimates:   make(map[float64]float64, len(opt.FPRGrid)),
 	}
-	mrf, err := metrics.FindMRFContext(ctx, opt.Engine, sc, opt.FPRGrid, opt.Seeds)
+	mrf, err := metrics.FindMRF(ctx, eng, sc, opt.FPRGrid, opt.Seeds)
 	if err != nil {
 		return row, err
 	}
@@ -122,7 +113,7 @@ func table1Row(ctx context.Context, sc scenario.Scenario, opt Options) (Table1Ro
 			jobs = append(jobs, engine.Job{Scenario: sc, FPR: fpr, Seed: seed})
 		}
 	}
-	batch, err := opt.Engine.RunBatch(ctx, jobs)
+	batch, err := eng.RunBatch(ctx, jobs)
 	if err != nil {
 		return row, err
 	}
@@ -138,7 +129,7 @@ func table1Row(ctx context.Context, sc scenario.Scenario, opt Options) (Table1Ro
 		if o.Result.Collided() {
 			continue // rare boundary collision at a nominally safe rate
 		}
-		tr, err := opt.Engine.Trace(ctx, o.Job)
+		tr, err := eng.Trace(ctx, o.Job)
 		if err != nil {
 			return row, err
 		}

@@ -447,7 +447,7 @@ func (c *Coordinator) handleMRF(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.refreshManifest()
-	m, err := metrics.FindMRFContext(r.Context(), c.eng, sc, fprs, seeds)
+	m, err := metrics.FindMRF(r.Context(), c.eng, sc, fprs, seeds)
 	if err == nil {
 		server.WriteJSON(w, http.StatusOK, server.MRFResponseFor(m, fprs))
 		return

@@ -260,6 +260,28 @@ func dyingReplica(t *testing.T, dir string) (*httptest.Server, *engine.Engine) {
 	return ts, eng
 }
 
+// ownedVictim builds a dying replica and a coordinator over the healthy
+// URLs plus the victim's, rebuilding both on a fresh victim URL until
+// the coordinator's ring assigns the victim at least one of points.
+// Ring placement depends only on the URL strings, and the 9 Table-1
+// fingerprints leave a random-port victim without a point in a few
+// percent of draws, in which case its death would never be exercised.
+func ownedVictim(t *testing.T, dir string, healthy []string, points []zhuyi.CampaignPoint, opt Options) (victim *httptest.Server, victimEng *engine.Engine, cts *httptest.Server) {
+	t.Helper()
+	const tries = 20
+	for range tries {
+		victim, victimEng = dyingReplica(t, dir)
+		c, cts := coordinator(t, dir, append(healthy[:len(healthy):len(healthy)], victim.URL), opt)
+		for _, pt := range points {
+			if c.Ring().Owner(scenario.Default().Fingerprint(pt.Scenario)) == victim.URL {
+				return victim, victimEng, cts
+			}
+		}
+	}
+	t.Fatalf("the ring assigned no point to any of %d victim URLs", tries)
+	return nil, nil, nil
+}
+
 // TestReplicaDeathMidCampaignZeroDuplicates is the fabric's failure
 // path: one replica dies mid-campaign after archiving part of its
 // share. The campaign must still complete, the dead replica's
@@ -271,31 +293,9 @@ func TestReplicaDeathMidCampaignZeroDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	points := table1Points(2, 5)
 
-	// Build two healthy replicas first; the victim is inserted at a URL
-	// chosen after ring construction, so pick the victim as the owner of
-	// the first point's scenario to guarantee it gets assignments.
 	s1, e1 := replica(t, dir)
 	s2, e2 := replica(t, dir)
-	victim, victimEng := dyingReplica(t, dir)
-	urls := []string{s1.URL, s2.URL, victim.URL}
-
-	c, cts := coordinator(t, dir, urls, Options{Backoff: 300 * time.Millisecond})
-	fp := scenario.Default().Fingerprint(points[0].Scenario)
-	if c.Ring().Owner(fp) != victim.URL {
-		// Re-order so the victim owns at least the first scenario's
-		// points: ring placement depends only on URL strings, so find a
-		// point the victim owns instead.
-		owned := false
-		for _, pt := range points {
-			if c.Ring().Owner(scenario.Default().Fingerprint(pt.Scenario)) == victim.URL {
-				owned = true
-				break
-			}
-		}
-		if !owned {
-			t.Skip("hash ring assigned the victim no scenarios (possible but vanishingly rare); nothing to kill")
-		}
-	}
+	victim, victimEng, cts := ownedVictim(t, dir, []string{s1.URL, s2.URL}, points, Options{Backoff: 300 * time.Millisecond})
 
 	cl := zhuyi.NewClient(cts.URL)
 	res, err := cl.Campaign(context.Background(), points)

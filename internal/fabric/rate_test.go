@@ -31,8 +31,7 @@ func TestRateServedLocallyDuringReplicaDeath(t *testing.T) {
 	points := table1Points(2, 5)
 	s1, _ := replica(t, dir)
 	s2, _ := replica(t, dir)
-	victim, _ := dyingReplica(t, dir)
-	_, cts := coordinator(t, dir, []string{s1.URL, s2.URL, victim.URL}, Options{Backoff: 300 * time.Millisecond})
+	victim, _, cts := ownedVictim(t, dir, []string{s1.URL, s2.URL}, points, Options{Backoff: 300 * time.Millisecond})
 
 	campDone := make(chan error, 1)
 	go func() {

@@ -2,7 +2,7 @@
 // minimum required FPR (MRF) search — "the FPR above which no collision
 // was detected in the scenario" (§4.2) — run over multiple seeds to
 // absorb simulation nondeterminism, and per-run summary statistics.
-// All run fan-out goes through the shared internal/engine scheduler, so
+// Every search runs on the caller's internal/engine scheduler, so
 // campaigns are parallel, cancellable, and cached.
 package metrics
 
@@ -55,13 +55,7 @@ func RunScenario(sc scenario.Scenario, fpr float64, seed int64) (*sim.Result, er
 	return sim.Run(sc.Build(fpr, seed))
 }
 
-// FindMRF searches the scenario's minimum required FPR on the shared
-// default engine. See FindMRFContext.
-func FindMRF(sc scenario.Scenario, fprs []float64, seeds int) (MRF, error) {
-	return FindMRFContext(context.Background(), engine.Default(), sc, fprs, seeds)
-}
-
-// FindMRFContext runs the scenario over the ascending rate grid with
+// FindMRF runs the scenario on eng over the ascending rate grid with
 // the given number of seeds and returns the minimum rate from which no
 // collision occurs at that rate or any higher tested rate.
 //
@@ -76,7 +70,7 @@ func FindMRF(sc scenario.Scenario, fprs []float64, seeds int) (MRF, error) {
 //
 // All run failures are collected and returned joined (errors.Join),
 // each annotated with its (scenario, fpr, seed) point.
-func FindMRFContext(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, fprs []float64, seeds int) (MRF, error) {
+func FindMRF(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, fprs []float64, seeds int) (MRF, error) {
 	res := MRF{Scenario: sc.Name, Collisions: make(map[float64]int, len(fprs)), Seeds: seeds}
 	if seeds <= 0 {
 		// An empty wave would declare every rate collision-free.
@@ -136,16 +130,10 @@ func collisionWave(ctx context.Context, eng *engine.Engine, sc scenario.Scenario
 	return collided, errors.Join(errs...)
 }
 
-// CollisionRate runs the scenario n times at the given FPR on the
-// shared default engine. See CollisionRateContext.
-func CollisionRate(sc scenario.Scenario, fpr float64, n int) (float64, error) {
-	return CollisionRateContext(context.Background(), engine.Default(), sc, fpr, n)
-}
-
-// CollisionRateContext runs the scenario n times at the given FPR with
+// CollisionRate runs the scenario n times at the given FPR with
 // seeds 1..n concurrently on the engine and returns the fraction that
-// collided. Failures are joined per point, like FindMRFContext.
-func CollisionRateContext(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, fpr float64, n int) (float64, error) {
+// collided. Failures are joined per point, like FindMRF.
+func CollisionRate(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, fpr float64, n int) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("metrics: CollisionRate needs at least one run, got %d", n)
 	}

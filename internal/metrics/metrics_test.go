@@ -62,7 +62,7 @@ func TestRunScenario(t *testing.T) {
 func TestFindMRFBenignScenario(t *testing.T) {
 	// The benign activity scenario is safe at every tested rate: MRF <1.
 	sc, _ := scenario.ByName(scenario.FrontRightActivity1)
-	m, err := FindMRF(sc, []float64{1, 2}, 2)
+	m, err := FindMRF(context.Background(), testEng, sc, []float64{1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFindMRFCutOut(t *testing.T) {
 	// The cut-out collides at 1 FPR and is safe at higher rates, so MRF
 	// lands strictly above 1 on a {1, 6, 30} grid.
 	sc, _ := scenario.ByName(scenario.CutOut)
-	m, err := FindMRF(sc, []float64{1, 6, 30}, 2)
+	m, err := FindMRF(context.Background(), testEng, sc, []float64{1, 6, 30}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFindMRFCutOut(t *testing.T) {
 
 func TestCollisionRate(t *testing.T) {
 	sc, _ := scenario.ByName(scenario.FrontRightActivity1)
-	rate, err := CollisionRate(sc, 10, 2)
+	rate, err := CollisionRate(context.Background(), testEng, sc, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +103,9 @@ func TestCollisionRate(t *testing.T) {
 		t.Errorf("benign collision rate = %v", rate)
 	}
 }
+
+// testEng runs the real-simulation tests; they share its cache.
+var testEng = engine.New(engine.Options{})
 
 // fakeEngine builds an engine whose runner fabricates outcomes from a
 // rule instead of simulating.
@@ -122,7 +125,7 @@ func TestFindMRFEarlyExitSkipsLowerRates(t *testing.T) {
 	})
 	sc := scenario.Scenario{Name: "fake"}
 	grid := []float64{1, 2, 5, 10, 30}
-	m, err := FindMRFContext(context.Background(), eng, sc, grid, 3)
+	m, err := FindMRF(context.Background(), eng, sc, grid, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +162,7 @@ func TestFindMRFJoinsAllErrors(t *testing.T) {
 		return nil, fmt.Errorf("sim exploded at seed %d", j.Seed)
 	})
 	sc := scenario.Scenario{Name: "fake"}
-	_, err := FindMRFContext(context.Background(), eng, sc, []float64{30}, 3)
+	_, err := FindMRF(context.Background(), eng, sc, []float64{30}, 3)
 	if err == nil {
 		t.Fatal("no error")
 	}
@@ -178,7 +181,7 @@ func TestFindMRFCancellation(t *testing.T) {
 		return &sim.Result{}, nil
 	})
 	sc := scenario.Scenario{Name: "fake"}
-	_, err := FindMRFContext(ctx, eng, sc, []float64{1, 2}, 2)
+	_, err := FindMRF(ctx, eng, sc, []float64{1, 2}, 2)
 	if err == nil {
 		t.Fatal("cancelled search returned nil error")
 	}
@@ -194,7 +197,7 @@ func TestCollisionRateParallelFake(t *testing.T) {
 		return res, nil
 	})
 	sc := scenario.Scenario{Name: "fake"}
-	rate, err := CollisionRateContext(context.Background(), eng, sc, 5, 4)
+	rate, err := CollisionRate(context.Background(), eng, sc, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func BenchmarkMRFSearch(b *testing.B) {
 	b.Run("ColdSimulate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng := engine.New(engine.Options{})
-			if _, err := metrics.FindMRFContext(context.Background(), eng, sc, grid, seeds); err != nil {
+			if _, err := metrics.FindMRF(context.Background(), eng, sc, grid, seeds); err != nil {
 				b.Fatal(err)
 			}
 			eng.Close()
@@ -144,14 +144,14 @@ func BenchmarkMRFSearch(b *testing.B) {
 		}
 		defer st.Close()
 		warm := engine.New(engine.Options{Store: st})
-		if _, err := metrics.FindMRFContext(context.Background(), warm, sc, grid, seeds); err != nil {
+		if _, err := metrics.FindMRF(context.Background(), warm, sc, grid, seeds); err != nil {
 			b.Fatal(err)
 		}
 		warm.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng := engine.New(engine.Options{Store: st})
-			m, err := metrics.FindMRFContext(context.Background(), eng, sc, grid, seeds)
+			m, err := metrics.FindMRF(context.Background(), eng, sc, grid, seeds)
 			if err != nil {
 				b.Fatal(err)
 			}

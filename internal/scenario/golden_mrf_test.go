@@ -28,7 +28,7 @@ func TestGoldenTable1MRFOrdering(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not registered", name)
 		}
-		m, err := metrics.FindMRFContext(t.Context(), eng, sc, grid, seeds)
+		m, err := metrics.FindMRF(t.Context(), eng, sc, grid, seeds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -19,20 +19,18 @@ import (
 // searches racing on one shared engine each reproduce exactly the
 // corpus they produce alone on a private engine.
 func TestSearchConcurrentSharedEngineNoCrossTalk(t *testing.T) {
-	optA := testOptions(fakeEngine(t, 4))
-	optB := testOptions(fakeEngine(t, 4))
+	optA, optB := testOptions(), testOptions()
 	optB.Seed = 77
 	optB.Families = []scenario.Family{scenario.FamilyParkedCorridor, scenario.FamilyCutIn}
-	_, _, aloneA := runSearch(t, optA)
-	_, _, aloneB := runSearch(t, optB)
+	_, _, aloneA := runSearch(t, fakeEngine(t, 4), optA)
+	_, _, aloneB := runSearch(t, fakeEngine(t, 4), optB)
 
 	shared := fakeEngine(t, 8)
-	optA.Engine, optB.Engine = shared, shared
 	var sharedA, sharedB []byte
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); _, _, sharedA = runSearch(t, optA) }()
-	go func() { defer wg.Done(); _, _, sharedB = runSearch(t, optB) }()
+	go func() { defer wg.Done(); _, _, sharedA = runSearch(t, shared, optA) }()
+	go func() { defer wg.Done(); _, _, sharedB = runSearch(t, shared, optB) }()
 	wg.Wait()
 	if !bytes.Equal(aloneA, sharedA) {
 		t.Fatal("search A's corpus changed when sharing an engine")
@@ -58,12 +56,12 @@ func TestSearchConcurrentIdenticalSingleflight(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 8, Runner: runner})
 	t.Cleanup(eng.Close)
 
-	optA, optB := testOptions(eng), testOptions(eng)
+	optA, optB := testOptions(), testOptions()
 	var corpusA, corpusB []byte
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); _, _, corpusA = runSearch(t, optA) }()
-	go func() { defer wg.Done(); _, _, corpusB = runSearch(t, optB) }()
+	go func() { defer wg.Done(); _, _, corpusA = runSearch(t, eng, optA) }()
+	go func() { defer wg.Done(); _, _, corpusB = runSearch(t, eng, optB) }()
 	wg.Wait()
 	if !bytes.Equal(corpusA, corpusB) {
 		t.Fatal("identical concurrent searches disagree")

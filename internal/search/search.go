@@ -2,7 +2,7 @@
 // evolutionary/bisection optimizer over scenario.Spec jitter space
 // that breeds each spec family toward its highest minimum-required
 // frame rate (MRF). Populations seed from the procedural Generator,
-// candidates are scored by the adaptive MRF search through the shared
+// candidates are scored by the adaptive MRF search on the caller's
 // run engine — so warm manifest reads re-score populations without
 // simulating — and each generation keeps the hardest half (elitism,
 // which makes the per-generation best monotone) while breeding the
@@ -44,7 +44,7 @@ const (
 const breedAttempts = 12
 
 // Options configures Search. The zero value searches every family
-// with the default budget on the shared default engine.
+// with the default budget.
 type Options struct {
 	// Families restricts the search; empty means every spec family.
 	// Each family evolves its own independent population.
@@ -68,10 +68,6 @@ type Options struct {
 	// FPRGrid is the candidate rate grid for the MRF search (default
 	// metrics.DefaultFPRGrid). Sorted and deduplicated before use.
 	FPRGrid []float64
-	// Engine runs the simulations. Nil uses engine.Default(). Attach a
-	// store-backed engine to content-address every evaluated candidate
-	// and make warm reruns free.
-	Engine *engine.Engine
 	// Progress, when set, receives one summary per (family,
 	// generation), in order, from the searching goroutine.
 	Progress func(GenerationSummary)
@@ -103,9 +99,6 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	o.FPRGrid = out
-	if o.Engine == nil {
-		o.Engine = engine.Default()
-	}
 	return o
 }
 
@@ -255,11 +248,13 @@ type member struct {
 }
 
 // Search runs the evolutionary MRF search and returns the hardest-N
-// corpus. Families evolve sequentially (each from its own seeded
-// stream); within a generation all unscored candidates evaluate
-// concurrently through the engine. See the package comment for the
-// determinism contract.
-func Search(ctx context.Context, opt Options) (*Result, error) {
+// corpus, scoring candidates on eng. Families evolve sequentially (each
+// from its own seeded stream); within a generation all unscored
+// candidates evaluate concurrently through the engine. A store-backed
+// engine content-addresses every evaluated candidate, so warm reruns
+// simulate nothing. See the package comment for the determinism
+// contract.
+func Search(ctx context.Context, eng *engine.Engine, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -276,7 +271,7 @@ func Search(ctx context.Context, opt Options) (*Result, error) {
 	}
 	var all []Candidate
 	for _, family := range opt.Families {
-		evaluated, err := searchFamily(ctx, opt, family, res)
+		evaluated, err := searchFamily(ctx, eng, opt, family, res)
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +291,7 @@ func Search(ctx context.Context, opt Options) (*Result, error) {
 
 // searchFamily evolves one family's population and returns every
 // candidate it evaluated.
-func searchFamily(ctx context.Context, opt Options, family scenario.Family, res *Result) ([]Candidate, error) {
+func searchFamily(ctx context.Context, eng *engine.Engine, opt Options, family scenario.Family, res *Result) ([]Candidate, error) {
 	rng := rand.New(rand.NewSource(familySeed(opt.Seed, family)))
 	gen := scenario.NewGenerator(scenario.GenOptions{
 		Seed:     familySeed(opt.Seed, family),
@@ -321,7 +316,7 @@ func searchFamily(ctx context.Context, opt Options, family scenario.Family, res 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		fresh, err := evaluate(ctx, opt, pop, g)
+		fresh, err := evaluate(ctx, eng, opt, pop, g)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +347,7 @@ func searchFamily(ctx context.Context, opt Options, family scenario.Family, res 
 // engine, gathering results by index so completion order never leaks
 // into the outcome. Returns the freshly evaluated candidates in
 // population order.
-func evaluate(ctx context.Context, opt Options, pop []*member, generation int) ([]Candidate, error) {
+func evaluate(ctx context.Context, eng *engine.Engine, opt Options, pop []*member, generation int) ([]Candidate, error) {
 	var toEval []*member
 	for _, m := range pop {
 		if !m.scored {
@@ -366,7 +361,7 @@ func evaluate(ctx context.Context, opt Options, pop []*member, generation int) (
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			mrfs[i], errs[i] = metrics.FindMRFContext(ctx, opt.Engine, m.cand.Spec.Scenario(), opt.FPRGrid, opt.Seeds)
+			mrfs[i], errs[i] = metrics.FindMRF(ctx, eng, m.cand.Spec.Scenario(), opt.FPRGrid, opt.Seeds)
 		}(i, m)
 	}
 	wg.Wait()

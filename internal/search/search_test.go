@@ -58,22 +58,21 @@ func fakeEngine(t *testing.T, workers int) *engine.Engine {
 
 // testOptions is the shared tiny budget: two families (one of them a
 // new search-exploitable family), three generations.
-func testOptions(eng *engine.Engine) Options {
+func testOptions() Options {
 	return Options{
 		Families:    []scenario.Family{scenario.FamilyCutIn, scenario.FamilyCutInChain},
 		Seed:        5,
 		Generations: 3,
 		Population:  6,
 		Seeds:       2,
-		Engine:      eng,
 	}
 }
 
-func runSearch(t *testing.T, opt Options) (*Result, []GenerationSummary, []byte) {
+func runSearch(t *testing.T, eng *engine.Engine, opt Options) (*Result, []GenerationSummary, []byte) {
 	t.Helper()
 	var progress []GenerationSummary
 	opt.Progress = func(g GenerationSummary) { progress = append(progress, g) }
-	res, err := Search(context.Background(), opt)
+	res, err := Search(context.Background(), eng, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +87,18 @@ func runSearch(t *testing.T, opt Options) (*Result, []GenerationSummary, []byte)
 // produce bitwise-identical corpora and progress streams on repeated
 // runs and regardless of the engine's worker count.
 func TestSearchDeterministicAcrossRunsAndWorkers(t *testing.T) {
-	_, prog1, corpus1 := runSearch(t, testOptions(fakeEngine(t, 1)))
-	_, prog2, corpus2 := runSearch(t, testOptions(fakeEngine(t, 8)))
-	_, prog3, corpus3 := runSearch(t, testOptions(fakeEngine(t, 8)))
+	_, prog1, corpus1 := runSearch(t, fakeEngine(t, 1), testOptions())
+	_, prog2, corpus2 := runSearch(t, fakeEngine(t, 8), testOptions())
+	_, prog3, corpus3 := runSearch(t, fakeEngine(t, 8), testOptions())
 	if !bytes.Equal(corpus1, corpus2) || !bytes.Equal(corpus2, corpus3) {
 		t.Fatal("corpus bytes differ across runs / worker counts")
 	}
 	if !reflect.DeepEqual(prog1, prog2) || !reflect.DeepEqual(prog2, prog3) {
 		t.Fatal("progress streams differ across runs / worker counts")
 	}
-	other := testOptions(fakeEngine(t, 4))
+	other := testOptions()
 	other.Seed = 6
-	_, _, corpus4 := runSearch(t, other)
+	_, _, corpus4 := runSearch(t, fakeEngine(t, 4), other)
 	if bytes.Equal(corpus1, corpus4) {
 		t.Fatal("different seeds produced identical corpora")
 	}
@@ -108,8 +107,8 @@ func TestSearchDeterministicAcrossRunsAndWorkers(t *testing.T) {
 // TestSearchBestMRFMonotone: per family, the best score reported per
 // generation never decreases (elitism), and every generation reports.
 func TestSearchBestMRFMonotone(t *testing.T) {
-	opt := testOptions(fakeEngine(t, 4))
-	_, progress, _ := runSearch(t, opt)
+	opt := testOptions()
+	_, progress, _ := runSearch(t, fakeEngine(t, 4), opt)
 	if len(progress) != len(opt.Families)*opt.Generations {
 		t.Fatalf("got %d progress lines, want %d", len(progress), len(opt.Families)*opt.Generations)
 	}
@@ -136,8 +135,8 @@ func TestSearchBestMRFMonotone(t *testing.T) {
 // valid, compilable, correctly named and tagged spec; the corpus is
 // sorted hardest first and registers cleanly.
 func TestSearchCorpusValidAndRegistrable(t *testing.T) {
-	opt := testOptions(fakeEngine(t, 4))
-	res, _, _ := runSearch(t, opt)
+	opt := testOptions()
+	res, _, _ := runSearch(t, fakeEngine(t, 4), opt)
 	if res.Evaluated < opt.Population*len(opt.Families) {
 		t.Fatalf("evaluated %d candidates, want >= %d", res.Evaluated, opt.Population*len(opt.Families))
 	}
@@ -174,9 +173,9 @@ func TestSearchCorpusValidAndRegistrable(t *testing.T) {
 
 // TestSearchTopN trims the corpus but not the evaluation accounting.
 func TestSearchTopN(t *testing.T) {
-	opt := testOptions(fakeEngine(t, 4))
+	opt := testOptions()
 	opt.TopN = 3
-	res, _, _ := runSearch(t, opt)
+	res, _, _ := runSearch(t, fakeEngine(t, 4), opt)
 	if len(res.Corpus) != 3 {
 		t.Fatalf("corpus %d, want 3", len(res.Corpus))
 	}
@@ -198,8 +197,7 @@ func TestSearchOptionsValidate(t *testing.T) {
 		{Families: []scenario.Family{"no-such-family"}},
 	}
 	for _, opt := range cases {
-		opt.Engine = fakeEngine(t, 1)
-		if _, err := Search(context.Background(), opt); err == nil {
+		if _, err := Search(context.Background(), fakeEngine(t, 1), opt); err == nil {
 			t.Fatalf("options %+v accepted, want error", opt)
 		}
 	}
@@ -207,9 +205,9 @@ func TestSearchOptionsValidate(t *testing.T) {
 
 // TestSearchCorpusRoundTrip: WriteCorpus/ReadCorpus is lossless.
 func TestSearchCorpusRoundTrip(t *testing.T) {
-	opt := testOptions(fakeEngine(t, 4))
+	opt := testOptions()
 	opt.TopN = 4
-	res, _, corpus := runSearch(t, opt)
+	res, _, corpus := runSearch(t, fakeEngine(t, 4), opt)
 	back, err := ReadCorpus(bytes.NewReader(corpus))
 	if err != nil {
 		t.Fatal(err)
@@ -251,9 +249,7 @@ func TestSearchWarmStoreRerunZeroFresh(t *testing.T) {
 		}
 		eng := engine.New(engine.Options{Store: st})
 		defer func() { eng.Close(); st.Close() }()
-		o := opt
-		o.Engine = eng
-		res, err := Search(context.Background(), o)
+		res, err := Search(context.Background(), eng, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

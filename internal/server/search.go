@@ -35,7 +35,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Seeds:       req.Seeds,
 		TopN:        req.TopN,
 		FPRGrid:     req.FPRGrid,
-		Engine:      s.eng,
 	}
 	// Reject bad budgets and unknown families before streaming: once
 	// the NDJSON flow starts, errors can only ride in the trailer.
@@ -63,7 +62,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	opt.Progress = func(g search.GenerationSummary) {
 		emit(SearchLine{Generation: &g})
 	}
-	res, err := search.Search(r.Context(), opt)
+	res, err := search.Search(r.Context(), s.eng, opt)
 	if err != nil {
 		emit(SearchLine{Error: err.Error()})
 		return

@@ -106,14 +106,13 @@ func TestSearchEndpointMatchesLibrary(t *testing.T) {
 		t.Fatalf("corpus has %d candidates, want 5", len(corpus.Corpus))
 	}
 
-	direct, err := search.Search(context.Background(), search.Options{
+	direct, err := search.Search(context.Background(), searchTestEngine(t), search.Options{
 		Families:    []scenario.Family{scenario.FamilyCutInChain, scenario.FamilyCrossing},
 		Seed:        13,
 		Generations: 2,
 		Population:  4,
 		Seeds:       2,
 		TopN:        5,
-		Engine:      searchTestEngine(t),
 	})
 	if err != nil {
 		t.Fatal(err)

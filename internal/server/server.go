@@ -321,7 +321,7 @@ func (s *Server) handleMRF(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "mrf search of %d seeds x %d rates exceeds the %d-point limit", seeds, len(fprs), DefaultMaxCampaignPoints)
 		return
 	}
-	m, err := metrics.FindMRFContext(r.Context(), s.eng, sc, fprs, seeds)
+	m, err := metrics.FindMRF(r.Context(), s.eng, sc, fprs, seeds)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, "mrf %s: %v", name, err)
 		return

@@ -21,29 +21,30 @@
 //
 // The paper's validation protocol is a batch of seeded closed-loop
 // runs over (scenario, FPR, seed) points. Campaign submits such a
-// batch to the shared run engine: points execute concurrently on a
-// worker pool (GOMAXPROCS by default), results are cached by point, a
-// repeated or overlapping campaign never re-simulates a point the
-// process already ran, and the first failure cancels the still-queued
-// remainder. Pass nil to use the process-wide engine, or NewEngine for
-// a private pool:
+// batch to the run engine the caller built with NewEngine: points
+// execute concurrently on its worker pool (GOMAXPROCS by default),
+// results are cached by point, a repeated or overlapping campaign never
+// re-simulates a point the engine already ran, and the first failure
+// cancels the still-queued remainder:
 //
+//	eng := zhuyi.NewEngine(zhuyi.EngineOptions{})
 //	var points []zhuyi.CampaignPoint
 //	for _, name := range zhuyi.Scenarios() {
 //		for seed := int64(1); seed <= 10; seed++ {
 //			points = append(points, zhuyi.CampaignPoint{Scenario: name, FPR: 30, Seed: seed})
 //		}
 //	}
-//	res, err := zhuyi.Campaign(ctx, nil, points)
+//	res, err := zhuyi.Campaign(ctx, eng, points)
 //	if err != nil { ... }
 //	fmt.Println(res.Stats.Executed, res.Stats.CacheHits, res.Stats.Wall)
 //	for _, o := range res.Outcomes {
 //		fmt.Println(o.Point.Scenario, o.Point.Seed, o.Result.Collided())
 //	}
 //
-// FindMRF and the experiment generators run on the same engine, so a
-// library campaign, an MRF search, and a Table-1 sweep in one process
-// share their simulations.
+// FindMRF, SearchScenarios and PointTrace take the same engine, so a
+// library campaign, an MRF search and a trace read in one process
+// share their simulations. Build one engine per process and pass it
+// everywhere.
 //
 // Campaigns that only read run summaries — collision outcomes, minimum
 // bumper gaps — can skip trace materialization entirely by running on
@@ -56,7 +57,10 @@
 // Engines with a persistent store always record archivable points at
 // RecordFull — the store refuses anything less. A point such an engine
 // answers from the store carries its run summary and row count but no
-// rows (Result.Trace is nil); Engine.Trace reads them on demand.
+// rows (Result.Trace is nil); PointTrace reads them on demand, on any
+// engine:
+//
+//	tr, err := zhuyi.PointTrace(ctx, eng, zhuyi.CampaignPoint{Scenario: zhuyi.ScenarioCutIn, FPR: 30, Seed: 1})
 //
 // # Generating scenario corpora
 //
@@ -76,7 +80,7 @@
 //			points = append(points, zhuyi.CampaignPoint{Scenario: sp.Name, FPR: 10, Seed: seed})
 //		}
 //	}
-//	res, err := zhuyi.Campaign(ctx, nil, points)
+//	res, err := zhuyi.Campaign(ctx, eng, points)
 //
 // The corpus-sweep experiment (internal/experiments.CorpusSweep, or
 // `experiments -exp corpus`) builds on the same generator to measure
@@ -239,9 +243,10 @@ func RunScenario(name string, fpr float64, seed int64) (*RunResult, error) {
 	return metrics.RunScenario(sc, fpr, seed)
 }
 
-// FindMRF searches a scenario's minimum required FPR over the given
-// rate grid and seed count (paper protocol: Table-1 grid, 10 seeds).
-func FindMRF(name string, fprs []float64, seeds int) (MRF, error) {
+// FindMRF searches a scenario's minimum required FPR on eng over the
+// given rate grid and seed count (paper protocol: Table-1 grid, 10
+// seeds).
+func FindMRF(ctx context.Context, eng *Engine, name string, fprs []float64, seeds int) (MRF, error) {
 	sc, ok := scenario.Lookup(name)
 	if !ok {
 		return MRF{}, fmt.Errorf("zhuyi: unknown scenario %q", name)
@@ -249,7 +254,7 @@ func FindMRF(name string, fprs []float64, seeds int) (MRF, error) {
 	if len(fprs) == 0 {
 		fprs = metrics.DefaultFPRGrid()
 	}
-	return metrics.FindMRF(sc, fprs, seeds)
+	return metrics.FindMRF(ctx, eng, sc, fprs, seeds)
 }
 
 // Sweep computes the Figure-8 sensitivity grid for a fixed tolerable
@@ -260,8 +265,7 @@ func Sweep(snMeters float64) *SweepResult { return experiments.Figure8(snMeters)
 // evolutionary loop and its determinism contract.
 type (
 	// SearchOptions budgets an adversarial scenario search: families,
-	// seed, generations, population, MRF seeds, rate grid, and the
-	// engine to score on.
+	// seed, generations, population, MRF seeds and rate grid.
 	SearchOptions = search.Options
 	// SearchResult is a completed search: the budget that produced it
 	// plus the hardest-N corpus sorted hardest first.
@@ -274,15 +278,16 @@ type (
 )
 
 // SearchScenarios evolves the configured spec families toward high
-// minimum-required-FPR scenarios and returns the hardest-N corpus. The
-// result is a deterministic function of the options — same families,
-// seed, and budget give a bitwise-identical corpus regardless of the
-// engine's worker count or cache state. Candidates are content-named,
+// minimum-required-FPR scenarios, scoring candidates on eng, and
+// returns the hardest-N corpus. The result is a deterministic function
+// of the options — same families, seed, and budget give a
+// bitwise-identical corpus regardless of the engine's worker count or
+// cache state. Candidates are content-named,
 // so an engine with a warm persistent store rescores a repeated search
 // without a single fresh simulation. Register the corpus via
 // RegisterScenario (or Result.Register) to run it like built-ins.
-func SearchScenarios(ctx context.Context, opt SearchOptions) (*SearchResult, error) {
-	return search.Search(ctx, opt)
+func SearchScenarios(ctx context.Context, eng *Engine, opt SearchOptions) (*SearchResult, error) {
+	return search.Search(ctx, eng, opt)
 }
 
 // Batched run-campaign re-exports. See internal/engine for the full
@@ -306,8 +311,8 @@ type (
 	RunStore = store.Store
 )
 
-// NewEngine builds a private run engine. Most callers can pass nil to
-// Campaign instead and share the process-wide engine.
+// NewEngine builds a run engine. A process builds one and passes it to
+// every campaign, MRF search and trace read so they share its cache.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // OpenStore opens (creating if needed) a persistent run store rooted
@@ -339,23 +344,20 @@ type CampaignResult struct {
 	Stats    CampaignStats
 }
 
-// Campaign executes a batch of seeded runs on eng (nil: the shared
-// process-wide engine). Points run concurrently up to the engine's
-// worker limit; points already simulated — by an earlier campaign, an
-// MRF search, or an experiment generator on the same engine — are
-// served from the cache. The first failing run cancels the still-queued
-// remainder, and the returned error joins every real failure.
+// Campaign executes a batch of seeded runs on eng, which must not be
+// nil. Points run concurrently up to the engine's worker limit; points
+// already simulated — by an earlier campaign, an MRF search, or an
+// experiment generator on the same engine — are served from the cache.
+// The first failing run cancels the still-queued remainder, and the
+// returned error joins every real failure.
 func Campaign(ctx context.Context, eng *Engine, points []CampaignPoint) (*CampaignResult, error) {
-	if eng == nil {
-		eng = engine.Default()
-	}
 	jobs := make([]engine.Job, len(points))
 	for i, pt := range points {
-		sc, ok := scenario.Lookup(pt.Scenario)
-		if !ok {
-			return nil, fmt.Errorf("zhuyi: unknown scenario %q (see RegisteredScenarios())", pt.Scenario)
+		job, err := pointJob(pt)
+		if err != nil {
+			return nil, err
 		}
-		jobs[i] = engine.Job{Scenario: sc, FPR: pt.FPR, Seed: pt.Seed}
+		jobs[i] = job
 	}
 	batch, err := eng.RunBatch(ctx, jobs)
 	res := &CampaignResult{Outcomes: make([]CampaignOutcome, len(points)), Stats: batch.Stats}
@@ -363,6 +365,27 @@ func Campaign(ctx context.Context, eng *Engine, points []CampaignPoint) (*Campai
 		res.Outcomes[i] = CampaignOutcome{Point: points[i], Result: o.Result, Cached: o.Cached, Err: o.Err}
 	}
 	return res, err
+}
+
+// PointTrace returns the recorded rows of one point, read through
+// eng.Trace from the memory cache, the engine's store, or a fresh
+// full-level run, at any engine recording level. Campaign outcomes
+// answered from a store carry no rows; this is how to read them.
+func PointTrace(ctx context.Context, eng *Engine, pt CampaignPoint) (*Trace, error) {
+	job, err := pointJob(pt)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Trace(ctx, job)
+}
+
+// pointJob resolves a point's scenario name into an engine job.
+func pointJob(pt CampaignPoint) (engine.Job, error) {
+	sc, ok := scenario.Lookup(pt.Scenario)
+	if !ok {
+		return engine.Job{}, fmt.Errorf("zhuyi: unknown scenario %q (see RegisteredScenarios())", pt.Scenario)
+	}
+	return engine.Job{Scenario: sc, FPR: pt.FPR, Seed: pt.Seed}, nil
 }
 
 // The Zhuyi-based AV system (§3.2) re-exports.

@@ -2,8 +2,11 @@ package zhuyi
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestScenariosList(t *testing.T) {
@@ -48,14 +51,16 @@ func TestEndToEndOfflineEvaluation(t *testing.T) {
 }
 
 func TestFindMRFFacade(t *testing.T) {
-	m, err := FindMRF(ScenarioFrontRightActivity1, []float64{1, 2}, 1)
+	eng := NewEngine(EngineOptions{})
+	defer eng.Close()
+	m, err := FindMRF(context.Background(), eng, ScenarioFrontRightActivity1, []float64{1, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.BelowGrid() {
 		t.Errorf("MRF = %v", m.Value)
 	}
-	if _, err := FindMRF("bogus", nil, 1); err == nil {
+	if _, err := FindMRF(context.Background(), eng, "bogus", nil, 1); err == nil {
 		t.Error("bogus scenario accepted")
 	}
 }
@@ -219,5 +224,41 @@ func TestCampaignWarmStoreFacade(t *testing.T) {
 		if warm.Outcomes[i].Result.Collided() != cold.Outcomes[i].Result.Collided() {
 			t.Fatalf("point %d outcome changed across the store round trip", i)
 		}
+	}
+}
+
+// TestPointTraceWarmStoreFacade: a point's rows read cold, then through
+// a fresh engine over the same store, without simulating and
+// deep-equal; an unknown scenario is refused.
+func TestPointTraceWarmStoreFacade(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	pt := CampaignPoint{Scenario: ScenarioCutIn, FPR: 30, Seed: 1}
+	read := func() (*Trace, engine.Stats) {
+		eng := NewEngine(EngineOptions{Store: st})
+		defer eng.Close()
+		tr, err := PointTrace(context.Background(), eng, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Drain()
+		return tr, eng.Stats()
+	}
+	cold, cs := read()
+	if cs.Executed != 1 || cs.Archived != 1 || cold.Len() == 0 {
+		t.Fatalf("cold stats = %+v, rows %d", cs, cold.Len())
+	}
+	warm, ws := read()
+	if ws.Executed != 0 || ws.DiskHits != 1 || ws.StoreErrors != 0 {
+		t.Fatalf("warm stats = %+v, want one disk hit and no run", ws)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("warm rows differ from the cold ones")
+	}
+	if _, err := PointTrace(context.Background(), NewEngine(EngineOptions{}), CampaignPoint{Scenario: "bogus", FPR: 30, Seed: 1}); err == nil {
+		t.Error("bogus scenario accepted")
 	}
 }
