@@ -220,7 +220,7 @@ func (c *Client) CampaignStream(ctx context.Context, points []CampaignPoint, fn 
 
 // outcomeFromWire reconstructs a summary-only result (nil Trace).
 func outcomeFromWire(pt CampaignPoint, p PointResult) CampaignOutcome {
-	o := CampaignOutcome{Point: pt, Cached: p.Source != "fresh"}
+	o := CampaignOutcome{Point: pt, Source: p.Source}
 	if p.Error != "" {
 		o.Err = fmt.Errorf("zhuyi: %s", p.Error)
 		return o

@@ -85,6 +85,11 @@ func TestClientCampaignRoundTrip(t *testing.T) {
 	if res2.Stats.CacheHits != 2 || res2.Stats.Executed != 0 {
 		t.Errorf("warm stats %+v, want 2 memory hits", res2.Stats)
 	}
+	for i := range points {
+		if res.Outcomes[i].Source != "fresh" || res2.Outcomes[i].Source != "memory" {
+			t.Errorf("outcome %d sources %q then %q, want fresh then memory", i, res.Outcomes[i].Source, res2.Outcomes[i].Source)
+		}
+	}
 	stats, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +106,11 @@ func TestClientCampaignRoundTrip(t *testing.T) {
 	}
 	if res3.Stats.DiskHits != 2 || res3.Stats.Executed != 0 {
 		t.Errorf("disk stats %+v, want 2 disk hits", res3.Stats)
+	}
+	for i, o := range res3.Outcomes {
+		if o.Source != "disk" {
+			t.Errorf("outcome %d source %q, want disk", i, o.Source)
+		}
 	}
 	stats2, err := cl2.Stats(ctx)
 	if err != nil {

@@ -86,12 +86,8 @@ func cmdCampaign(args []string) error {
 					fmt.Printf("%-28s fpr %4g seed %2d  error: %v\n", o.Point.Scenario, o.Point.FPR, o.Point.Seed, o.Err)
 					continue
 				}
-				source := "fresh"
-				if o.Cached {
-					source = "cached"
-				}
 				r := o.Result
-				printPointLine(o.Point.Scenario, o.Point.FPR, o.Point.Seed, source,
+				printPointLine(o.Point.Scenario, o.Point.FPR, o.Point.Seed, o.Source,
 					r.Collision != nil, collisionTime(r), math.IsInf(r.MinBumperGap, 1), r.MinBumperGap)
 			}
 		}

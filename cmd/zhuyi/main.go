@@ -337,17 +337,14 @@ func cmdScenariosDescribe(args []string) error {
 	e, _ := scenario.Default().Get(sc.Name)
 	fmt.Printf("%s — %s\n", sc.Name, sc.Description)
 	fmt.Printf("  ego: %g mph, activity front=%v right=%v left=%v, tags: %s\n",
-		sc.EgoSpeedMPH, sc.FrontActivity, sc.RightActivity, sc.LeftActivity, strings.Join(e.Tags, ","))
-	if e.Spec != nil {
-		sp := *e.Spec
-		road := fmt.Sprintf("straight, %.0f m", sp.Road.Length)
-		if sp.Road.Curved {
-			road = fmt.Sprintf("curved, lead-in %.0f m, radius %.0f m, arc %.0f m",
-				sp.Road.LeadIn, sp.Road.Radius, sp.Road.ArcLen)
-		}
-		fmt.Printf("  spec: %d-lane road (%s), ego lane %d, %.0f s, %d actors\n",
-			sp.Road.Lanes, road, sp.EgoLane, sp.Duration, len(sp.Actors))
+		sc.EgoSpeedMPH, sc.Front, sc.Right, sc.Left, strings.Join(e.Tags, ","))
+	road := fmt.Sprintf("straight, %.0f m", sc.Road.Length)
+	if sc.Road.Curved {
+		road = fmt.Sprintf("curved, lead-in %.0f m, radius %.0f m, arc %.0f m",
+			sc.Road.LeadIn, sc.Road.Radius, sc.Road.ArcLen)
 	}
+	fmt.Printf("  spec: %d-lane road (%s), ego lane %d, %.0f s, %d actors\n",
+		sc.Road.Lanes, road, sc.EgoLane, sc.Duration, len(sc.Actors))
 	cfg := sc.Build(*fpr, *seed)
 	fmt.Printf("  compiled at fpr %g seed %d:\n", *fpr, *seed)
 	for _, a := range cfg.Actors {

@@ -9,11 +9,12 @@
 // parallel — every measurement is a seeded run at a (scenario, FPR,
 // seed) point — so the engine models exactly that: a Job names a point,
 // a worker pool sized to runtime.GOMAXPROCS executes points, and an
-// in-memory cache keyed by the point guarantees repeated campaigns
-// (an MRF search followed by a Table-1 estimate pass, collision-rate
-// curves, ablations) never re-simulate a point the process has already
-// run. Runs are deterministic in (scenario, FPR, seed), which is what
-// makes the cache sound.
+// in-memory cache keyed by the point's store key guarantees repeated
+// campaigns (an MRF search followed by a Table-1 estimate pass,
+// collision-rate curves, ablations) never re-simulate a point the
+// process has already run. Runs are deterministic in (spec
+// fingerprint, FPR, seed, sim.Version), which is what makes the cache
+// sound.
 package engine
 
 import (
@@ -139,15 +140,11 @@ type Job struct {
 	fullTrace bool
 }
 
-// Key is the cache identity of a job.
-type Key struct {
-	Scenario string
-	FPR      float64
-	Seed     int64
-}
-
-func (j Job) key() Key {
-	return Key{Scenario: j.Scenario.Name, FPR: j.FPR, Seed: j.Seed}
+// key is the job's point identity in both tiers: the store key, so
+// the memory cache, the manifest and the fabric ring name a point the
+// same way, by spec content rather than by name.
+func (j Job) key() store.Key {
+	return store.KeyForScenario(j.Scenario, j.FPR, j.Seed)
 }
 
 // persistable reports whether the job's result may be served from or
@@ -190,7 +187,6 @@ type Outcome struct {
 	Job    Job
 	Result *sim.Result
 	Source Source // fresh simulation, memory cache, or persistent store
-	Cached bool   // Source != SourceFresh (kept for call-site brevity)
 	Err    error
 }
 
@@ -259,8 +255,8 @@ type Engine struct {
 	cond   *sync.Cond
 	queue  []*task
 	closed bool
-	cache  map[Key]*entry
-	order  []Key // insertion order for FIFO eviction
+	cache  map[store.Key]*entry
+	order  []store.Key // insertion order for FIFO eviction
 
 	// arch is the bounded async archiver (nil without a store): fresh
 	// results are enqueued before waiters unblock and written to the
@@ -277,7 +273,7 @@ type Engine struct {
 
 // New builds an engine. Workers are started lazily on first submission.
 func New(opts Options) *Engine {
-	e := &Engine{opts: opts.withDefaults(), cache: make(map[Key]*entry)}
+	e := &Engine{opts: opts.withDefaults(), cache: make(map[store.Key]*entry)}
 	e.cond = sync.NewCond(&e.mu)
 	if e.opts.Store != nil {
 		// Bound the backlog at a few results per worker: deep enough that
@@ -440,7 +436,7 @@ func (e *Engine) archive(j Job, res *sim.Result) {
 	if e.opts.Store == nil || !j.persistable() || res == nil {
 		return
 	}
-	_, created, err := e.opts.Store.Put(j.Scenario.Name, store.KeyForScenario(j.Scenario, j.FPR, j.Seed), res)
+	_, created, err := e.opts.Store.Put(j.Scenario.Name, j.key(), res)
 	if err != nil {
 		e.storeErrs.Add(1)
 		return
@@ -455,7 +451,7 @@ func (e *Engine) lookup(j Job) (store.Entry, bool) {
 	if e.opts.Store == nil || !j.persistable() {
 		return store.Entry{}, false
 	}
-	return e.opts.Store.Lookup(store.KeyForScenario(j.Scenario, j.FPR, j.Seed))
+	return e.opts.Store.Lookup(j.key())
 }
 
 // storeLookup answers a plain job from the persistent tier: a hit is
@@ -647,7 +643,7 @@ func (e *Engine) evictLocked() {
 // the campaign server, stats-printing CLIs — that surface the source.
 func (e *Engine) RunJob(ctx context.Context, job Job) Outcome {
 	res, src, err := e.run(ctx, job)
-	return Outcome{Job: job, Result: res, Source: src, Cached: src != SourceFresh, Err: err}
+	return Outcome{Job: job, Result: res, Source: src, Err: err}
 }
 
 // RunBatch submits a campaign: all jobs are scheduled onto the shared

@@ -19,7 +19,7 @@ import (
 // fakeScenario builds a named scenario whose Build is never invoked
 // (tests inject a fake runner).
 func fakeScenario(name string) scenario.Scenario {
-	return scenario.Scenario{Name: name}
+	return scenario.Spec{Name: name}.Scenario()
 }
 
 // fakeRunner fabricates deterministic results and counts executions.
@@ -91,7 +91,7 @@ func TestCampaignCacheDeterminism(t *testing.T) {
 		if first.Outcomes[i].Result != second.Outcomes[i].Result {
 			t.Fatalf("outcome %d differs between passes", i)
 		}
-		if !second.Outcomes[i].Cached {
+		if second.Outcomes[i].Source != SourceMemory {
 			t.Errorf("outcome %d not served from cache", i)
 		}
 	}
@@ -420,11 +420,39 @@ func TestRunJobReportsSource(t *testing.T) {
 	e := New(Options{Workers: 2, Runner: fr.run})
 	defer e.Close()
 	j := Job{Scenario: fakeScenario("src"), FPR: 5, Seed: 1}
-	if o := e.RunJob(context.Background(), j); o.Source != SourceFresh || o.Cached {
-		t.Errorf("first run: source %v cached %v, want fresh", o.Source, o.Cached)
+	if o := e.RunJob(context.Background(), j); o.Source != SourceFresh {
+		t.Errorf("first run: source %v, want fresh", o.Source)
 	}
-	if o := e.RunJob(context.Background(), j); o.Source != SourceMemory || !o.Cached {
-		t.Errorf("second run: source %v cached %v, want memory", o.Source, o.Cached)
+	if o := e.RunJob(context.Background(), j); o.Source != SourceMemory {
+		t.Errorf("second run: source %v, want memory", o.Source)
+	}
+}
+
+// TestSameNameSpecsNeverAlias: the memory cache keys a point on the
+// spec's content, so two specs that share a name but differ in ego
+// speed both simulate, and each gets its own result.
+func TestSameNameSpecsNeverAlias(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	slow := scenario.Table1Specs()[0]
+	fast := slow
+	fast.EgoSpeedMPH += 10
+	var res [2]*sim.Result
+	for i, sp := range []scenario.Spec{slow, fast} {
+		o := e.RunJob(context.Background(), Job{Scenario: sp.Scenario(), FPR: 30, Seed: 1})
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		if o.Source != SourceFresh {
+			t.Fatalf("spec %d (%g mph): source %v, want fresh", i, sp.EgoSpeedMPH, o.Source)
+		}
+		res[i] = o.Result
+	}
+	if v0, v1 := res[0].Trace.Rows[0].Ego.Speed, res[1].Trace.Rows[0].Ego.Speed; v0 == v1 {
+		t.Errorf("both specs report initial ego speed %g m/s; the second reused the first's run", v0)
+	}
+	if s := e.Stats(); s.Executed != 2 || s.CacheHits != 0 {
+		t.Errorf("stats = %+v, want 2 executed and no memory hits", s)
 	}
 }
 

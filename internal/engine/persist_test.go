@@ -108,7 +108,7 @@ func TestPersistentTierWarmStart(t *testing.T) {
 		if !reflect.DeepEqual(summaryOf(warm.Outcomes[i].Result), summaryOf(cold.Outcomes[i].Result)) {
 			t.Fatalf("outcome %d summary differs between fresh and disk", i)
 		}
-		if warm.Outcomes[i].Source != SourceDisk || !warm.Outcomes[i].Cached {
+		if warm.Outcomes[i].Source != SourceDisk {
 			t.Fatalf("outcome %d source = %v", i, warm.Outcomes[i].Source)
 		}
 		tr, err := b.Trace(context.Background(), j)

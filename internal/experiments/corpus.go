@@ -35,10 +35,9 @@ type CorpusOptions struct {
 	// members. An MRF sweep reads nothing but collision outcomes, so
 	// trace.LevelSummary (the `-exp corpus` CLI default) skips every
 	// generated run's row materialization. The level is stamped onto
-	// the generated specs themselves (and folded into the corpus name
-	// prefix, so differently-leveled sweeps never alias each other's
-	// cached runs), which means it survives any engine; a
-	// store-attached engine still upgrades archivable points to full.
+	// the generated specs themselves, so it survives any engine and
+	// is part of each member's fingerprint; a store-attached engine
+	// still upgrades archivable points to full.
 	// Tag-selected registered members keep their own declared level.
 	Record trace.Level
 }
@@ -100,12 +99,9 @@ func CorpusSweep(ctx context.Context, eng *engine.Engine, opt CorpusOptions) (*C
 			members = append(members, member{sc: sc, family: "registered"})
 		}
 	}
-	// The engine cache keys on scenario names alone, and sweep members
-	// are deliberately not registered (sweeps stay side-effect free), so
-	// nothing else guards against two sweeps reusing a name. Fold the
-	// generator identity into the name prefix: corpora from different
-	// seeds or family sets can never alias each other's cached runs on a
-	// shared engine.
+	// Sweep members are deliberately not registered (sweeps stay
+	// side-effect free); the generator identity in the name prefix keeps
+	// corpora from different seeds or family sets apart in the output.
 	genOpt := scenario.GenOptions{
 		Seed:     opt.GenSeed,
 		Families: opt.Families,
@@ -153,10 +149,9 @@ func CorpusSweep(ctx context.Context, eng *engine.Engine, opt CorpusOptions) (*C
 }
 
 // corpusPrefix names a sweep's corpus by its literal generator
-// identity, so distinct (seed, family-set) pairs can never collide.
-// The recording level is part of the identity: sweeps at different
-// levels produce differently-leveled results and must not share cache
-// slots on one engine.
+// identity: seed, recording level (when not full) and family set. The
+// names are for reading the output; caches key on each member's spec
+// fingerprint, which already differs wherever the content does.
 func corpusPrefix(seed int64, families []scenario.Family, record trace.Level) string {
 	prefix := fmt.Sprintf("gen-s%d", seed)
 	if record != trace.LevelFull {

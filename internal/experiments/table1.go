@@ -88,9 +88,9 @@ func table1Row(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, op
 	row := Table1Row{
 		Scenario:    sc.Name,
 		EgoSpeedMPH: sc.EgoSpeedMPH,
-		Front:       sc.FrontActivity,
-		Right:       sc.RightActivity,
-		Left:        sc.LeftActivity,
+		Front:       sc.Front,
+		Right:       sc.Right,
+		Left:        sc.Left,
 		Estimates:   make(map[float64]float64, len(opt.FPRGrid)),
 	}
 	mrf, err := metrics.FindMRF(ctx, eng, sc, opt.FPRGrid, opt.Seeds)

@@ -210,11 +210,10 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // campaignPlan is one validated campaign: the request points plus each
-// point's scenario fingerprint (the ring key).
+// point's scenario, whose fingerprint is the ring key.
 type campaignPlan struct {
 	points []server.Point
 	scs    []scenario.Scenario
-	fps    []string
 }
 
 // mergeSink serializes the merged NDJSON output stream and the shared
@@ -279,10 +278,7 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	plan := campaignPlan{points: req.Points, scs: scs, fps: make([]string, len(req.Points))}
-	for i, pt := range req.Points {
-		plan.fps[i] = c.reg.Fingerprint(pt.Scenario)
-	}
+	plan := campaignPlan{points: req.Points, scs: scs}
 	c.campaigns.Add(1)
 	c.points.Add(int64(len(req.Points)))
 
@@ -356,7 +352,7 @@ func (c *Coordinator) runWaves(ctx context.Context, plan campaignPlan, sink *mer
 		sink.mu.Lock()
 		for i, done := range sink.answered {
 			if !done {
-				seq := c.ring.Sequence(plan.fps[i])
+				seq := c.ring.Sequence(plan.scs[i].Fingerprint)
 				groups[seq[attempt%len(seq)]] = append(groups[seq[attempt%len(seq)]], i)
 			}
 		}
@@ -457,7 +453,7 @@ func (c *Coordinator) handleMRF(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.proxied.Add(1)
-	c.proxyMRF(w, r, c.ring.Owner(c.reg.Fingerprint(name)))
+	c.proxyMRF(w, r, c.ring.Owner(sc.Fingerprint))
 }
 
 // refreshManifest reads the shared manifest's tail before a request's

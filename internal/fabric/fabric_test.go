@@ -94,7 +94,7 @@ func TestRingStability(t *testing.T) {
 	}
 	owners := make(map[string]int)
 	for _, sc := range scenario.Default().List(scenario.TagTable1) {
-		fp := scenario.Default().Fingerprint(sc.Name)
+		fp := sc.Fingerprint
 		// Same point, same replica — across ring rebuilds (i.e. across
 		// campaigns and coordinator restarts).
 		if r1.Owner(fp) != r2.Owner(fp) {
@@ -273,7 +273,7 @@ func ownedVictim(t *testing.T, dir string, healthy []string, points []zhuyi.Camp
 		victim, victimEng = dyingReplica(t, dir)
 		c, cts := coordinator(t, dir, append(healthy[:len(healthy):len(healthy)], victim.URL), opt)
 		for _, pt := range points {
-			if c.Ring().Owner(scenario.Default().Fingerprint(pt.Scenario)) == victim.URL {
+			if sc, _ := scenario.Lookup(pt.Scenario); c.Ring().Owner(sc.Fingerprint) == victim.URL {
 				return victim, victimEng, cts
 			}
 		}

@@ -123,7 +123,7 @@ func TestFindMRFEarlyExitSkipsLowerRates(t *testing.T) {
 		}
 		return res, nil
 	})
-	sc := scenario.Scenario{Name: "fake"}
+	sc := scenario.Spec{Name: "fake"}.Scenario()
 	grid := []float64{1, 2, 5, 10, 30}
 	m, err := FindMRF(context.Background(), eng, sc, grid, 3)
 	if err != nil {
@@ -161,7 +161,7 @@ func TestFindMRFJoinsAllErrors(t *testing.T) {
 		entered.Wait()
 		return nil, fmt.Errorf("sim exploded at seed %d", j.Seed)
 	})
-	sc := scenario.Scenario{Name: "fake"}
+	sc := scenario.Spec{Name: "fake"}.Scenario()
 	_, err := FindMRF(context.Background(), eng, sc, []float64{30}, 3)
 	if err == nil {
 		t.Fatal("no error")
@@ -180,7 +180,7 @@ func TestFindMRFCancellation(t *testing.T) {
 	eng := fakeEngine(1, func(j engine.Job) (*sim.Result, error) {
 		return &sim.Result{}, nil
 	})
-	sc := scenario.Scenario{Name: "fake"}
+	sc := scenario.Spec{Name: "fake"}.Scenario()
 	_, err := FindMRF(ctx, eng, sc, []float64{1, 2}, 2)
 	if err == nil {
 		t.Fatal("cancelled search returned nil error")
@@ -196,7 +196,7 @@ func TestCollisionRateParallelFake(t *testing.T) {
 		}
 		return res, nil
 	})
-	sc := scenario.Scenario{Name: "fake"}
+	sc := scenario.Spec{Name: "fake"}.Scenario()
 	rate, err := CollisionRate(context.Background(), eng, sc, 5, 4)
 	if err != nil {
 		t.Fatal(err)

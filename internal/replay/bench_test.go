@@ -106,8 +106,8 @@ func BenchmarkReplayVsSimulate(b *testing.B) {
 	})
 	diskGet := func(legacy bool) func(b *testing.B) {
 		return func(b *testing.B) {
-			st, _, _ := benchRecordedStore(b, 1, legacy)
-			key := store.KeyFor(scenario.CutOut, benchFPR, benchSeed)
+			st, sc, _ := benchRecordedStore(b, 1, legacy)
+			key := store.KeyForScenario(sc, benchFPR, benchSeed)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, ok, err := st.Get(key); !ok || err != nil {

@@ -68,7 +68,7 @@ func seedStore(t *testing.T) *store.Store {
 			for seed := int64(1); seed <= 2; seed++ {
 				collide := scn == "hard" && fpr == 1 && seed == 1
 				res := syntheticResult(scn, fpr, seed, collide)
-				if _, _, err := st.Put(scn, store.KeyFor(scn, fpr, seed), res); err != nil {
+				if _, _, err := st.Put(scn, store.KeyForScenario(scenario.Spec{Name: scn}.Scenario(), fpr, seed), res); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -336,7 +336,7 @@ func TestRunBoundsGoroutines(t *testing.T) {
 		for _, fpr := range []float64{1, 2, 3, 5, 8, 10, 20, 30} {
 			for seed := int64(1); seed <= 2; seed++ {
 				res := syntheticResult(scn, fpr, seed, false)
-				if _, _, err := st.Put(scn, store.KeyFor(scn, fpr, seed), res); err != nil {
+				if _, _, err := st.Put(scn, store.KeyForScenario(scenario.Spec{Name: scn}.Scenario(), fpr, seed), res); err != nil {
 					t.Fatal(err)
 				}
 			}

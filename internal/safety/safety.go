@@ -151,10 +151,6 @@ type Controller struct {
 	Predictor predict.Predictor
 	Cfg       ControllerConfig
 
-	// Guard, when set, floors camera rates for occluded corridor
-	// regions (§5 future work; see OcclusionGuard).
-	Guard *OcclusionGuard
-
 	lastTime  float64
 	lastRates map[string]float64
 	checks    []CheckResult
@@ -194,10 +190,10 @@ func (c *Controller) Rates(now float64, ego world.Agent, wm []world.Agent) map[s
 // Callers that need both the raw estimate and the allocation — the
 // campaign service's POST /v1/rate answers with both — use it to avoid
 // running the estimator twice on the same snapshot. The estimate must
-// be for this instant and this world model (ego and wm still feed the
-// occlusion guard).
+// be for this instant; ego and wm, the snapshot it was computed from,
+// do not enter the allocation.
 func (c *Controller) RatesFromEstimate(now float64, ego world.Agent, wm []world.Agent, est core.Estimate) map[string]float64 {
-	return c.ratesFromEstimate(make(map[string]float64, len(est.CameraFPR)), now, ego, wm, est)
+	return c.ratesFromEstimate(make(map[string]float64, len(est.CameraFPR)), now, est)
 }
 
 // RatesFromEstimateReuse is RatesFromEstimate returning an
@@ -214,7 +210,7 @@ func (c *Controller) RatesFromEstimateReuse(now float64, ego world.Agent, wm []w
 	}
 	clear(desired)
 	prev := c.lastRates
-	out := c.ratesFromEstimate(desired, now, ego, wm, est)
+	out := c.ratesFromEstimate(desired, now, est)
 	c.spare = prev
 	return out
 }
@@ -229,9 +225,7 @@ func (c *Controller) Reset() {
 	c.checks = c.checks[:0]
 }
 
-func (c *Controller) ratesFromEstimate(desired map[string]float64, now float64, ego world.Agent, wm []world.Agent, est core.Estimate) map[string]float64 {
-	l0 := 1 / c.Cfg.MaxFPR
-
+func (c *Controller) ratesFromEstimate(desired map[string]float64, now float64, est core.Estimate) map[string]float64 {
 	if len(c.lastRates) > 0 {
 		c.checks = append(c.checks, Check(est, c.lastRates))
 	}
@@ -258,17 +252,6 @@ func (c *Controller) ratesFromEstimate(desired map[string]float64, now float64, 
 			}
 		}
 		desired[cam] = r
-	}
-	if c.Guard != nil {
-		for cam, floor := range c.Guard.Floors(ego, wm, l0) {
-			if _, ok := desired[cam]; !ok {
-				continue
-			}
-			floor = clamp(floor, c.Cfg.MinFPR, c.Cfg.MaxFPR)
-			if desired[cam] < floor {
-				desired[cam] = floor
-			}
-		}
 	}
 	if c.Cfg.Budget > 0 {
 		desired = c.applyBudget(desired, est)

@@ -9,9 +9,8 @@ type Info struct {
 	Description string   `json:"description"`
 	EgoSpeedMPH float64  `json:"ego_speed_mph"`
 	Tags        []string `json:"tags,omitempty"`
-	// HasSpec reports whether the scenario is backed by a declarative
-	// Spec (true for every registry entry today; hand-built Scenario
-	// values registered directly would report false).
+	// HasSpec is always true: every scenario is a declarative Spec.
+	// The field stays so GET /v1/scenarios bodies keep their shape.
 	HasSpec bool `json:"has_spec"`
 }
 
@@ -33,13 +32,7 @@ func (r *Registry) Catalog(tags ...string) []Info {
 	entries := r.Entries(tags...)
 	out := make([]Info, len(entries))
 	for i, e := range entries {
-		out[i] = Info{
-			Name:        e.Scenario.Name,
-			Description: e.Scenario.Description,
-			EgoSpeedMPH: e.Scenario.EgoSpeedMPH,
-			Tags:        append([]string(nil), e.Tags...),
-			HasSpec:     e.Spec != nil,
-		}
+		out[i] = InfoOf(*e.Scenario.Spec)
 	}
 	return out
 }

@@ -18,8 +18,8 @@ func TestCatalogMirrorsRegistry(t *testing.T) {
 		if info.Description != e.Scenario.Description || info.EgoSpeedMPH != e.Scenario.EgoSpeedMPH {
 			t.Errorf("%s: info drifted from registry entry", info.Name)
 		}
-		if info.HasSpec != (e.Spec != nil) {
-			t.Errorf("%s: HasSpec = %v", info.Name, info.HasSpec)
+		if !info.HasSpec || !equalStrings(info.Tags, e.Tags) {
+			t.Errorf("%s: HasSpec = %v, tags %v, want true and %v", info.Name, info.HasSpec, info.Tags, e.Tags)
 		}
 	}
 	if got := len(Catalog(TagTable1)); got != 9 {

@@ -28,19 +28,3 @@ func SpecFingerprint(sp Spec) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
-
-// Fingerprint returns the identity hash of a registered scenario name.
-// Scenarios registered from a declarative spec fingerprint by content
-// (SpecFingerprint); scenarios registered from an opaque Build closure
-// fall back to a hash of the name, which is still unique within one
-// registry but cannot detect parameter drift.
-func (r *Registry) Fingerprint(name string) string {
-	if sp, ok := r.SpecOf(name); ok {
-		return SpecFingerprint(sp)
-	}
-	sum := sha256.Sum256([]byte("scenario-name\x00" + name))
-	return hex.EncodeToString(sum[:])
-}
-
-// FingerprintOf is Registry.Fingerprint on the default registry.
-func FingerprintOf(name string) string { return Default().Fingerprint(name) }

@@ -16,23 +16,20 @@ const (
 	TagGenerated = "generated"
 )
 
-// Registry is a named scenario catalog: scenarios register once under a
+// Registry is a named scenario catalog: specs register once under a
 // unique name with free-form tags and are looked up by name or listed
-// by tag, in registration order. It is safe for concurrent use; the
-// engine's result cache keys on these names, so uniqueness here is what
-// keeps generated corpora from aliasing cache slots.
+// by tag, in registration order. It is safe for concurrent use. Names
+// resolve requests; caches key on the spec fingerprint instead.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry
 	order   []string
 }
 
-// Entry is one registered scenario. Spec is non-nil when the scenario
-// was registered from a declarative spec.
+// Entry is one registered scenario and its tags.
 type Entry struct {
 	Scenario Scenario
 	Tags     []string
-	Spec     *Spec
 }
 
 func (e *Entry) hasTags(tags []string) bool {
@@ -56,38 +53,21 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*Entry)}
 }
 
-// Register adds a scenario under its name. Duplicate names are
-// rejected: the engine cache and every by-name API depend on a name
-// identifying exactly one scenario.
-func (r *Registry) Register(sc Scenario, tags ...string) error {
-	return r.register(sc, tags, nil)
-}
-
-// RegisterSpec validates and registers a declarative spec; the spec's
-// tags become the entry's tags.
+// RegisterSpec validates and registers a declarative spec under its
+// name; the spec's tags become the entry's tags. Duplicate names are
+// rejected: every by-name API depends on a name identifying exactly
+// one scenario.
 func (r *Registry) RegisterSpec(sp Spec) error {
 	if err := sp.Validate(); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
-	return r.register(sp.Scenario(), sp.Tags, &sp)
-}
-
-// register inserts the complete entry under one critical section, so
-// concurrent readers never observe a spec-registered scenario without
-// its spec.
-func (r *Registry) register(sc Scenario, tags []string, sp *Spec) error {
-	if sc.Name == "" {
-		return fmt.Errorf("registry: scenario with empty name")
-	}
-	if sc.Build == nil {
-		return fmt.Errorf("registry: scenario %s has no Build", sc.Name)
-	}
+	sc := sp.Scenario()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.entries[sc.Name]; ok {
 		return fmt.Errorf("registry: scenario %q already registered", sc.Name)
 	}
-	r.entries[sc.Name] = &Entry{Scenario: sc, Tags: append([]string(nil), tags...), Spec: sp}
+	r.entries[sc.Name] = &Entry{Scenario: sc, Tags: append([]string(nil), sp.Tags...)}
 	r.order = append(r.order, sc.Name)
 	return nil
 }
@@ -111,7 +91,7 @@ func (r *Registry) Lookup(name string) (Scenario, bool) {
 	return e.Scenario, true
 }
 
-// Get returns the full entry (scenario, tags, optional spec).
+// Get returns the full entry (scenario and tags).
 func (r *Registry) Get(name string) (Entry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -120,17 +100,6 @@ func (r *Registry) Get(name string) (Entry, bool) {
 		return Entry{}, false
 	}
 	return *e, true
-}
-
-// SpecOf returns the declarative spec a scenario was registered from.
-func (r *Registry) SpecOf(name string) (Spec, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
-	if !ok || e.Spec == nil {
-		return Spec{}, false
-	}
-	return *e.Spec, true
 }
 
 // List returns the scenarios carrying every given tag (all scenarios
@@ -144,7 +113,7 @@ func (r *Registry) List(tags ...string) []Scenario {
 	return out
 }
 
-// Entries returns the full entries (scenario, tags, optional spec)
+// Entries returns the full entries (scenario and tags)
 // carrying every given tag, in registration order.
 func (r *Registry) Entries(tags ...string) []Entry {
 	r.mu.RLock()
@@ -190,8 +159,7 @@ var defaultRegistry = struct {
 // Default returns the process-wide registry, seeded on first use with
 // the paper's nine Table-1 scenarios (TagTable1) and the extra ODD
 // variants (TagVariant). Generated scenarios register here to become
-// addressable by name through the facade, the CLIs, and the engine
-// cache.
+// addressable by name through the facade and the CLIs.
 func Default() *Registry {
 	defaultRegistry.once.Do(func() {
 		r := NewRegistry()
@@ -210,9 +178,6 @@ func Default() *Registry {
 // scenarios, variants, and anything registered since (e.g. generated
 // corpora).
 func Lookup(name string) (Scenario, bool) { return Default().Lookup(name) }
-
-// Register adds a scenario to the default registry.
-func Register(sc Scenario, tags ...string) error { return Default().Register(sc, tags...) }
 
 // RegisterSpec validates and adds a spec to the default registry.
 func RegisterSpec(sp Spec) error { return Default().RegisterSpec(sp) }

@@ -3,23 +3,14 @@ package scenario
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestRegistryRegisterLookupList(t *testing.T) {
 	r := NewRegistry()
-	mk := func(name string) Scenario {
-		return Scenario{Name: name, Build: func(fpr float64, seed int64) sim.Config { return sim.Config{} }}
-	}
-	if err := r.Register(mk("a"), "x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(mk("b"), "x", "y"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(mk("c")); err != nil {
-		t.Fatal(err)
+	for _, sp := range []Spec{namedSpec("a", "x"), namedSpec("b", "x", "y"), namedSpec("c")} {
+		if err := r.RegisterSpec(sp); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, ok := r.Lookup("b"); !ok {
 		t.Error("b not found")
@@ -43,18 +34,15 @@ func TestRegistryRegisterLookupList(t *testing.T) {
 
 func TestRegistryRejectsDuplicatesAndInvalid(t *testing.T) {
 	r := NewRegistry()
-	sc := Scenario{Name: "dup", Build: func(fpr float64, seed int64) sim.Config { return sim.Config{} }}
-	if err := r.Register(sc); err != nil {
+	sp := namedSpec("dup")
+	if err := r.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(sc); err == nil || !strings.Contains(err.Error(), "already registered") {
+	if err := r.RegisterSpec(sp); err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Errorf("duplicate accepted: %v", err)
 	}
-	if err := r.Register(Scenario{Name: ""}); err == nil {
+	if err := r.RegisterSpec(namedSpec("")); err == nil {
 		t.Error("empty name accepted")
-	}
-	if err := r.Register(Scenario{Name: "nobuild"}); err == nil {
-		t.Error("nil Build accepted")
 	}
 	if err := r.RegisterSpec(Spec{Name: "bad"}); err == nil {
 		t.Error("invalid spec accepted")
@@ -73,19 +61,18 @@ func TestRegistrySpecRoundTrip(t *testing.T) {
 	if err := r.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r.SpecOf(sp.Name)
-	if !ok {
-		t.Fatal("spec not retrievable")
+	e, ok := r.Get(sp.Name)
+	if !ok || !e.hasTags([]string{TagTable1}) {
+		t.Fatalf("entry = %+v", e)
 	}
-	if got.Name != sp.Name || len(got.Actors) != len(sp.Actors) {
+	if got := *e.Scenario.Spec; got.Name != sp.Name || len(got.Actors) != len(sp.Actors) {
 		t.Errorf("spec round trip: %+v", got)
 	}
-	e, ok := r.Get(sp.Name)
-	if !ok || e.Spec == nil || !e.hasTags([]string{TagTable1}) {
-		t.Errorf("entry = %+v", e)
+	if e.Scenario.Fingerprint != SpecFingerprint(sp) {
+		t.Errorf("fingerprint %s, want the spec's %s", e.Scenario.Fingerprint, SpecFingerprint(sp))
 	}
-	if _, ok := r.SpecOf("missing"); ok {
-		t.Error("phantom spec")
+	if _, ok := r.Get("missing"); ok {
+		t.Error("phantom entry")
 	}
 }
 
@@ -108,10 +95,17 @@ func TestDefaultRegistrySeeded(t *testing.T) {
 		t.Error("variant leaked into the paper scenario listing")
 	}
 	for _, sc := range r.List() {
-		if _, ok := r.SpecOf(sc.Name); !ok {
-			t.Errorf("%s: built-in scenario without a spec", sc.Name)
+		if sc.Fingerprint != SpecFingerprint(*sc.Spec) {
+			t.Errorf("%s: fingerprint is not the spec's", sc.Name)
 		}
 	}
+}
+
+// namedSpec is a valid spec under a new name and tags.
+func namedSpec(name string, tags ...string) Spec {
+	sp := Table1Specs()[0]
+	sp.Name, sp.Tags = name, tags
+	return sp
 }
 
 func equalStrings(a, b []string) bool {

@@ -11,18 +11,19 @@
 // to a sim.Config: jittered values draw from the seed's jitter stream
 // in declaration order, reproducing the run-to-run variance the paper
 // averages over ten runs while staying fully deterministic per
-// (name, fpr, seed). CompileTraced additionally records every evaluated
+// (spec, fpr, seed). CompileTraced additionally records every evaluated
 // value, which is how the property tests pin determinism and
 // declared-range containment.
 //
 // # Registry
 //
-// The Registry maps unique names to scenarios, with tags (TagTable1,
-// TagVariant, TagGenerated, family names) for listing and filtering.
-// Default() is the process-wide catalog, seeded with the paper's nine
-// Table-1 scenarios and the extra ODD variants; generated scenarios
-// register there to become addressable by every layer above — the run
-// engine keys its result cache on these names.
+// The Registry maps unique names to spec-backed scenarios, with tags
+// (TagTable1, TagVariant, TagGenerated, family names) for listing and
+// filtering. Default() is the process-wide catalog, seeded with the
+// paper's nine Table-1 scenarios and the extra ODD variants; generated
+// scenarios register there to become addressable by name through every
+// layer above. Names are for lookup only: the run engine and the store
+// key a point on the scenario's spec fingerprint (SpecFingerprint).
 //
 // # Generator
 //
@@ -55,26 +56,23 @@ const (
 	FrontRightActivity3    = "front-right-activity-3"
 )
 
-// Scenario is a named, parameterized driving scenario.
+// Scenario is a named, parameterized driving scenario: a declarative
+// spec and its content fingerprint, built only by Spec.Scenario. The
+// spec's fields (Name, Description, EgoSpeedMPH, the activity flags)
+// read through the embedded pointer; nothing mutates a spec once it
+// is wrapped.
 type Scenario struct {
-	Name        string
-	Description string
-	EgoSpeedMPH float64
-	// Activity flags as reported in Table 1.
-	FrontActivity bool
-	RightActivity bool
-	LeftActivity  bool
-	// Build returns a simulator configuration for one seeded run at the
-	// given uniform per-camera frame processing rate.
-	Build func(fpr float64, seed int64) sim.Config
-	// Fingerprint is the content hash of the declarative spec this
-	// scenario was built from (SpecFingerprint), empty for opaque
-	// Build closures. The persistent store keys on it, so spec-backed
-	// scenarios — registered or not, generated corpora included — are
-	// content-addressed: any parameter change invalidates their
-	// archived runs instead of serving stale traces.
+	*Spec
+	// Fingerprint is SpecFingerprint of the spec. The engine's memory
+	// cache and the persistent store both key a (scenario, FPR, seed)
+	// point on it, so any parameter change invalidates cached and
+	// archived runs, and two specs that share a name never alias.
 	Fingerprint string
 }
+
+// Build compiles the spec into a simulator configuration for one
+// seeded run at the given uniform per-camera frame processing rate.
+func (sc Scenario) Build(fpr float64, seed int64) sim.Config { return sc.Compile(fpr, seed) }
 
 // All returns the nine Table-1 scenarios in the paper's order, from the
 // default registry.

@@ -166,10 +166,10 @@ func TestActivityFlagsRoughlyMatchFOV(t *testing.T) {
 				}
 			}
 		}
-		if s.RightActivity && !hasRight {
+		if s.Right && !hasRight {
 			t.Errorf("%s flagged right activity but no actor was ever on the right", s.Name)
 		}
-		if s.LeftActivity && !hasLeft {
+		if s.Left && !hasLeft {
 			t.Errorf("%s flagged left activity but no actor was ever on the left", s.Name)
 		}
 	}

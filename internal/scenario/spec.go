@@ -211,8 +211,8 @@ type ActorDef struct {
 // Spec is a declarative, parameterized driving scenario. It compiles to
 // a sim.Config for a given (FPR, seed): every jittered Val draws from
 // the seed's jitter stream in declaration order, so compilation is
-// deterministic per (name, fpr, seed) and arbitrarily many distinct
-// scenarios can be generated, registered, and cached by name.
+// deterministic per (spec, fpr, seed) and arbitrarily many distinct
+// scenarios can be generated, registered, and cached by content.
 type Spec struct {
 	Name        string
 	Description string
@@ -359,20 +359,11 @@ func (ad ActionDef) build(ev *evaluator, where string, egoSpeed float64) behavio
 	}
 }
 
-// Scenario wraps the spec as a registrable Scenario whose Build
-// compiles the spec; the scenario carries the spec's content
-// fingerprint so persistent-store keys survive without a registry.
+// Scenario wraps a copy of the spec as a Scenario, fingerprinting it
+// once: the fingerprint keys the engine's memory cache and the
+// persistent store, registered or not.
 func (sp Spec) Scenario() Scenario {
-	return Scenario{
-		Name:          sp.Name,
-		Description:   sp.Description,
-		EgoSpeedMPH:   sp.EgoSpeedMPH,
-		FrontActivity: sp.Front,
-		RightActivity: sp.Right,
-		LeftActivity:  sp.Left,
-		Build:         func(fpr float64, seed int64) sim.Config { return sp.Compile(fpr, seed) },
-		Fingerprint:   SpecFingerprint(sp),
-	}
+	return Scenario{Spec: &sp, Fingerprint: SpecFingerprint(sp)}
 }
 
 // Validate reports static spec errors: malformed road, out-of-road

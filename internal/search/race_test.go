@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // TestSearchConcurrentSharedEngineNoCrossTalk: two different-seed
@@ -42,14 +43,15 @@ func TestSearchConcurrentSharedEngineNoCrossTalk(t *testing.T) {
 
 // TestSearchConcurrentIdenticalSingleflight: two identical searches
 // racing on one engine+store-less cache execute every (scenario, fpr,
-// seed) point at most once — the content-addressed genome names are
-// what lets the singleflight tier see the duplicates.
+// seed) point at most once — identical genomes share a spec
+// fingerprint, which is what lets the singleflight tier see the
+// duplicates.
 func TestSearchConcurrentIdenticalSingleflight(t *testing.T) {
 	var mu sync.Mutex
-	executed := map[engine.Key]int{}
+	executed := map[store.Key]int{}
 	runner := func(j engine.Job) (*sim.Result, error) {
 		mu.Lock()
-		executed[engine.Key{Scenario: j.Scenario.Name, FPR: j.FPR, Seed: j.Seed}]++
+		executed[store.KeyForScenario(j.Scenario, j.FPR, j.Seed)]++
 		mu.Unlock()
 		return fakeRunner(j)
 	}

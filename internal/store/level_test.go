@@ -24,7 +24,7 @@ func TestPutRefusesNonFullResults(t *testing.T) {
 			FramesProcessed: map[string]int{},
 			Level:           lvl,
 		}
-		_, created, err := st.Put("s", KeyFor("s", 5, 1), res)
+		_, created, err := st.Put("s", key("s", 5, 1), res)
 		if err == nil {
 			t.Fatalf("%v-level result archived", lvl)
 		}
@@ -41,7 +41,7 @@ func TestPutRefusesNonFullResults(t *testing.T) {
 
 	// An off-level result with a nil trace hits the nil guard the same
 	// way.
-	if _, _, err := st.Put("s", KeyFor("s", 5, 2), &sim.Result{Level: trace.LevelOff}); err == nil {
+	if _, _, err := st.Put("s", key("s", 5, 2), &sim.Result{Level: trace.LevelOff}); err == nil {
 		t.Fatal("nil-trace result archived")
 	}
 }

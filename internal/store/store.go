@@ -75,8 +75,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Key identifies one archived run: the scenario's content fingerprint
-// (scenario.FingerprintOf), the uniform frame processing rate, the
+// Key identifies one archived run: the scenario's spec fingerprint
+// (scenario.SpecFingerprint), the uniform frame processing rate, the
 // noise seed, and the simulator version the trace was recorded under.
 type Key struct {
 	Fingerprint string  `json:"fp"`
@@ -85,28 +85,12 @@ type Key struct {
 	SimVersion  string  `json:"sim"`
 }
 
-// KeyFor builds the store key of a (scenario, FPR, seed) point under
-// the current simulator version, fingerprinting the scenario through
-// the default registry.
-func KeyFor(scenarioName string, fpr float64, seed int64) Key {
-	return Key{
-		Fingerprint: scenario.FingerprintOf(scenarioName),
-		FPR:         fpr,
-		Seed:        seed,
-		SimVersion:  sim.Version,
-	}
-}
-
-// KeyForScenario is KeyFor with the scenario value in hand: it prefers
-// the scenario's own spec fingerprint, which exists even for
-// unregistered spec-backed scenarios (generated corpus members), so
-// their archived runs are content-addressed too — a generator change
-// that alters a member's parameters misses cleanly instead of hitting
-// a stale trace recorded under the same name.
+// KeyForScenario builds the store key of a (scenario, FPR, seed) point
+// under the current simulator version. Every scenario is spec-backed,
+// registered or not (generated corpus members), so archived runs are
+// content-addressed: a parameter change misses cleanly instead of
+// hitting a stale trace recorded under the same name.
 func KeyForScenario(sc scenario.Scenario, fpr float64, seed int64) Key {
-	if sc.Fingerprint == "" {
-		return KeyFor(sc.Name, fpr, seed)
-	}
 	return Key{Fingerprint: sc.Fingerprint, FPR: fpr, Seed: seed, SimVersion: sim.Version}
 }
 

@@ -59,7 +59,10 @@ func syntheticResult(scn string, fpr float64, seed int64, rows int, collide bool
 	return res
 }
 
-func key(scn string, fpr float64, seed int64) Key { return KeyFor(scn, fpr, seed) }
+// key is the store key of a point of a synthetic scenario named scn.
+func key(scn string, fpr float64, seed int64) Key {
+	return KeyForScenario(scenario.Spec{Name: scn}.Scenario(), fpr, seed)
+}
 
 func TestPutGetRoundTrip(t *testing.T) {
 	st, err := Open(t.TempDir())
@@ -421,8 +424,16 @@ func TestLegacyEntryLooksUpAndSelfHeals(t *testing.T) {
 		}
 	}
 
-	k := key("b-scn", 10, 1)
-	e := want[k]
+	var k Key
+	for mk, w := range want {
+		if w.Scenario == "b-scn" && mk.FPR == 10 && mk.Seed == 1 {
+			k = mk
+		}
+	}
+	e, ok := want[k]
+	if !ok {
+		t.Fatal("fixture has no b-scn fpr 10 seed 1 entry")
+	}
 	res := syntheticResult("b-scn", 10, 1, 30, false)
 	if got, err := traceHash(res.Trace, ""); err != nil || got != e.Artifact {
 		t.Fatalf("fixture artifact %s is not the JSONL hash of its run (%s, %v)", e.Artifact, got, err)
@@ -635,18 +646,19 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 }
 
 func TestKeyForUsesSpecFingerprint(t *testing.T) {
-	k1 := KeyFor(scenario.CutOut, 5, 1)
-	k2 := KeyFor(scenario.CutOut, 5, 1)
+	sc, ok := scenario.Lookup(scenario.CutOut)
+	if !ok {
+		t.Fatal("cut-out not registered")
+	}
+	k1 := KeyForScenario(sc, 5, 1)
+	k2 := KeyForScenario(sc, 5, 1)
 	if k1 != k2 {
-		t.Errorf("KeyFor not stable: %+v vs %+v", k1, k2)
+		t.Errorf("KeyForScenario not stable: %+v vs %+v", k1, k2)
 	}
 	if k1.SimVersion != sim.Version {
 		t.Errorf("SimVersion = %q, want %q", k1.SimVersion, sim.Version)
 	}
-	sp, ok := scenario.Default().SpecOf(scenario.CutOut)
-	if !ok {
-		t.Fatal("cut-out has no spec")
-	}
+	sp := *sc.Spec
 	if k1.Fingerprint != scenario.SpecFingerprint(sp) {
 		t.Error("registered scenario must fingerprint by spec content")
 	}
@@ -661,11 +673,6 @@ func TestKeyForUsesSpecFingerprint(t *testing.T) {
 	renamed.Name = "cut-out-renamed"
 	if scenario.SpecFingerprint(renamed) == k1.Fingerprint {
 		t.Error("renamed spec kept its fingerprint")
-	}
-	// Unregistered scenarios fall back to a name hash, still unique
-	// per name.
-	if scenario.FingerprintOf("no-such-scenario") == scenario.FingerprintOf("other-missing") {
-		t.Error("name-hash fallback collided")
 	}
 }
 

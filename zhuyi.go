@@ -70,7 +70,7 @@
 // cut-out, following, crossing, benign activity) deterministically from
 // a seed; RegisterScenario makes a spec addressable by name, after
 // which campaigns, MRF searches, and RunScenario accept it like a
-// built-in — and the engine caches its runs under the registered name:
+// built-in — and the engine caches its runs under its spec fingerprint:
 //
 //	var points []zhuyi.CampaignPoint
 //	specs, err := zhuyi.GenerateScenarios(zhuyi.GenOptions{Seed: 1}, 50)
@@ -227,8 +227,8 @@ func GenerateScenarios(opt GenOptions, n int) ([]ScenarioSpec, error) {
 
 // RegisterScenario adds a spec to the process-wide scenario registry,
 // making it addressable by name in campaigns, MRF searches, and
-// RunScenario. Names must be unique; the engine's result cache keys on
-// them.
+// RunScenario. Names must be unique; the engine's caches key on the
+// spec's content fingerprint, not on the name.
 func RegisterScenario(sp ScenarioSpec) error { return scenario.RegisterSpec(sp) }
 
 // RunScenario executes one seeded closed-loop run of a named scenario
@@ -333,7 +333,9 @@ type CampaignPoint struct {
 type CampaignOutcome struct {
 	Point  CampaignPoint
 	Result *RunResult
-	Cached bool // served from the engine's cache
+	// Source is the tier that answered the point: "fresh", "memory" or
+	// "disk", the strings of PointResult.Source.
+	Source string
 	Err    error
 }
 
@@ -362,7 +364,7 @@ func Campaign(ctx context.Context, eng *Engine, points []CampaignPoint) (*Campai
 	batch, err := eng.RunBatch(ctx, jobs)
 	res := &CampaignResult{Outcomes: make([]CampaignOutcome, len(points)), Stats: batch.Stats}
 	for i, o := range batch.Outcomes {
-		res.Outcomes[i] = CampaignOutcome{Point: points[i], Result: o.Result, Cached: o.Cached, Err: o.Err}
+		res.Outcomes[i] = CampaignOutcome{Point: points[i], Result: o.Result, Source: o.Source.String(), Err: o.Err}
 	}
 	return res, err
 }

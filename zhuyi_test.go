@@ -111,6 +111,9 @@ func TestCampaignFacade(t *testing.T) {
 		if again.Outcomes[i].Result != res.Outcomes[i].Result {
 			t.Errorf("outcome %d not served from cache", i)
 		}
+		if res.Outcomes[i].Source != "fresh" || again.Outcomes[i].Source != "memory" {
+			t.Errorf("outcome %d sources %q then %q, want fresh then memory", i, res.Outcomes[i].Source, again.Outcomes[i].Source)
+		}
 	}
 	// Unknown scenarios are rejected before submission.
 	if _, err := Campaign(context.Background(), eng, []CampaignPoint{{Scenario: "bogus", FPR: 1, Seed: 1}}); err == nil {
@@ -223,6 +226,9 @@ func TestCampaignWarmStoreFacade(t *testing.T) {
 	for i := range points {
 		if warm.Outcomes[i].Result.Collided() != cold.Outcomes[i].Result.Collided() {
 			t.Fatalf("point %d outcome changed across the store round trip", i)
+		}
+		if cold.Outcomes[i].Source != "fresh" || warm.Outcomes[i].Source != "disk" {
+			t.Errorf("point %d sources %q then %q, want fresh then disk", i, cold.Outcomes[i].Source, warm.Outcomes[i].Source)
 		}
 	}
 }
