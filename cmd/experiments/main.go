@@ -44,27 +44,37 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args and writes every selected
+// experiment's output, then the engine's closing stats line, to w. The
+// reproduction golden test calls it exactly as main does.
+func run(args []string, w io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		exp         = flag.String("exp", "all", "comma-separated experiments: table1,fig1,fig4,fig5,fig6,fig7,fig8,headline,ablations,corpus,hardest,all")
-		seeds       = flag.Int("seeds", 10, "seeded runs per configuration (Table 1, corpus)")
-		workers     = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		csvDir      = flag.String("csv", "", "also write CSV artifacts into this directory")
-		corpusN     = flag.Int("corpus", 20, "corpus sweep: number of generated scenarios")
-		corpusSeed  = flag.Int64("corpusseed", 1, "corpus sweep: generator seed")
-		tags        = flag.String("tags", "", "corpus sweep: also include registered scenarios with these comma-separated tags")
-		record      = flag.String("record", "summary", "corpus sweep: trace recording level of generated members (full, summary, off)")
-		storeDir    = flag.String("store", "", "persistent run store directory: archived points load from disk instead of simulating, fresh runs are archived back")
-		hardestN    = flag.Int("hardest", 100, "hardest experiment: corpus size on both sides (search top-N and blind baseline)")
-		hardestSeed = flag.Int64("hardestseed", 1, "hardest experiment: search and blind-generator seed")
-		hardestJSON = flag.String("hardestjson", "", "hardest experiment: also write the comparison artifact (BENCH_hardest.json format) to this file")
+		exp         = fs.String("exp", "all", "comma-separated experiments: table1,fig1,fig4,fig5,fig6,fig7,fig8,headline,ablations,corpus,hardest,all")
+		seeds       = fs.Int("seeds", 10, "seeded runs per configuration (Table 1, corpus)")
+		workers     = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		csvDir      = fs.String("csv", "", "also write CSV artifacts into this directory")
+		corpusN     = fs.Int("corpus", 20, "corpus sweep: number of generated scenarios")
+		corpusSeed  = fs.Int64("corpusseed", 1, "corpus sweep: generator seed")
+		tags        = fs.String("tags", "", "corpus sweep: also include registered scenarios with these comma-separated tags")
+		record      = fs.String("record", "summary", "corpus sweep: trace recording level of generated members (full, summary, off)")
+		storeDir    = fs.String("store", "", "persistent run store directory: archived points load from disk instead of simulating, fresh runs are archived back")
+		hardestN    = fs.Int("hardest", 100, "hardest experiment: corpus size on both sides (search top-N and blind baseline)")
+		hardestSeed = fs.Int64("hardestseed", 1, "hardest experiment: search and blind-generator seed")
+		hardestJSON = fs.String("hardestjson", "", "hardest experiment: also write the comparison artifact (BENCH_hardest.json format) to this file")
 	)
-	prof := profiling.Register(flag.CommandLine)
-	flag.Parse()
+	prof := profiling.Register(fs)
+	fs.Parse(args)
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		return err
 	}
 	defer stopProf()
 
@@ -78,8 +88,7 @@ func main() {
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		defer st.Close()
 		opts.Store = st
@@ -88,25 +97,21 @@ func main() {
 	defer func() {
 		eng.Close() // flushes the archiver before the store closes
 		s := eng.Stats()
-		fmt.Printf("# engine: %d fresh simulations, %d disk hits, %d memory hits, %d archived, %d failures, %d store errors\n",
+		fmt.Fprintf(w, "# engine: %d fresh simulations, %d disk hits, %d memory hits, %d archived, %d failures, %d store errors\n",
 			s.Executed, s.DiskHits, s.CacheHits, s.Archived, s.Failures, s.StoreErrors)
 	}()
 	ctx := context.Background()
 
-	writeCSV := func(name string, fn func(io.Writer) error) {
+	writeCSV := func(name string, fn func(io.Writer) error) error {
 		if *csvDir == "" {
-			return
+			return nil
 		}
 		f, err := os.Create(filepath.Join(*csvDir, name))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
-		if err := fn(f); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
+		return fn(f)
 	}
 
 	want := map[string]bool{}
@@ -115,90 +120,90 @@ func main() {
 	}
 	all := want["all"]
 
-	run := func(name string, fn func() error) {
-		if !all && !want[name] {
+	// step runs one selected experiment; after the first failure the
+	// rest are skipped and run returns that error.
+	step := func(name string, fn func() error) {
+		if err != nil || (!all && !want[name]) {
 			return
 		}
-		fmt.Printf("==== %s ====\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
+		fmt.Fprintf(w, "==== %s ====\n", name)
+		if err = fn(); err != nil {
+			err = fmt.Errorf("%s: %w", name, err)
+			return
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	run("fig1", func() error {
-		experiments.WriteFigure1(os.Stdout, experiments.Figure1())
+	step("fig1", func() error {
+		experiments.WriteFigure1(w, experiments.Figure1())
 		return nil
 	})
-	run("table1", func() error {
+	step("table1", func() error {
 		rows, err := experiments.Table1(ctx, eng, experiments.Options{Seeds: *seeds})
 		if err != nil {
 			return err
 		}
-		experiments.WriteTable1(os.Stdout, rows, nil)
-		fmt.Printf("# max resource fraction: %.2f (paper: 0.36)\n", experiments.MaxFraction(rows))
+		experiments.WriteTable1(w, rows, nil)
+		fmt.Fprintf(w, "# max resource fraction: %.2f (paper: 0.36)\n", experiments.MaxFraction(rows))
 		for _, v := range experiments.ValidateTable1(rows) {
-			fmt.Printf("# conservatism note: %s\n", v)
+			fmt.Fprintf(w, "# conservatism note: %s\n", v)
 		}
-		writeCSV("table1.csv", func(w io.Writer) error {
+		return writeCSV("table1.csv", func(w io.Writer) error {
 			return experiments.Table1CSV(w, rows, nil)
 		})
-		return nil
 	})
 	for i, sc := range []string{scenario.CutOutFast, scenario.ChallengingCutInCurved, scenario.CutIn} {
 		fig := fmt.Sprintf("fig%d", i+4)
-		run(fig, func() error {
+		step(fig, func() error {
 			fs, err := experiments.CameraLatencyFigure(ctx, eng, sc, 30, 1)
 			if err != nil {
 				return err
 			}
-			experiments.WriteFigureSeries(os.Stdout, fs)
-			writeCSV(fig+".csv", func(w io.Writer) error { return experiments.SeriesCSV(w, fs) })
-			return nil
+			experiments.WriteFigureSeries(w, fs)
+			return writeCSV(fig+".csv", func(w io.Writer) error { return experiments.SeriesCSV(w, fs) })
 		})
 	}
-	run("fig7", func() error {
+	step("fig7", func() error {
 		s, err := experiments.Figure7(ctx, eng, 30, 1)
 		if err != nil {
 			return err
 		}
-		experiments.WriteOnlineSeries(os.Stdout, s)
-		writeCSV("fig7.csv", func(w io.Writer) error { return experiments.OnlineCSV(w, s) })
-		return nil
+		experiments.WriteOnlineSeries(w, s)
+		return writeCSV("fig7.csv", func(w io.Writer) error { return experiments.OnlineCSV(w, s) })
 	})
-	run("fig8", func() error {
+	step("fig8", func() error {
 		for _, sn := range []float64{30, 100} {
 			res := experiments.Figure8(sn)
-			experiments.WriteSweep(os.Stdout, res)
-			writeCSV(fmt.Sprintf("fig8_sn%.0f.csv", sn), func(w io.Writer) error {
+			experiments.WriteSweep(w, res)
+			if err := writeCSV(fmt.Sprintf("fig8_sn%.0f.csv", sn), func(w io.Writer) error {
 				return experiments.SweepCSV(w, res)
-			})
+			}); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
-	run("headline", func() error {
+	step("headline", func() error {
 		rows, err := experiments.Headline(ctx, eng, 1)
 		if err != nil {
 			return err
 		}
-		experiments.WriteHeadline(os.Stdout, rows)
-		fmt.Printf("# all Zhuyi-controlled runs safe: %v; max frame fraction %.2f\n",
+		experiments.WriteHeadline(w, rows)
+		fmt.Fprintf(w, "# all Zhuyi-controlled runs safe: %v; max frame fraction %.2f\n",
 			experiments.AllSafe(rows), experiments.MaxFrameFraction(rows))
-		writeCSV("headline.csv", func(w io.Writer) error { return experiments.HeadlineCSV(w, rows) })
-		return nil
+		return writeCSV("headline.csv", func(w io.Writer) error { return experiments.HeadlineCSV(w, rows) })
 	})
-	run("baselines", func() error {
+	step("baselines", func() error {
 		rows, err := experiments.BaselineComparison(ctx, eng, experiments.Options{Seeds: *seeds})
 		if err != nil {
 			return err
 		}
-		experiments.WriteBaselineComparison(os.Stdout, rows, 12, *seeds)
-		fmt.Println()
-		experiments.WriteRSSComparison(os.Stdout, experiments.RSSComparison())
+		experiments.WriteBaselineComparison(w, rows, 12, *seeds)
+		fmt.Fprintln(w)
+		experiments.WriteRSSComparison(w, experiments.RSSComparison())
 		return nil
 	})
-	run("corpus", func() error {
+	step("corpus", func() error {
 		var fams []string
 		if *tags != "" {
 			for _, t := range strings.Split(*tags, ",") {
@@ -219,60 +224,60 @@ func main() {
 		if err != nil {
 			return err
 		}
-		experiments.WriteCorpus(os.Stdout, res)
-		writeCSV("corpus.csv", func(w io.Writer) error { return experiments.CorpusCSV(w, res) })
-		return nil
+		experiments.WriteCorpus(w, res)
+		return writeCSV("corpus.csv", func(w io.Writer) error { return experiments.CorpusCSV(w, res) })
 	})
 	// Deliberately excluded from -exp all: the search side alone scores
 	// hundreds of genomes, and the blind baseline doubles the corpus.
 	if want["hardest"] {
-		run("hardest", func() error {
+		step("hardest", func() error {
 			res, err := experiments.HardestCorpus(ctx, eng, experiments.HardestOptions{
 				TopN:  *hardestN,
 				Seed:  *hardestSeed,
 				Seeds: *seeds,
 				Progress: func(g search.GenerationSummary) {
-					fmt.Printf("# %s gen %d: best %s\n", g.Family, g.Generation, g.BestMRFString())
+					fmt.Fprintf(w, "# %s gen %d: best %s\n", g.Family, g.Generation, g.BestMRFString())
 				},
 			})
 			if err != nil {
 				return err
 			}
-			experiments.WriteHardest(os.Stdout, res)
+			experiments.WriteHardest(w, res)
 			if *hardestJSON != "" {
 				return writeHardestJSON(*hardestJSON, res)
 			}
 			return nil
 		})
 	}
-	run("ablations", func() error {
+	step("ablations", func() error {
 		if rows, err := experiments.ConfirmationDepthAblation(ctx, eng, nil); err != nil {
 			return err
 		} else {
-			experiments.WriteAblation(os.Stdout, "confirmation depth K (cut-out-fast trace)", rows)
+			experiments.WriteAblation(w, "confirmation depth K (cut-out-fast trace)", rows)
 		}
 		if rows, err := experiments.AlphaModelAblation(ctx, eng); err != nil {
 			return err
 		} else {
-			experiments.WriteAblation(os.Stdout, "confirmation-delay alpha model", rows)
+			experiments.WriteAblation(w, "confirmation-delay alpha model", rows)
 		}
 		if rows, err := experiments.SearchModeAblation(ctx, eng); err != nil {
 			return err
 		} else {
-			experiments.WriteAblation(os.Stdout, "Eq.-3 accelerated vs naive search", rows)
+			experiments.WriteAblation(w, "Eq.-3 accelerated vs naive search", rows)
 		}
 		if rows, err := experiments.UncertaintyAblation(ctx, eng, nil); err != nil {
 			return err
 		} else {
-			experiments.WriteAblation(os.Stdout, "perception uncertainty (position sigma)", rows)
+			experiments.WriteAblation(w, "perception uncertainty (position sigma)", rows)
 		}
 		rows, err := experiments.AggregationAblation(ctx, eng)
 		if err != nil {
 			return err
 		}
-		experiments.WriteAggregationAblation(os.Stdout, rows)
+		experiments.WriteAggregationAblation(w, rows)
 		return nil
 	})
+	return err
 }
 
 // writeHardestJSON commits the hardest-corpus comparison in the
