@@ -65,14 +65,14 @@ func BenchmarkMRFSearch(b *testing.B) {
 }
 
 // BenchmarkMRFSearchExhaustive reproduces the seed path's cost model —
-// every rate × seed simulated, no early exit, no cache — as the
-// reference the adaptive search must beat.
+// every rate × seed simulated on a fresh engine, no early exit, no
+// cache hit — as the reference the adaptive search must beat.
 func BenchmarkMRFSearchExhaustive(b *testing.B) {
 	sc, _ := scenario.ByName(scenario.CutOutFast)
 	var jobs []engine.Job
 	for _, fpr := range metrics.DefaultFPRGrid() {
 		for seed := int64(1); seed <= 2; seed++ {
-			jobs = append(jobs, engine.Job{Scenario: sc, FPR: fpr, Seed: seed, NoCache: true})
+			jobs = append(jobs, engine.Job{Scenario: sc, FPR: fpr, Seed: seed})
 		}
 	}
 	for i := 0; i < b.N; i++ {

@@ -27,7 +27,6 @@ func cmdCampaign(args []string) error {
 	seeds := fs.Int("seeds", 3, "seeded runs per (scenario, rate) point")
 	workers := fs.Int("workers", 0, "local mode: concurrent simulations (0 = GOMAXPROCS)")
 	storeDir := fs.String("store", "", "local mode: persistent run store")
-	record := fs.String("record", "summary", "local mode: trace recording level (full, summary, off); store-archived points stay full")
 	quiet := fs.Bool("quiet", false, "suppress per-point lines, print only the stats summary")
 	prof := profiling.Register(fs)
 	fs.Parse(args)
@@ -41,10 +40,6 @@ func cmdCampaign(args []string) error {
 	// Zero seeds would run an empty campaign and exit 0.
 	if *seeds <= 0 {
 		return fmt.Errorf("campaign: -seeds must be positive, got %d", *seeds)
-	}
-	level, err := trace.ParseLevel(*record)
-	if err != nil {
-		return err
 	}
 	scs, err := resolveScenarios(*names, *tags)
 	if err != nil {
@@ -73,7 +68,7 @@ func cmdCampaign(args []string) error {
 			}
 		})
 	} else {
-		opts, closeStore, oerr := engineOptions(*storeDir, *workers, level)
+		opts, closeStore, oerr := engineOptions(*storeDir, *workers, trace.LevelSummary)
 		if oerr != nil {
 			return oerr
 		}

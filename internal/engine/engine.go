@@ -39,20 +39,12 @@ import (
 type Runner func(Job) (*sim.Result, error)
 
 // DefaultRunner is the production runner: one seeded closed-loop
-// simulation of the scenario at the job's rate. The recording level is
-// the lesser of what the built configuration declares (a spec-declared
-// level survives the engine path) and the job's engine-stamped level —
-// unless the run must keep its rows — it will be archived, or Trace
-// asked for them — and the job says so (fullTrace). Configure may
-// still override cfg.Record.
+// simulation of the scenario at the job's rate, recorded at the level
+// the engine resolved for the job. Configure may still override
+// cfg.Record.
 func DefaultRunner(j Job) (*sim.Result, error) {
 	cfg := j.Scenario.Build(j.FPR, j.Seed)
-	switch {
-	case j.fullTrace:
-		cfg.Record = trace.LevelFull
-	case j.Record > cfg.Record:
-		cfg.Record = j.Record // the engine's policy records less than the spec declares
-	}
+	cfg.Record = j.record
 	if j.Configure != nil {
 		j.Configure(&cfg)
 	}
@@ -64,18 +56,14 @@ type Options struct {
 	// Workers is the scheduler's pool size. 0 defaults to
 	// runtime.GOMAXPROCS(0): simulations are CPU-bound.
 	Workers int
-	// CacheSize bounds the number of retained results (FIFO eviction of
-	// completed entries). 0 defaults to 2048; negative disables caching
-	// entirely.
-	CacheSize int
 	// Runner executes jobs; nil defaults to DefaultRunner.
 	Runner Runner
-	// Store attaches a persistent cache tier: plain jobs (no Configure,
-	// not NoCache) missing the in-memory cache are looked up in the
-	// store manifest before simulating — a hit answers with the entry's
-	// run summary (store.Entry.Result), no rows, and Trace reads the
-	// archived rows on demand — and every fresh successful plain run is
-	// archived back (the record hook). Store errors never fail a run:
+	// Store attaches a persistent cache tier: plain jobs (no Configure)
+	// missing the in-memory cache are looked up in the store manifest
+	// before simulating — a hit answers with the entry's run summary
+	// (store.Entry.Result), no rows, and Trace reads the archived rows
+	// on demand — and every fresh successful plain run is archived back
+	// (the record hook). Store errors never fail a run:
 	// they are counted in Stats.StoreErrors. nil disables the tier.
 	Store *store.Store
 	// Record is the trace recording level the engine runs its jobs at.
@@ -83,8 +71,8 @@ type Options struct {
 	// read summaries — the campaign server's NDJSON stream, MRF/rate
 	// CLIs, corpus sweeps — set LevelSummary and skip per-step row
 	// materialization, the dominant allocation of a run. A scenario
-	// whose spec declares a lesser level keeps it (the default runner
-	// records the lesser of policy and spec). Store-recorded runs
+	// whose spec declares a lesser level keeps it (a run records the
+	// lesser of policy and spec). Store-recorded runs
 	// always stay LevelFull regardless: a persistable job on a
 	// store-attached engine must produce an archivable trace (the
 	// persistent tier refuses anything less). The level is an engine
@@ -104,40 +92,31 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 2048
-	}
 	if o.Runner == nil {
 		o.Runner = DefaultRunner
 	}
 	return o
 }
 
-// Job is one schedulable run: a (scenario, FPR, seed) point, optionally
-// specialized by a configuration hook.
+// cacheSize bounds the memory tier: past it, the oldest completed
+// results are evicted first.
+const cacheSize = 2048
+
+// Job is one schedulable run: a plain (scenario, FPR, seed) point, or
+// that point specialized by a configuration hook.
 type Job struct {
 	Scenario scenario.Scenario
 	FPR      float64
 	Seed     int64
-	// NoCache schedules the job through the pool but bypasses the cache
-	// on both lookup and store. Required when Configure captures state
-	// the caller reads back after the run (controller alarm counts):
-	// serving such a job from cache would skip the side effects.
-	NoCache bool
 	// Configure mutates the built simulator configuration before the
-	// run. Only the default runner applies it. The engine forces NoCache
-	// on a job with a Configure hook, so it can never alias the plain
-	// run's cache slot.
+	// run; only the default runner applies it. A hooked job always
+	// executes and never touches the memory tier or the store: the
+	// point's key cannot see the hook, and a hook that captures state
+	// the caller reads back (controller alarm counts) needs the run.
 	Configure func(*sim.Config)
-	// Record is the job's engine-stamped trace recording level, assigned
-	// from Options.Record before the job reaches the Runner; caller-set
-	// values are overwritten. The default runner records at the lesser
-	// of this and any level the scenario's own spec declares, except
-	// when fullTrace demands every row.
-	Record trace.Level
-	// fullTrace makes the run record every row whatever the engine
-	// policy or the spec declare: the archive hook and Trace need them.
-	fullTrace bool
+	// record is the level the run records at, resolved by the engine
+	// before the job reaches the Runner.
+	record trace.Level
 }
 
 // key is the job's point identity in both tiers: the store key, so
@@ -147,12 +126,12 @@ func (j Job) key() store.Key {
 	return store.KeyForScenario(j.Scenario, j.FPR, j.Seed)
 }
 
-// persistable reports whether the job's result may be served from or
-// archived to the persistent store: only plain (scenario, FPR, seed)
-// points qualify — Configure hooks change the run in ways the key
-// cannot see.
+// persistable reports whether the job's result may be served from
+// the memory tier or the store, and archived: only plain (scenario,
+// FPR, seed) points qualify — Configure hooks change the run in ways
+// the key cannot see.
 func (j Job) persistable() bool {
-	return j.Configure == nil && !j.NoCache
+	return j.Configure == nil
 }
 
 // Source says where a job's result came from.
@@ -482,18 +461,6 @@ func (e *Engine) finish(t *task, res *sim.Result, err error) {
 	close(t.ent.done)
 }
 
-// effectiveLevel resolves the recording level a job runs at: the
-// engine's configured level, upgraded to full for persistable jobs on
-// a store-attached engine (the archive hook needs a complete trace —
-// the fullTrace flag tells the runner the upgrade is mandatory and
-// overrides even a spec-declared level).
-func (e *Engine) effectiveLevel(j Job) (trace.Level, bool) {
-	if e.opts.Store != nil && j.persistable() {
-		return trace.LevelFull, true
-	}
-	return e.opts.Record, false
-}
-
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -511,63 +478,58 @@ func (e *Engine) Run(ctx context.Context, job Job) (*sim.Result, error) {
 // flight), or the persistent store.
 func (e *Engine) run(ctx context.Context, job Job) (*sim.Result, Source, error) {
 	e.startWorkers()
-	if job.Configure != nil {
-		// Configured runs would poison the plain run's cache slot at the
-		// same point.
-		job.NoCache = true
+	// The engine's level, unless the spec declares a lesser one; a plain
+	// job on a store-attached engine records every row, because the
+	// archive needs them.
+	job.record = max(e.opts.Record, job.Scenario.Record)
+	if e.opts.Store != nil && job.persistable() {
+		job.record = trace.LevelFull
 	}
-	job.Record, job.fullTrace = e.effectiveLevel(job)
-	cacheable := !job.NoCache && e.opts.CacheSize > 0
-	if cacheable {
-		key := job.key()
-		for {
-			e.mu.Lock()
-			ent, ok := e.cache[key]
-			if !ok {
-				// Claim the point: we own the execution, later callers
-				// join it through the entry. Wait unconditionally: the
-				// worker finishes every task — with ctx's error when
-				// cancelled before starting — so jobs that did start
-				// always report their real outcome, never a spurious
-				// cancellation.
-				ent = &entry{done: make(chan struct{})}
-				e.cache[key] = ent
-				e.order = append(e.order, key)
-				e.evictLocked()
-				e.mu.Unlock()
-				// Persistent tier: a disk hit fills the claimed slot
-				// without simulating; joiners see a plain memory hit.
-				if res, hit := e.storeLookup(job); hit {
-					ent.res = res
-					close(ent.done)
-					return res, SourceDisk, nil
-				}
-				e.enqueue(&task{ctx: ctx, job: job, ent: ent, registered: true})
-				<-ent.done
-				return ent.res, SourceFresh, ent.err
-			}
+	if !job.persistable() {
+		// A hooked run always executes, outside both tiers.
+		res, err := e.runUncached(ctx, job)
+		return res, SourceFresh, err
+	}
+	key := job.key()
+	for {
+		e.mu.Lock()
+		ent, ok := e.cache[key]
+		if !ok {
+			// Claim the point: we own the execution, later callers
+			// join it through the entry. Wait unconditionally: the
+			// worker finishes every task — with ctx's error when
+			// cancelled before starting — so jobs that did start
+			// always report their real outcome, never a spurious
+			// cancellation.
+			ent = &entry{done: make(chan struct{})}
+			e.cache[key] = ent
+			e.order = append(e.order, key)
+			e.evictLocked()
 			e.mu.Unlock()
-			select {
-			case <-ent.done:
-				if !isCancellation(ent.err) {
-					e.cacheHits.Add(1)
-					return ent.res, SourceMemory, ent.err
-				}
-				// The owner was cancelled before the point ran; loop
-				// and try to claim it ourselves.
-			case <-ctx.Done():
-				return nil, SourceFresh, ctx.Err()
+			// Persistent tier: a disk hit fills the claimed slot
+			// without simulating; joiners see a plain memory hit.
+			if res, hit := e.storeLookup(job); hit {
+				ent.res = res
+				close(ent.done)
+				return res, SourceDisk, nil
 			}
+			e.enqueue(&task{ctx: ctx, job: job, ent: ent, registered: true})
+			<-ent.done
+			return ent.res, SourceFresh, ent.err
+		}
+		e.mu.Unlock()
+		select {
+		case <-ent.done:
+			if !isCancellation(ent.err) {
+				e.cacheHits.Add(1)
+				return ent.res, SourceMemory, ent.err
+			}
+			// The owner was cancelled before the point ran; loop
+			// and try to claim it ourselves.
+		case <-ctx.Done():
+			return nil, SourceFresh, ctx.Err()
 		}
 	}
-
-	// Memory caching disabled: the persistent tier still serves plain
-	// points (NoCache jobs are not persistable and always execute).
-	if res, hit := e.storeLookup(job); hit {
-		return res, SourceDisk, nil
-	}
-	res, err := e.runUncached(ctx, job)
-	return res, SourceFresh, err
 }
 
 // runUncached executes a job on the pool outside the cache and waits
@@ -600,7 +562,7 @@ func (e *Engine) Trace(ctx context.Context, job Job) (*trace.Trace, error) {
 		}
 		e.storeErrs.Add(1)
 	}
-	job.Record, job.fullTrace = trace.LevelFull, true
+	job.record = trace.LevelFull
 	res, err = e.runUncached(ctx, job)
 	e.Drain()
 	if err != nil {
@@ -612,7 +574,7 @@ func (e *Engine) Trace(ctx context.Context, job Job) (*trace.Trace, error) {
 // evictLocked drops the oldest completed entries until the cache fits.
 // In-flight entries are skipped: evicting one would detach waiters.
 func (e *Engine) evictLocked() {
-	for len(e.cache) > e.opts.CacheSize {
+	for len(e.cache) > cacheSize {
 		evicted := false
 		for i, key := range e.order {
 			ent, ok := e.cache[key]

@@ -231,53 +231,30 @@ func TestFailuresNotCached(t *testing.T) {
 	}
 }
 
-// TestNoCache: NoCache jobs always execute, even with the plain run at
-// the same point cached.
-func TestNoCache(t *testing.T) {
-	fr := &fakeRunner{}
-	e := New(Options{Workers: 2, Runner: fr.run})
-	sc := fakeScenario("s")
-	ctx := context.Background()
-
-	plain := Job{Scenario: sc, FPR: 30, Seed: 1}
-	if _, err := e.Run(ctx, plain); err != nil {
-		t.Fatal(err)
-	}
-	nocache := Job{Scenario: sc, FPR: 30, Seed: 1, NoCache: true}
-	for i := 0; i < 2; i++ {
-		if _, err := e.Run(ctx, nocache); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := fr.calls.Load(); got != 3 {
-		t.Errorf("NoCache served from cache: calls = %d, want 3", got)
-	}
-}
-
-// TestEviction: a bounded cache re-executes evicted points.
+// TestEviction: the bounded cache re-executes evicted points.
 func TestEviction(t *testing.T) {
 	fr := &fakeRunner{}
-	e := New(Options{Workers: 1, CacheSize: 2, Runner: fr.run})
+	e := New(Options{Workers: 1, Runner: fr.run})
 	sc := fakeScenario("s")
 	ctx := context.Background()
-	for _, fpr := range []float64{1, 2, 3} {
-		if _, err := e.Run(ctx, Job{Scenario: sc, FPR: fpr, Seed: 1}); err != nil {
+	for i := 0; i <= cacheSize; i++ {
+		if _, err := e.Run(ctx, Job{Scenario: sc, FPR: 1, Seed: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// FPR 1 was evicted (FIFO); re-running it executes again.
-	if _, err := e.Run(ctx, Job{Scenario: sc, FPR: 1, Seed: 1}); err != nil {
+	// Seed 0 was evicted (FIFO); re-running it executes again.
+	if _, err := e.Run(ctx, Job{Scenario: sc, FPR: 1, Seed: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fr.calls.Load(); got != 4 {
-		t.Errorf("calls = %d, want 4 (eviction + re-run)", got)
+	if got, want := fr.calls.Load(), int64(cacheSize+2); got != want {
+		t.Errorf("calls = %d, want %d (eviction + re-run)", got, want)
 	}
-	// FPR 3 must still be cached.
-	if _, err := e.Run(ctx, Job{Scenario: sc, FPR: 3, Seed: 1}); err != nil {
+	// The newest point must still be cached.
+	if _, err := e.Run(ctx, Job{Scenario: sc, FPR: 1, Seed: cacheSize}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fr.calls.Load(); got != 4 {
-		t.Errorf("calls = %d after cached re-run, want 4", got)
+	if got, want := fr.calls.Load(), int64(cacheSize+2); got != want {
+		t.Errorf("calls = %d after cached re-run, want %d", got, want)
 	}
 }
 
@@ -330,8 +307,9 @@ func TestClose(t *testing.T) {
 	e.Close() // idempotent
 }
 
-// TestConfigureRequiresDiscriminator: a Configure hook is forced to
-// NoCache so it cannot poison the plain run's cache slot.
+// TestConfigureRequiresDiscriminator: a job with a Configure hook always
+// executes — before and after the plain run at its point is cached —
+// and never poisons the plain run's cache slot.
 func TestConfigureRequiresDiscriminator(t *testing.T) {
 	fr := &fakeRunner{}
 	e := New(Options{Workers: 1, Runner: fr.run})
@@ -352,16 +330,21 @@ func TestConfigureRequiresDiscriminator(t *testing.T) {
 	if got := fr.calls.Load(); got != 3 {
 		t.Errorf("runner calls = %d, want 3 (no aliasing)", got)
 	}
+	// The plain point is still the cached plain run.
+	if out := e.RunJob(ctx, Job{Scenario: sc, FPR: 5, Seed: 1}); out.Err != nil || out.Source != SourceMemory {
+		t.Errorf("plain rerun: source %v, err %v; want a memory hit", out.Source, out.Err)
+	}
+	if got := fr.calls.Load(); got != 3 {
+		t.Errorf("runner calls = %d after the plain rerun, want 3", got)
+	}
 }
 
-// TestDefaultOptions: pool size and cache defaults.
+// TestDefaultOptions: pool size and runner defaults (the cache bound is
+// the cacheSize constant, which TestEviction exercises).
 func TestDefaultOptions(t *testing.T) {
 	e := New(Options{})
 	if e.Workers() < 1 {
 		t.Errorf("workers = %d", e.Workers())
-	}
-	if e.opts.CacheSize != 2048 {
-		t.Errorf("cache size = %d", e.opts.CacheSize)
 	}
 	if e.opts.Runner == nil {
 		t.Error("nil default runner")

@@ -296,9 +296,9 @@ func TestTraceRefusesTruncatedObject(t *testing.T) {
 	}
 }
 
-// TestPersistentTierSkipsNonPersistableJobs: configured runs and
-// NoCache jobs must never be served from or archived to the store —
-// their store key cannot see what distinguishes them.
+// TestPersistentTierSkipsNonPersistableJobs: configured runs must
+// never be served from or archived to the store — their store key
+// cannot see what distinguishes them.
 func TestPersistentTierSkipsNonPersistableJobs(t *testing.T) {
 	st := openStore(t)
 	fr := &tracedRunner{}
@@ -306,9 +306,8 @@ func TestPersistentTierSkipsNonPersistableJobs(t *testing.T) {
 
 	plain := Job{Scenario: fakeScenario("np"), FPR: 5, Seed: 1}
 	configured := Job{Scenario: fakeScenario("np"), FPR: 5, Seed: 1, Configure: func(*sim.Config) {}}
-	nocache := Job{Scenario: fakeScenario("np"), FPR: 5, Seed: 1, NoCache: true}
 
-	for _, j := range []Job{plain, configured, nocache} {
+	for _, j := range []Job{plain, configured} {
 		if _, err := e.Run(context.Background(), j); err != nil {
 			t.Fatal(err)
 		}
@@ -318,17 +317,17 @@ func TestPersistentTierSkipsNonPersistableJobs(t *testing.T) {
 		t.Fatalf("store holds %d entries, want only the plain run", st.Len())
 	}
 
-	// A fresh engine must execute the configured and NoCache jobs again
-	// even though the plain point is on disk.
+	// A fresh engine must execute the configured job again even though
+	// the plain point is on disk.
 	fr2 := &tracedRunner{}
 	e2 := New(Options{Workers: 2, Runner: fr2.run, Store: st})
-	for _, j := range []Job{plain, configured, nocache} {
+	for _, j := range []Job{plain, configured} {
 		if _, err := e2.Run(context.Background(), j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := fr2.calls.Load(); got != 2 {
-		t.Fatalf("fresh engine ran %d jobs, want 2 (configured + nocache)", got)
+	if got := fr2.calls.Load(); got != 1 {
+		t.Fatalf("fresh engine ran %d jobs, want 1 (the configured one)", got)
 	}
 	if s := e2.Stats(); s.DiskHits != 1 {
 		t.Fatalf("fresh engine stats = %+v, want 1 disk hit", s)

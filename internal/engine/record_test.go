@@ -58,8 +58,8 @@ func TestEngineRecordLevelThreadsToRuns(t *testing.T) {
 
 // TestStoreUpgradesRecordLevel proves the "store-recorded runs stay
 // full" policy: on a summary-level engine with a persistent store,
-// persistable jobs run (and archive) full traces, while
-// non-persistable NoCache jobs keep the summary level.
+// persistable jobs run (and archive) full traces, while jobs with a
+// Configure hook are not persistable and keep the summary level.
 func TestStoreUpgradesRecordLevel(t *testing.T) {
 	sc := specScenario("record-upgrade")
 	st := openStore(t)
@@ -81,15 +81,16 @@ func TestStoreUpgradesRecordLevel(t *testing.T) {
 		t.Fatalf("archived = %d, want 1", got)
 	}
 
-	nocache, err := e.Run(context.Background(), Job{Scenario: sc, FPR: 10, Seed: 1, NoCache: true})
+	hooked, err := e.Run(context.Background(), Job{Scenario: sc, FPR: 10, Seed: 1, Configure: func(*sim.Config) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nocache.Level != trace.LevelSummary {
-		t.Errorf("NoCache job level = %v, want summary (not persistable, no upgrade)", nocache.Level)
+	e.Drain()
+	if hooked.Level != trace.LevelSummary {
+		t.Errorf("hooked job level = %v, want summary (not persistable, no upgrade)", hooked.Level)
 	}
 	if st.Len() != 1 {
-		t.Errorf("NoCache run reached the store (%d entries)", st.Len())
+		t.Errorf("hooked run reached the store (%d entries)", st.Len())
 	}
 }
 

@@ -143,17 +143,14 @@ func TestCorpusSweepIncludesTaggedRegistered(t *testing.T) {
 // cannot alias a full-level sweep's cached runs.
 func TestCorpusSweepRecordLevelStampsGeneratedSpecs(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2, Runner: func(j engine.Job) (*sim.Result, error) {
-		cfg := j.Scenario.Build(j.FPR, j.Seed)
-		if j.Record > cfg.Record {
-			cfg.Record = j.Record
-		}
-		if cfg.Record != trace.LevelSummary {
-			t.Errorf("%s compiled at level %v, want summary", j.Scenario.Name, cfg.Record)
+		res, err := engine.DefaultRunner(j)
+		if err == nil && res.Level != trace.LevelSummary {
+			t.Errorf("%s ran at level %v, want summary", j.Scenario.Name, res.Level)
 		}
 		if !strings.Contains(j.Scenario.Name, "-summary/") {
 			t.Errorf("corpus member %q lacks the level-distinct prefix", j.Scenario.Name)
 		}
-		return &sim.Result{FramesProcessed: map[string]int{}, Level: cfg.Record}, nil
+		return res, err
 	}})
 	defer eng.Close()
 	res, err := CorpusSweep(context.Background(), eng, CorpusOptions{

@@ -164,12 +164,12 @@ func figure7WithAgg(ctx context.Context, eng *engine.Engine, fpr float64, seed i
 		pred: predict.MultiHypothesis{Horizon: est.Params.Horizon, Dt: 0.1},
 		l0:   1 / fpr,
 	}
-	// The probe records estimates from inside the loop, so this run is
-	// NoCache: replaying it from cache would leave the probe empty. The
-	// offline reference below needs every row, whatever eng records.
+	// The probe records estimates from inside the loop; a Configure hook
+	// makes the engine execute the run rather than replay a cached one,
+	// which would leave the probe empty. The offline reference below
+	// needs every row, whatever eng records.
 	res, err := eng.Run(ctx, engine.Job{
 		Scenario: sc, FPR: fpr, Seed: seed,
-		NoCache: true,
 		Configure: func(cfg *sim.Config) {
 			cfg.RateController = probe
 			cfg.RateEpoch = 0.1

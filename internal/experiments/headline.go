@@ -31,9 +31,10 @@ type HeadlineRow struct {
 
 // Headline runs every scenario twice on eng — fixed 30 FPR and Zhuyi-
 // controlled — computing the rows concurrently. The baseline runs are
-// plain cacheable points, while the controller runs are NoCache
-// variants (the controller accumulates alarm state the row reads back,
-// so serving them from cache would be wrong).
+// plain cacheable points, while the controller runs carry a Configure
+// hook, which the engine always executes (the controller accumulates
+// alarm state the row reads back, so serving them from cache would be
+// wrong).
 func Headline(ctx context.Context, eng *engine.Engine, seed int64) ([]HeadlineRow, error) {
 	scenarios := scenario.All()
 	rows := make([]HeadlineRow, len(scenarios))
@@ -62,7 +63,6 @@ func headlineRow(ctx context.Context, eng *engine.Engine, sc scenario.Scenario, 
 		{Scenario: sc, FPR: 30, Seed: seed},
 		{
 			Scenario: sc, FPR: 30, Seed: seed,
-			NoCache: true,
 			// Start at the provisioned rate; the controller lowers it.
 			Configure: func(cfg *sim.Config) { cfg.RateController = ctrl },
 		},
@@ -150,7 +150,6 @@ func Prioritization(ctx context.Context, eng *engine.Engine, name string, budget
 	batch, err := eng.RunBatch(ctx, []engine.Job{
 		{
 			Scenario: sc, FPR: 30, Seed: seed,
-			NoCache: true,
 			Configure: func(cfg *sim.Config) {
 				if cfg.Rig == nil {
 					cfg.Rig = sensor.DefaultRig()
@@ -160,7 +159,6 @@ func Prioritization(ctx context.Context, eng *engine.Engine, name string, budget
 		},
 		{
 			Scenario: sc, FPR: 30, Seed: seed,
-			NoCache: true,
 			Configure: func(cfg *sim.Config) {
 				cfg.RateController = safety.NewController(
 					est,

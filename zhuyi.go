@@ -296,11 +296,10 @@ type (
 	// Engine is the concurrent run engine: one scheduler and one result
 	// cache shared by every campaign submitted to it.
 	Engine = engine.Engine
-	// EngineOptions sizes the worker pool and the result cache,
-	// optionally attaches a persistent RunStore (the Store field) so
-	// campaigns warm-start from runs archived by earlier processes, and
-	// sets the engine's trace recording level (the Record field;
-	// RecordFull by default).
+	// EngineOptions sizes the worker pool, optionally attaches a
+	// persistent RunStore (the Store field) so campaigns warm-start from
+	// runs archived by earlier processes, and sets the engine's trace
+	// recording level (the Record field; RecordFull by default).
 	EngineOptions = engine.Options
 	// CampaignStats summarizes a campaign: points executed, memory and
 	// disk cache hits, failures, skipped points, wall time.
