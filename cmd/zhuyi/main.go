@@ -297,14 +297,14 @@ func cmdScenariosList(args []string) error {
 	fs := flag.NewFlagSet("scenarios list", flag.ExitOnError)
 	tags := fs.String("tags", "", "comma-separated tags to filter by (e.g. table1, variant)")
 	fs.Parse(args)
-	entries := scenario.Default().Entries(splitList(*tags)...)
-	if len(entries) == 0 {
+	scs := scenario.Default().List(splitList(*tags)...)
+	if len(scs) == 0 {
 		return fmt.Errorf("no scenarios match tags %q", *tags)
 	}
 	fmt.Printf("%-28s %5s %-18s %s\n", "Name", "mph", "Tags", "Description")
-	for _, e := range entries {
+	for _, sc := range scs {
 		fmt.Printf("%-28s %5.1f %-18s %s\n",
-			e.Scenario.Name, e.Scenario.EgoSpeedMPH, strings.Join(e.Tags, ","), e.Scenario.Description)
+			sc.Name, sc.EgoSpeedMPH, strings.Join(sc.Tags, ","), sc.Description)
 	}
 	return nil
 }
@@ -334,10 +334,9 @@ func cmdScenariosDescribe(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown scenario %q (try 'zhuyi scenarios list')", *name)
 	}
-	e, _ := scenario.Default().Get(sc.Name)
 	fmt.Printf("%s — %s\n", sc.Name, sc.Description)
 	fmt.Printf("  ego: %g mph, activity front=%v right=%v left=%v, tags: %s\n",
-		sc.EgoSpeedMPH, sc.Front, sc.Right, sc.Left, strings.Join(e.Tags, ","))
+		sc.EgoSpeedMPH, sc.Front, sc.Right, sc.Left, strings.Join(sc.Tags, ","))
 	road := fmt.Sprintf("straight, %.0f m", sc.Road.Length)
 	if sc.Road.Curved {
 		road = fmt.Sprintf("curved, lead-in %.0f m, radius %.0f m, arc %.0f m",

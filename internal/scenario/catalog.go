@@ -26,13 +26,13 @@ func InfoOf(sp Spec) Info {
 	}
 }
 
-// Catalog lists the registry's entries as Infos, in registration
-// order, optionally filtered to entries carrying all the given tags.
+// Catalog lists the registry's scenarios as Infos, in registration
+// order, optionally filtered to scenarios carrying all the given tags.
 func (r *Registry) Catalog(tags ...string) []Info {
-	entries := r.Entries(tags...)
-	out := make([]Info, len(entries))
-	for i, e := range entries {
-		out[i] = InfoOf(*e.Scenario.Spec)
+	scs := r.List(tags...)
+	out := make([]Info, len(scs))
+	for i, sc := range scs {
+		out[i] = InfoOf(*sc.Spec)
 	}
 	return out
 }

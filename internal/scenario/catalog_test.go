@@ -2,24 +2,24 @@ package scenario
 
 import "testing"
 
-// TestCatalogMirrorsRegistry: every registry entry appears as an Info
-// with its tags, and tag filtering matches Entries.
+// TestCatalogMirrorsRegistry: every registered scenario appears as an
+// Info with its spec's tags, and tag filtering matches List.
 func TestCatalogMirrorsRegistry(t *testing.T) {
 	all := Catalog()
 	if len(all) != Default().Len() {
 		t.Fatalf("catalog size %d, registry %d", len(all), Default().Len())
 	}
 	for _, info := range all {
-		e, ok := Default().Get(info.Name)
+		sc, ok := Lookup(info.Name)
 		if !ok {
 			t.Errorf("catalog entry %q not in registry", info.Name)
 			continue
 		}
-		if info.Description != e.Scenario.Description || info.EgoSpeedMPH != e.Scenario.EgoSpeedMPH {
-			t.Errorf("%s: info drifted from registry entry", info.Name)
+		if info.Description != sc.Description || info.EgoSpeedMPH != sc.EgoSpeedMPH {
+			t.Errorf("%s: info drifted from the registered scenario", info.Name)
 		}
-		if !info.HasSpec || !equalStrings(info.Tags, e.Tags) {
-			t.Errorf("%s: HasSpec = %v, tags %v, want true and %v", info.Name, info.HasSpec, info.Tags, e.Tags)
+		if !info.HasSpec || !equalStrings(info.Tags, sc.Tags) {
+			t.Errorf("%s: HasSpec = %v, tags %v, want true and %v", info.Name, info.HasSpec, info.Tags, sc.Tags)
 		}
 	}
 	if got := len(Catalog(TagTable1)); got != 9 {

@@ -21,40 +21,18 @@ const (
 // by tag, in registration order. It is safe for concurrent use. Names
 // resolve requests; caches key on the spec fingerprint instead.
 type Registry struct {
-	mu      sync.RWMutex
-	entries map[string]*Entry
-	order   []string
-}
-
-// Entry is one registered scenario and its tags.
-type Entry struct {
-	Scenario Scenario
-	Tags     []string
-}
-
-func (e *Entry) hasTags(tags []string) bool {
-	for _, want := range tags {
-		found := false
-		for _, t := range e.Tags {
-			if t == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	mu     sync.RWMutex
+	byName map[string]Scenario
+	order  []string
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{entries: make(map[string]*Entry)}
+	return &Registry{byName: make(map[string]Scenario)}
 }
 
 // RegisterSpec validates and registers a declarative spec under its
-// name; the spec's tags become the entry's tags. Duplicate names are
+// name; the spec's Tags are what List filters on. Duplicate names are
 // rejected: every by-name API depends on a name identifying exactly
 // one scenario.
 func (r *Registry) RegisterSpec(sp Spec) error {
@@ -64,10 +42,10 @@ func (r *Registry) RegisterSpec(sp Spec) error {
 	sc := sp.Scenario()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[sc.Name]; ok {
+	if _, ok := r.byName[sc.Name]; ok {
 		return fmt.Errorf("registry: scenario %q already registered", sc.Name)
 	}
-	r.entries[sc.Name] = &Entry{Scenario: sc, Tags: append([]string(nil), sp.Tags...)}
+	r.byName[sc.Name] = sc
 	r.order = append(r.order, sc.Name)
 	return nil
 }
@@ -84,45 +62,25 @@ func (r *Registry) mustRegisterSpec(sp Spec) {
 func (r *Registry) Lookup(name string) (Scenario, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
-	if !ok {
-		return Scenario{}, false
-	}
-	return e.Scenario, true
-}
-
-// Get returns the full entry (scenario and tags).
-func (r *Registry) Get(name string) (Entry, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
-	if !ok {
-		return Entry{}, false
-	}
-	return *e, true
+	sc, ok := r.byName[name]
+	return sc, ok
 }
 
 // List returns the scenarios carrying every given tag (all scenarios
 // when no tags are given), in registration order.
 func (r *Registry) List(tags ...string) []Scenario {
-	entries := r.Entries(tags...)
-	out := make([]Scenario, len(entries))
-	for i, e := range entries {
-		out[i] = e.Scenario
-	}
-	return out
-}
-
-// Entries returns the full entries (scenario and tags)
-// carrying every given tag, in registration order.
-func (r *Registry) Entries(tags ...string) []Entry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []Entry
+	var out []Scenario
+scenarios:
 	for _, name := range r.order {
-		if e := r.entries[name]; e.hasTags(tags) {
-			out = append(out, *e)
+		sc := r.byName[name]
+		for _, tag := range tags {
+			if !sc.HasTag(tag) {
+				continue scenarios
+			}
 		}
+		out = append(out, sc)
 	}
 	return out
 }
@@ -148,7 +106,7 @@ func (r *Registry) SortedNames(tags ...string) []string {
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.entries)
+	return len(r.byName)
 }
 
 var defaultRegistry = struct {

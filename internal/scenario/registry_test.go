@@ -61,17 +61,17 @@ func TestRegistrySpecRoundTrip(t *testing.T) {
 	if err := r.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := r.Get(sp.Name)
-	if !ok || !e.hasTags([]string{TagTable1}) {
-		t.Fatalf("entry = %+v", e)
+	sc, ok := r.Lookup(sp.Name)
+	if !ok || !sc.HasTag(TagTable1) {
+		t.Fatalf("scenario = %+v", sc)
 	}
-	if got := *e.Scenario.Spec; got.Name != sp.Name || len(got.Actors) != len(sp.Actors) {
+	if got := *sc.Spec; got.Name != sp.Name || len(got.Actors) != len(sp.Actors) {
 		t.Errorf("spec round trip: %+v", got)
 	}
-	if e.Scenario.Fingerprint != SpecFingerprint(sp) {
-		t.Errorf("fingerprint %s, want the spec's %s", e.Scenario.Fingerprint, SpecFingerprint(sp))
+	if sc.Fingerprint != SpecFingerprint(sp) {
+		t.Errorf("fingerprint %s, want the spec's %s", sc.Fingerprint, SpecFingerprint(sp))
 	}
-	if _, ok := r.Get("missing"); ok {
+	if _, ok := r.Lookup("missing"); ok {
 		t.Error("phantom entry")
 	}
 }

@@ -83,13 +83,13 @@ func All() []Scenario { return Default().List(TagTable1) }
 func ByName(name string) (Scenario, bool) { return taggedLookup(name, TagTable1) }
 
 // taggedLookup resolves a name in the default registry only when the
-// entry carries the tag.
+// scenario carries the tag.
 func taggedLookup(name, tag string) (Scenario, bool) {
-	e, ok := Default().Get(name)
-	if !ok || !e.hasTags([]string{tag}) {
+	sc, ok := Lookup(name)
+	if !ok || !sc.HasTag(tag) {
 		return Scenario{}, false
 	}
-	return e.Scenario, true
+	return sc, true
 }
 
 // Names lists the nine Table-1 scenario names in order.
