@@ -155,12 +155,12 @@ func run(args []string, w io.Writer) (err error) {
 	for i, sc := range []string{scenario.CutOutFast, scenario.ChallengingCutInCurved, scenario.CutIn} {
 		fig := fmt.Sprintf("fig%d", i+4)
 		step(fig, func() error {
-			fs, err := experiments.CameraLatencyFigure(ctx, eng, sc, 30, 1)
+			series, err := experiments.CameraLatencyFigure(ctx, eng, sc, 30, 1)
 			if err != nil {
 				return err
 			}
-			experiments.WriteFigureSeries(w, fs)
-			return writeCSV(fig+".csv", func(w io.Writer) error { return experiments.SeriesCSV(w, fs) })
+			experiments.WriteFigureSeries(w, series)
+			return writeCSV(fig+".csv", func(w io.Writer) error { return experiments.SeriesCSV(w, series) })
 		})
 	}
 	step("fig7", func() error {

@@ -478,17 +478,15 @@ func (e *Engine) Run(ctx context.Context, job Job) (*sim.Result, error) {
 // flight), or the persistent store.
 func (e *Engine) run(ctx context.Context, job Job) (*sim.Result, Source, error) {
 	e.startWorkers()
-	// The engine's level, unless the spec declares a lesser one; a plain
-	// job on a store-attached engine records every row, because the
-	// archive needs them.
+	// The engine's level, unless the spec declares a lesser one.
 	job.record = max(e.opts.Record, job.Scenario.Record)
-	if e.opts.Store != nil && job.persistable() {
-		job.record = trace.LevelFull
-	}
 	if !job.persistable() {
 		// A hooked run always executes, outside both tiers.
 		res, err := e.runUncached(ctx, job)
 		return res, SourceFresh, err
+	}
+	if e.opts.Store != nil {
+		job.record = trace.LevelFull // the archive needs every row
 	}
 	key := job.key()
 	for {
