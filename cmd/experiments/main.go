@@ -95,7 +95,7 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	eng := engine.New(opts)
 	defer func() {
-		eng.Close() // flushes the archiver before the store closes
+		eng.Close() // stops the workers before the store closes
 		s := eng.Stats()
 		fmt.Fprintf(w, "# engine: %d fresh simulations, %d disk hits, %d memory hits, %d archived, %d failures, %d store errors\n",
 			s.Executed, s.DiskHits, s.CacheHits, s.Archived, s.Failures, s.StoreErrors)

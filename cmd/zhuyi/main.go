@@ -177,7 +177,7 @@ func pointFlags(fs *flag.FlagSet) func() (*trace.Trace, error) {
 		defer closeStore()
 		eng := engine.New(opts)
 		tr, err := eng.Trace(context.Background(), engine.Job{Scenario: sc, FPR: *fpr, Seed: *seed})
-		eng.Close() // flushes the archiver before the store closes
+		eng.Close() // stops the workers before the store closes
 		if err != nil {
 			return nil, err
 		}

@@ -6,19 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
-// archiver moves the persistent store's Put off the waiter path: a
-// fresh run's result is enqueued (ordered, bounded) and the engine
-// finishes the task immediately, so singleflight waiters unblock at
-// memory-tier latency while one background goroutine does the
-// serialize/write/fsync work. Ordering is preserved (FIFO), memory is
-// bounded (a full queue applies backpressure to the producing worker),
-// and nothing is lost on shutdown: Engine.Close flushes the queue, and
-// items enqueued after close are archived synchronously by the caller.
-//
-// RunBatch drains the archiver before returning, preserving the PR 3
-// contract that a campaign which has returned finds every one of its
-// fresh runs on disk. Single-run callers that need the same guarantee
-// (serving processes about to exit, tests) call Engine.Drain.
+// archiver moves the persistent store's Put off the worker: a fresh
+// run's task is enqueued (ordered, bounded) and the worker goes back to
+// simulating, while one background goroutine writes each result and
+// then finishes its task, so an outcome implies the point is on disk.
+// Ordering is preserved (FIFO), memory is bounded (a full queue applies
+// backpressure to the producing worker), and nothing is lost on
+// shutdown: Engine.Close flushes the queue, and items enqueued after
+// close are archived and finished synchronously by the caller.
 type archiver struct {
 	e *Engine
 
@@ -26,13 +21,13 @@ type archiver struct {
 	cond  *sync.Cond
 	queue []archiveItem
 	bound int
-	busy  bool // the drain goroutine is mid-Put
+	busy  bool // the background writer is mid-Put
 	once  sync.Once
 	done  bool // closed: no new queueing, callers archive synchronously
 }
 
 type archiveItem struct {
-	job Job
+	t   *task
 	res *sim.Result
 }
 
@@ -42,28 +37,29 @@ func newArchiver(e *Engine, bound int) *archiver {
 	return a
 }
 
-// enqueue hands a fresh result to the background writer, blocking only
+// enqueue hands a fresh task to the background writer, blocking only
 // when the queue is at its bound (memory backpressure). After close it
-// degrades to a synchronous archive on the calling goroutine, so a
-// worker finishing a job mid-shutdown still persists it.
-func (a *archiver) enqueue(j Job, res *sim.Result) {
+// archives and finishes the task on the calling goroutine, so a worker
+// finishing a job mid-shutdown still persists it.
+func (a *archiver) enqueue(t *task, res *sim.Result) {
 	a.mu.Lock()
 	for !a.done && len(a.queue) >= a.bound {
 		a.cond.Wait()
 	}
 	if a.done {
 		a.mu.Unlock()
-		a.e.archive(j, res)
+		a.e.archive(t.job, res)
+		a.e.finish(t, res, nil)
 		return
 	}
-	a.queue = append(a.queue, archiveItem{job: j, res: res})
+	a.queue = append(a.queue, archiveItem{t: t, res: res})
 	a.once.Do(func() { go a.loop() })
 	a.mu.Unlock()
 	a.cond.Broadcast()
 }
 
-// loop is the single background writer: strictly FIFO, one Put at a
-// time, terminating once the archiver is closed and empty.
+// loop is the single background writer: strictly FIFO, one Put and
+// one finished task at a time, until the archiver is closed and empty.
 func (a *archiver) loop() {
 	for {
 		a.mu.Lock()
@@ -81,22 +77,17 @@ func (a *archiver) loop() {
 		a.mu.Unlock()
 		a.cond.Broadcast() // a producer may be waiting on the bound
 
-		a.e.archive(item.job, item.res)
+		a.e.archive(item.t.job, item.res)
 
+		// Finish under the lock that clears busy, so a caller whose
+		// outcome has arrived reads the item off the pending gauge and
+		// close returns only after every task is finished.
 		a.mu.Lock()
 		a.busy = false
+		a.e.finish(item.t, item.res, nil)
 		a.mu.Unlock()
-		a.cond.Broadcast() // drainers wait for busy to clear
+		a.cond.Broadcast() // close waits for busy to clear
 	}
-}
-
-// drain blocks until every enqueued item has been written.
-func (a *archiver) drain() {
-	a.mu.Lock()
-	for len(a.queue) > 0 || a.busy {
-		a.cond.Wait()
-	}
-	a.mu.Unlock()
 }
 
 // close flushes the queue and stops the background writer; later
@@ -104,13 +95,19 @@ func (a *archiver) drain() {
 func (a *archiver) close() {
 	a.mu.Lock()
 	a.done = true
-	a.mu.Unlock()
 	a.cond.Broadcast()
-	a.drain()
+	for len(a.queue) > 0 || a.busy {
+		a.cond.Wait()
+	}
+	a.mu.Unlock()
 }
 
-// pending reports the queue depth including the item being written.
+// pending reports the queue depth including the item being written;
+// zero on a nil archiver (an engine without a store).
 func (a *archiver) pending() int64 {
+	if a == nil {
+		return 0
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := int64(len(a.queue))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -10,7 +11,7 @@ import (
 // TestArchiverOrderAndDrain: the background writer is strictly FIFO,
 // so with sequential submissions the manifest (which preserves
 // first-recorded order) must list entries in submission order, and
-// after Drain the pending gauge settles at zero.
+// once the last Run has returned the pending gauge reads zero.
 func TestArchiverOrderAndDrain(t *testing.T) {
 	st := openStore(t)
 	fr := &tracedRunner{}
@@ -22,7 +23,6 @@ func TestArchiverOrderAndDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Drain()
 	entries := st.Entries()
 	if len(entries) != n {
 		t.Fatalf("store holds %d entries, want %d", len(entries), n)
@@ -33,35 +33,74 @@ func TestArchiverOrderAndDrain(t *testing.T) {
 		}
 	}
 	if s := e.Stats(); s.ArchivePending != 0 || s.Archived != n {
-		t.Fatalf("post-drain stats = %+v", s)
+		t.Fatalf("stats after the last Run = %+v", s)
 	}
 }
 
-// TestArchiverAsyncIntegration exercises the concurrent path: fresh
-// runs return before their Put necessarily lands, Drain flushes
-// everything to the store, and ArchivePending settles at zero.
+// TestArchiverAsyncIntegration exercises the concurrent path: runs on
+// four workers return only once their Put has landed, and
+// ArchivePending reads zero after the last one.
 func TestArchiverAsyncIntegration(t *testing.T) {
 	st := openStore(t)
 	fr := &tracedRunner{}
 	e := New(Options{Workers: 4, Runner: fr.run, Store: st})
 	jobs := gridJobs(fakeScenario("async"), []float64{1, 5, 30}, 4)
+	var wg sync.WaitGroup
 	for _, j := range jobs {
-		if _, err := e.Run(context.Background(), j); err != nil {
-			t.Fatal(err)
-		}
+		wg.Add(1)
+		go func(j Job) {
+			defer wg.Done()
+			if _, err := e.Run(context.Background(), j); err != nil {
+				t.Error(err)
+			}
+		}(j)
 	}
-	e.Drain()
+	wg.Wait()
 	if s := e.Stats(); s.Archived != int64(len(jobs)) || s.ArchivePending != 0 || s.StoreErrors != 0 {
-		t.Fatalf("post-drain stats = %+v", s)
+		t.Fatalf("stats after the last Run = %+v", s)
 	}
 	if st.Len() != len(jobs) {
 		t.Fatalf("store holds %d entries, want %d", st.Len(), len(jobs))
 	}
 }
 
+// TestOutcomeImpliesArchived: on a store-attached engine, a fresh
+// point is in the store by the time its outcome reaches the caller —
+// inside RunBatchFunc's completion hook and right after a single Run
+// returns. One worker and a fast runner keep the archiver behind the
+// simulations, so an outcome delivered at enqueue time would miss.
+func TestOutcomeImpliesArchived(t *testing.T) {
+	st := openStore(t)
+	fr := &tracedRunner{}
+	e := New(Options{Workers: 1, Runner: fr.run, Store: st})
+	defer e.Close()
+
+	jobs := gridJobs(fakeScenario("durable"), []float64{1, 2, 5, 10, 30}, 8)
+	_, err := e.RunBatchFunc(context.Background(), jobs, func(i int, o Outcome) {
+		if o.Source != SourceFresh {
+			t.Errorf("job %d answered from %v, want fresh", i, o.Source)
+		}
+		if _, ok := st.Lookup(o.Job.key()); !ok {
+			t.Errorf("job %d streamed before its point was archived", i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, j := range gridJobs(fakeScenario("durable-run"), []float64{1, 2, 5, 10, 30}, 8) {
+		if _, err := e.Run(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Lookup(j.key()); !ok {
+			t.Fatalf("Run(fpr %g seed %d) returned before its point was archived", j.FPR, j.Seed)
+		}
+	}
+}
+
 // TestArchiverCloseFlushesAndFallsBackSync: Close drains the queue,
-// and an enqueue after Close must still archive (synchronously) rather
-// than drop the result.
+// and an enqueue after Close must still archive (synchronously) and
+// finish its task rather than drop the result.
 func TestArchiverCloseFlushesAndFallsBackSync(t *testing.T) {
 	st := openStore(t)
 	fr := &tracedRunner{}
@@ -81,30 +120,38 @@ func TestArchiverCloseFlushesAndFallsBackSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.enqueueArchive(j2, res)
+	tk := &task{ctx: context.Background(), job: j2, ent: &entry{done: make(chan struct{})}}
+	e.arch.enqueue(tk, res)
 	if st.Len() != 2 {
 		t.Fatalf("post-close enqueue lost the result: store holds %d entries", st.Len())
+	}
+	select {
+	case <-tk.ent.done:
+	default:
+		t.Fatal("post-close enqueue did not finish its task")
+	}
+	if tk.ent.res != res || tk.ent.err != nil {
+		t.Fatalf("post-close task finished with (%p, %v), want (%p, nil)", tk.ent.res, tk.ent.err, res)
 	}
 	if s := e.Stats(); s.Archived != 2 {
 		t.Fatalf("stats = %+v, want 2 archived", s)
 	}
 }
 
-// TestArchiverDropsNonResults: nil results and store-less engines must
-// not panic or queue anything.
+// TestArchiverDropsNonResults: a runner that returns neither a result
+// nor an error must not panic the archive path or queue anything.
 func TestArchiverDropsNonResults(t *testing.T) {
-	e := New(Options{Workers: 1})
-	e.enqueueArchive(Job{Scenario: fakeScenario("x"), FPR: 1, Seed: 1}, &sim.Result{})
-	e.Drain() // no archiver attached: must be a no-op
-	if p := e.archivePending(); p != 0 {
-		t.Fatalf("pending = %d on store-less engine", p)
-	}
-
 	st := openStore(t)
-	e2 := New(Options{Workers: 1, Store: st})
-	e2.enqueueArchive(Job{Scenario: fakeScenario("x"), FPR: 1, Seed: 1}, nil)
-	e2.Drain()
+	e := New(Options{Workers: 1, Store: st, Runner: func(Job) (*sim.Result, error) { return nil, nil }})
+	defer e.Close()
+	res, err := e.Run(context.Background(), Job{Scenario: fakeScenario("x"), FPR: 1, Seed: 1})
+	if res != nil || err != nil {
+		t.Fatalf("Run = (%v, %v), want (nil, nil)", res, err)
+	}
 	if st.Len() != 0 {
 		t.Fatal("nil result was archived")
+	}
+	if p := e.Stats().ArchivePending; p != 0 {
+		t.Fatalf("pending = %d after a nil result", p)
 	}
 }

@@ -15,6 +15,12 @@
 // process has already run. Runs are deterministic in (spec
 // fingerprint, FPR, seed, sim.Version), which is what makes the cache
 // sound.
+//
+// With a store attached, an outcome implies the point is on disk: the
+// async archiver finishes a fresh plain run only after its Put returns,
+// so every Run, RunJob, RunBatch(Func) or Trace that returns a fresh
+// point — and every line a store-backed server streams — names a point
+// the store already holds.
 package engine
 
 import (
@@ -63,8 +69,9 @@ type Options struct {
 	// before simulating — a hit answers with the entry's run summary
 	// (store.Entry.Result), no rows, and Trace reads the archived rows
 	// on demand — and every fresh successful plain run is archived back
-	// (the record hook). Store errors never fail a run:
-	// they are counted in Stats.StoreErrors. nil disables the tier.
+	// before its outcome is delivered, so an outcome implies the point
+	// is on disk. Store errors never fail a run: they are counted in
+	// Stats.StoreErrors. nil disables the tier.
 	Store *store.Store
 	// Record is the trace recording level the engine runs its jobs at.
 	// The zero value is trace.LevelFull. Engines whose consumers only
@@ -196,8 +203,8 @@ type Stats struct {
 	Failures    int64
 	StoreErrors int64 // archives and artifact reads that failed (runs unaffected)
 	// ArchivePending gauges the async archiver's backlog: fresh results
-	// handed to the background store writer but not yet on disk. Zero
-	// after any Drain/RunBatch return.
+	// handed to the background store writer but not yet on disk. Their
+	// callers are still waiting: an outcome implies the point is on disk.
 	ArchivePending int64
 	// LockstepGroups and LockstepRuns always read 0: the engine runs
 	// every job as its own simulation. They remain only because the
@@ -237,9 +244,10 @@ type Engine struct {
 	cache  map[store.Key]*entry
 	order  []store.Key // insertion order for FIFO eviction
 
-	// arch is the bounded async archiver (nil without a store): fresh
-	// results are enqueued before waiters unblock and written to the
-	// store off the waiter path. RunBatch and Drain flush it.
+	// arch is the bounded async archiver (nil without a store): workers
+	// hand it fresh results and go back to simulating; it writes each to
+	// the store, then finishes the task, so waiters unblock only once
+	// the point is on disk.
 	arch *archiver
 
 	executed  atomic.Int64
@@ -286,7 +294,7 @@ func (e *Engine) Stats() Stats {
 		Failures:    e.failures.Load(),
 		StoreErrors: e.storeErrs.Load(),
 
-		ArchivePending: e.archivePending(),
+		ArchivePending: e.arch.pending(),
 	}
 }
 
@@ -335,11 +343,11 @@ func (e *Engine) enqueue(t *task) {
 // Close winds the pool down: queued and in-flight jobs complete, then
 // the workers exit. Jobs submitted afterwards fail with ErrClosed.
 // The async archiver is flushed before Close returns — every result it
-// held is on disk — and results archived by still-running workers
-// afterwards are written synchronously. Cached results remain readable
-// only through jobs already joined; use Close for short-lived engines
-// (benchmarks, one-shot campaigns) so their workers don't outlive
-// them.
+// held is on disk and its task finished — and results that
+// still-running workers produce afterwards are archived synchronously
+// before their tasks finish. Cached results remain readable only
+// through jobs already joined; use Close for short-lived engines
+// (benchmarks, one-shot campaigns) so their workers don't outlive them.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
@@ -348,40 +356,6 @@ func (e *Engine) Close() {
 	if e.arch != nil {
 		e.arch.close()
 	}
-}
-
-// Drain blocks until the async archiver's backlog is on disk. Callers
-// that use single Run submissions and then read the store directly —
-// or a serving process shutting down on SIGTERM — drain first; RunBatch
-// campaigns drain implicitly before returning.
-func (e *Engine) Drain() {
-	if e.arch != nil {
-		e.arch.drain()
-	}
-}
-
-// archivePending reports the async archiver's backlog gauge.
-func (e *Engine) archivePending() int64 {
-	if e.arch == nil {
-		return 0
-	}
-	return e.arch.pending()
-}
-
-// enqueueArchive routes a fresh result to the async archiver — before
-// the task finishes, so a later Drain is guaranteed to cover it — or
-// archives synchronously when no archiver exists (no store) or it has
-// been closed. Non-persistable results are dropped here without
-// touching the queue.
-func (e *Engine) enqueueArchive(j Job, res *sim.Result) {
-	if e.opts.Store == nil || !j.persistable() || res == nil {
-		return
-	}
-	if e.arch == nil {
-		e.archive(j, res)
-		return
-	}
-	e.arch.enqueue(j, res)
 }
 
 func (e *Engine) execute(t *task) {
@@ -394,13 +368,11 @@ func (e *Engine) execute(t *task) {
 		e.failures.Add(1)
 	}
 	e.executed.Add(1)
-	if err == nil {
-		// Record hook: hand the fresh run to the async archiver before
-		// waiters unblock. Enqueueing (not writing) happens first, so a
-		// campaign that has returned — RunBatch drains the archiver —
-		// still finds every one of its runs on disk, while the waiters
-		// themselves no longer pay for serialization and fsync.
-		e.enqueueArchive(t.job, res)
+	if err == nil && res != nil && e.arch != nil && t.job.persistable() {
+		// Record hook: the archiver finishes the task once the point is
+		// on disk, and the worker goes back to simulating.
+		e.arch.enqueue(t, res)
+		return
 	}
 	e.finish(t, res, err)
 }
@@ -412,9 +384,6 @@ func (e *Engine) execute(t *task) {
 // ignores that, store.Put's own level guard rejects the result and the
 // rejection is counted here.
 func (e *Engine) archive(j Job, res *sim.Result) {
-	if e.opts.Store == nil || !j.persistable() || res == nil {
-		return
-	}
 	_, created, err := e.opts.Store.Put(j.Scenario.Name, j.key(), res)
 	if err != nil {
 		e.storeErrs.Add(1)
@@ -544,7 +513,7 @@ func (e *Engine) runUncached(ctx context.Context, job Job) (*sim.Result, error) 
 // rows from the memory tier's result, else from the archived artifact
 // on the caller's goroutine. A missing or unreadable artifact counts
 // one StoreErrors and falls back to a fresh full-level run, whose
-// archive (drained before Trace returns) rewrites a missing object.
+// archive rewrites a missing object before the run returns.
 func (e *Engine) Trace(ctx context.Context, job Job) (*trace.Trace, error) {
 	res, err := e.Run(ctx, job)
 	if err != nil {
@@ -562,7 +531,6 @@ func (e *Engine) Trace(ctx context.Context, job Job) (*trace.Trace, error) {
 	}
 	job.record = trace.LevelFull
 	res, err = e.runUncached(ctx, job)
-	e.Drain()
 	if err != nil {
 		return nil, err
 	}
@@ -652,10 +620,6 @@ func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, fn func(i int, o 
 		}(i, j)
 	}
 	wg.Wait()
-	// Flush the async archiver: every fresh run was enqueued before its
-	// task finished, so after this a returned campaign's runs are all on
-	// disk — same contract as when archiving was synchronous.
-	e.Drain()
 
 	br := &BatchResult{Outcomes: outcomes}
 	br.Stats.Jobs = len(jobs)

@@ -153,7 +153,6 @@ func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Drain() // single Run archives asynchronously; flush before reading stats
 	if s := a.Stats(); s.Executed != 1 || s.Archived != 1 || s.StoreErrors != 0 {
 		t.Fatalf("fresh engine stats = %+v", s)
 	}
@@ -312,7 +311,6 @@ func TestPersistentTierSkipsNonPersistableJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Drain()
 	if st.Len() != 1 {
 		t.Fatalf("store holds %d entries, want only the plain run", st.Len())
 	}
@@ -401,7 +399,6 @@ func TestArchiveRenameFailureIsCounted(t *testing.T) {
 	if _, err := rec.Run(ctx, job); err != nil {
 		t.Fatal(err)
 	}
-	rec.Drain()
 	ent, ok := sibling.Lookup(store.KeyForScenario(sc, job.FPR, job.Seed))
 	if !ok {
 		t.Fatal("sibling store did not archive the point")
@@ -418,7 +415,6 @@ func TestArchiveRenameFailureIsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run failed with the store: %v", err)
 	}
-	e.Drain()
 	if s := e.Stats(); s.StoreErrors != 1 || s.Archived != 0 {
 		t.Errorf("engine stats = %+v, want 1 store error and nothing archived", s)
 	}

@@ -73,7 +73,6 @@ func TestStoreUpgradesRecordLevel(t *testing.T) {
 	if plain.Level != trace.LevelFull || plain.Trace == nil || plain.Trace.Len() == 0 {
 		t.Fatalf("persistable job on store engine: level %v, trace %v — want an archivable full trace", plain.Level, plain.Trace)
 	}
-	e.Drain()
 	if st.Len() != 1 {
 		t.Fatalf("store has %d entries, want the archived run", st.Len())
 	}
@@ -85,7 +84,6 @@ func TestStoreUpgradesRecordLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Drain()
 	if hooked.Level != trace.LevelSummary {
 		t.Errorf("hooked job level = %v, want summary (not persistable, no upgrade)", hooked.Level)
 	}
@@ -114,7 +112,6 @@ func TestArchiveRefusesNonFullResults(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("run failed: %v", err)
 	}
-	e.Drain() // the rejection happens on the async archive path
 	if st.Len() != 0 {
 		t.Fatalf("summary-level result was archived (%d entries)", st.Len())
 	}

@@ -164,7 +164,6 @@ func TestCameraLatencyFigureFromStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Drain()
 		return fs, eng.Stats()
 	}
 	cold, cs := figure()

@@ -26,18 +26,19 @@
 //
 // The coordinator speaks the exact same HTTP API as a worker
 // (server.Routes; docs/api.md), so zhuyi.Client — and everything built
-// on it — points at either interchangeably. `zhuyi serve -coordinator
-// -replicas URL,URL` wires it to a listener; scripts/fabric_smoke.sh
-// is the end-to-end proof and scripts/bench_fabric.sh the scaling
-// benchmark (BENCH_fabric.json).
+// on it — points at either interchangeably; an adversarial search
+// (POST /v1/search) is forwarded to a replica and streamed back line by
+// line. `zhuyi serve -coordinator -replicas URL,URL` wires it to a
+// listener; scripts/fabric_smoke.sh is the end-to-end proof and
+// scripts/bench_fabric.sh the scaling benchmark (BENCH_fabric.json).
 package fabric
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -176,9 +177,10 @@ func New(opts Options) (*Coordinator, error) {
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Handler returns the coordinator's HTTP handler. It serves the exact
-// route table of a worker (server.Routes): campaign, MRF, and stats
-// are fabric-aware; every other route — scenarios, rate, store reads,
-// health — is answered locally by the inner manifest-only server.
+// route table of a worker (server.Routes): campaign, MRF, search and
+// stats are fabric-aware; every other route — scenarios, rate, store
+// reads, health — is answered locally by the inner manifest-only
+// server.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range server.Routes() {
@@ -189,6 +191,8 @@ func (c *Coordinator) Handler() http.Handler {
 			h = c.handleCampaign
 		case "/v1/mrf/{scenario}":
 			h = c.handleMRF
+		case "/v1/search":
+			h = c.handleSearch
 		case "/v1/stats":
 			h = c.handleStats
 		default:
@@ -453,7 +457,23 @@ func (c *Coordinator) handleMRF(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.proxied.Add(1)
-	c.proxyMRF(w, r, c.ring.Owner(sc.Fingerprint))
+	c.proxy(w, r, c.ring.Owner(sc.Fingerprint))
+}
+
+// handleSearch forwards an adversarial search to the first healthy
+// replica in ring order (the first replica when none is healthy): the
+// inner engine never simulates, so a search run here would fail on its
+// first cold candidate.
+func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
+	rep := c.ring.Replicas()[0]
+	for _, u := range c.ring.Replicas() {
+		if c.replicas[u].healthy.Load() {
+			rep = u
+			break
+		}
+	}
+	c.proxied.Add(1)
+	c.proxy(w, r, rep)
 }
 
 // refreshManifest reads the shared manifest's tail before a request's
@@ -466,16 +486,19 @@ func (c *Coordinator) refreshManifest() {
 	}
 }
 
-// proxyMRF forwards the MRF request verbatim to a replica and copies
-// the response back — status, body, and content type unchanged, so the
-// client cannot tell warm and delegated answers apart.
-func (c *Coordinator) proxyMRF(w http.ResponseWriter, r *http.Request, rep string) {
+// proxy forwards the request verbatim to a replica — method, query and
+// body — and copies the response back with status, body, and content
+// type unchanged, so the client cannot tell local and delegated
+// answers apart. It flushes after each line: an NDJSON stream stays
+// one.
+func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, rep string) {
 	st := c.replicas[rep]
 	url := rep + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
+	// The replica bounds the body it reads (server.MaxRequestBytes).
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
 	if err != nil {
 		server.WriteError(w, http.StatusInternalServerError, "proxy %s: %v", rep, err)
 		return
@@ -497,7 +520,18 @@ func (c *Coordinator) proxyMRF(w http.ResponseWriter, r *http.Request, rep strin
 		w.Header().Set("Content-Type", ct)
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	rc := http.NewResponseController(w)
+	br := bufio.NewReader(resp.Body)
+	for {
+		line, err := br.ReadBytes('\n')
+		// A failed write or flush means the client left; its request
+		// context is then cancelled, which ends the read from the replica.
+		_, _ = w.Write(line)
+		_ = rc.Flush()
+		if err != nil {
+			return
+		}
+	}
 }
 
 // handleStats reports the coordinator's own engine/store view plus the

@@ -435,6 +435,44 @@ func TestMRFWarmAndProxied(t *testing.T) {
 	}
 }
 
+// TestSearchProxiedToReplica: a coordinator forwards POST /v1/search
+// to a replica and streams its answer back, so a search through the
+// coordinator returns the corpus and generations the replica returns
+// when asked directly. The coordinator's own engine never simulates;
+// running the search there fails on the first cold candidate.
+func TestSearchProxiedToReplica(t *testing.T) {
+	dir := t.TempDir()
+	ts, _ := replica(t, dir)
+	c, cts := coordinator(t, dir, []string{ts.URL}, Options{})
+
+	req := zhuyi.SearchRequest{
+		Families: []string{string(scenario.FamilyCutIn)}, Seed: 1,
+		Generations: 1, Population: 2, Seeds: 1, FPRGrid: []float64{5, 30},
+	}
+	search := func(base string) (*zhuyi.SearchResult, []zhuyi.SearchGeneration) {
+		t.Helper()
+		var gens []zhuyi.SearchGeneration
+		res, err := zhuyi.NewClient(base).Search(context.Background(), req, func(g zhuyi.SearchGeneration) {
+			gens = append(gens, g)
+		})
+		if err != nil {
+			t.Fatalf("search via %s: %v", base, err)
+		}
+		return res, gens
+	}
+	viaCoord, coordGens := search(cts.URL)
+	direct, directGens := search(ts.URL)
+	if len(viaCoord.Corpus) == 0 {
+		t.Fatal("coordinator search returned an empty corpus")
+	}
+	if !reflect.DeepEqual(viaCoord, direct) || !reflect.DeepEqual(coordGens, directGens) {
+		t.Errorf("coordinator search differs from the replica's:\ncoordinator %+v\nreplica     %+v", viaCoord, direct)
+	}
+	if got := c.proxied.Load(); got != 1 {
+		t.Errorf("proxied = %d, want 1", got)
+	}
+}
+
 // TestCoordinatorValidation: bad campaigns fail fast with the same
 // 400s a worker returns, and an all-dead replica set still yields a
 // well-formed response (per-point errors + trailer), not a hang.

@@ -302,7 +302,6 @@ func TestAlarmsFromRealTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Drain() // single Runs archive asynchronously
 	rep, err := Run(context.Background(), st, Options{})
 	if err != nil {
 		t.Fatal(err)

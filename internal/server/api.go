@@ -224,8 +224,9 @@ type FabricStats struct {
 	// Retried counts points re-partitioned onto the next replica on the
 	// ring after their owner failed mid-campaign.
 	Retried int64 `json:"retried"`
-	// Proxied counts cold MRF searches delegated to a replica because
-	// the shared manifest could not answer them.
+	// Proxied counts requests delegated to a replica: cold MRF searches
+	// the shared manifest could not answer, and every adversarial
+	// search.
 	Proxied int64 `json:"proxied"`
 	// RateLocal is the coordinator's own POST /v1/rate latency summary:
 	// rate requests are answered locally, never delegated, so this block

@@ -180,6 +180,59 @@ func TestCampaignStreamAndTiers(t *testing.T) {
 	}
 }
 
+// TestCampaignLineImpliesArchived: on a store-backed server, every
+// point line a campaign streams names a point the manifest already
+// holds when the client reads it, so a replica killed right after
+// streaming a line loses nothing. One worker keeps the archiver busy
+// while later points stream.
+func TestCampaignLineImpliesArchived(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ts := newTestServer(t, Options{Store: st, Workers: 1})
+
+	sc, ok := scenario.Lookup(scenario.CutOutFast)
+	if !ok {
+		t.Fatal("cut-out-fast not registered")
+	}
+	var req CampaignRequest
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, fpr := range []float64{2, 30} {
+			req.Points = append(req.Points, Point{Scenario: sc.Name, FPR: fpr, Seed: seed})
+		}
+	}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := bufio.NewScanner(resp.Body)
+	n := 0
+	for lines.Scan() {
+		var line CampaignLine
+		if err := json.Unmarshal(lines.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", lines.Text(), err)
+		}
+		if line.Point == nil {
+			continue
+		}
+		n++
+		p := line.Point
+		if _, ok := st.Lookup(store.KeyForScenario(sc, p.FPR, p.Seed)); !ok {
+			t.Errorf("point fpr %g seed %d streamed before it was archived", p.FPR, p.Seed)
+		}
+	}
+	if err := lines.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(req.Points) {
+		t.Fatalf("streamed %d point lines, want %d", n, len(req.Points))
+	}
+}
+
 func TestCampaignBadRequests(t *testing.T) {
 	ts := newTestServer(t, Options{})
 	cases := []struct {

@@ -39,6 +39,7 @@ go build -o "$bin" ./cmd/zhuyi
 pids=()
 cleanup() {
   for pid in "${pids[@]}"; do kill -9 "$pid" 2>/dev/null || true; done
+  rm -rf "$(dirname "$bin")" "$store"
 }
 trap cleanup EXIT
 

@@ -14,6 +14,7 @@ bin=$(mktemp -d)/zhuyi
 store=$(mktemp -d)
 out=$(mktemp -d)
 addr=127.0.0.1:8498
+trap 'rm -rf "$(dirname "$bin")" "$store" "$out"' EXIT
 budget=(-families parked-corridor -seed 1 -generations 2 -population 3 -mrf-seeds 1 -fprs 5,30)
 go build -o "$bin" ./cmd/zhuyi
 

@@ -11,6 +11,7 @@ cd "$(dirname "$0")/.."
 bin=$(mktemp -d)/zhuyi
 store=$(mktemp -d)
 addr=127.0.0.1:8497
+trap 'rm -rf "$(dirname "$bin")" "$store"' EXIT
 go build -o "$bin" ./cmd/zhuyi
 
 wait_healthy() {

@@ -250,7 +250,6 @@ func TestPointTraceWarmStoreFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Drain()
 		return tr, eng.Stats()
 	}
 	cold, cs := read()
