@@ -48,8 +48,7 @@ func (a *archiver) enqueue(t *task, res *sim.Result) {
 	}
 	if a.done {
 		a.mu.Unlock()
-		a.e.archive(t.job, res)
-		a.e.finish(t, res, nil)
+		a.e.finish(t, a.e.archive(t, res), nil)
 		return
 	}
 	a.queue = append(a.queue, archiveItem{t: t, res: res})
@@ -77,14 +76,14 @@ func (a *archiver) loop() {
 		a.mu.Unlock()
 		a.cond.Broadcast() // a producer may be waiting on the bound
 
-		a.e.archive(item.t.job, item.res)
+		res := a.e.archive(item.t, item.res)
 
 		// Finish under the lock that clears busy, so a caller whose
 		// outcome has arrived reads the item off the pending gauge and
 		// close returns only after every task is finished.
 		a.mu.Lock()
 		a.busy = false
-		a.e.finish(item.t, item.res, nil)
+		a.e.finish(item.t, res, nil)
 		a.mu.Unlock()
 		a.cond.Broadcast() // close waits for busy to clear
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -133,8 +134,23 @@ func TestArchiverCloseFlushesAndFallsBackSync(t *testing.T) {
 	if tk.ent.res != res || tk.ent.err != nil {
 		t.Fatalf("post-close task finished with (%p, %v), want (%p, nil)", tk.ent.res, tk.ent.err, res)
 	}
-	if s := e.Stats(); s.Archived != 2 {
-		t.Fatalf("stats = %+v, want 2 archived", s)
+
+	// A post-close memory-tier task answers with the stored summary,
+	// as the background writer's would.
+	j3 := Job{Scenario: fakeScenario("close"), FPR: 5, Seed: 3}
+	res3, err := fr.run(j3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk3 := &task{ctx: context.Background(), job: j3, ent: &entry{done: make(chan struct{})}, registered: true}
+	e.arch.enqueue(tk3, res3)
+	<-tk3.ent.done
+	requireSummary(t, "post-close memory-tier task", tk3.ent.res)
+	if tr, err := e.Trace(context.Background(), j3); err != nil || !reflect.DeepEqual(tr, res3.Trace) {
+		t.Fatalf("post-close memory-tier task: Trace = %v, want its archived rows", err)
+	}
+	if s := e.Stats(); s.Archived != 3 {
+		t.Fatalf("stats = %+v, want 3 archived", s)
 	}
 }
 

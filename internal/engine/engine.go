@@ -20,7 +20,10 @@
 // async archiver finishes a fresh plain run only after its Put returns,
 // so every Run, RunJob, RunBatch(Func) or Trace that returns a fresh
 // point — and every line a store-backed server streams — names a point
-// the store already holds.
+// the store already holds. The archiver then answers with the entry's
+// run summary, exactly what a disk hit returns, and hands the run's row
+// storage back for the next run: a store engine holds no rows beyond
+// the runs in flight, and Trace reads them from the store.
 package engine
 
 import (
@@ -46,15 +49,15 @@ type Runner func(Job) (*sim.Result, error)
 
 // DefaultRunner is the production runner: one seeded closed-loop
 // simulation of the scenario at the job's rate, recorded at the level
-// the engine resolved for the job. Configure may still override
-// cfg.Record.
+// the engine resolved for the job, into the row storage the engine
+// recycles for it. Configure may still override cfg.Record.
 func DefaultRunner(j Job) (*sim.Result, error) {
 	cfg := j.Scenario.Build(j.FPR, j.Seed)
 	cfg.Record = j.record
 	if j.Configure != nil {
 		j.Configure(&cfg)
 	}
-	return sim.Run(cfg)
+	return sim.RunInto(cfg, j.rows)
 }
 
 // Options configures an Engine.
@@ -66,11 +69,14 @@ type Options struct {
 	Runner Runner
 	// Store attaches a persistent cache tier: plain jobs (no Configure)
 	// missing the in-memory cache are looked up in the store manifest
-	// before simulating — a hit answers with the entry's run summary
-	// (store.Entry.Result), no rows, and Trace reads the archived rows
-	// on demand — and every fresh successful plain run is archived back
-	// before its outcome is delivered, so an outcome implies the point
-	// is on disk. Store errors never fail a run: they are counted in
+	// before simulating, and every fresh successful plain run is
+	// archived back before its outcome is delivered, so an outcome
+	// implies the point is on disk. Either way a plain job answers with
+	// the entry's run summary (store.Entry.Result): no rows, which
+	// Trace reads from the archive on demand. The memory tier holds the
+	// same summaries, and a fresh run's row storage is reused by the
+	// next one. A run whose archive fails answers with its full result,
+	// rows included. Store errors never fail a run: they are counted in
 	// Stats.StoreErrors. nil disables the tier.
 	Store *store.Store
 	// Record is the trace recording level the engine runs its jobs at.
@@ -82,7 +88,8 @@ type Options struct {
 	// lesser of policy and spec). Store-recorded runs
 	// always stay LevelFull regardless: a persistable job on a
 	// store-attached engine must produce an archivable trace (the
-	// persistent tier refuses anything less). The level is an engine
+	// persistent tier refuses anything less), though it answers with
+	// the archived summary, not the rows. The level is an engine
 	// policy, not a per-job knob, so cache entries are level-consistent
 	// per key and a hit can never return less than the caller expects.
 	Record trace.Level
@@ -124,6 +131,10 @@ type Job struct {
 	// record is the level the run records at, resolved by the engine
 	// before the job reaches the Runner.
 	record trace.Level
+	// rows is the recycled row storage DefaultRunner records into: set
+	// by the worker on a run whose rows the archiver hands back, nil
+	// (the simulator allocates) otherwise.
+	rows *sim.RowBuffer
 }
 
 // key is the job's point identity in both tiers: the store key, so
@@ -146,10 +157,12 @@ type Source int
 
 // Result sources, in increasing cheapness.
 const (
-	// SourceFresh — the simulation actually ran.
+	// SourceFresh — the simulation actually ran. With a store attached
+	// the result is the archived summary, as for SourceDisk.
 	SourceFresh Source = iota
 	// SourceMemory — served from the in-memory cache, or joined an
-	// execution another caller already had in flight.
+	// execution another caller already had in flight; on a store
+	// engine, a summary.
 	SourceMemory
 	// SourceDisk — the persistent store's manifest summary; no
 	// simulation and no rows (read them through Engine.Trace).
@@ -168,7 +181,9 @@ func (s Source) String() string {
 	}
 }
 
-// Outcome pairs a job with its result.
+// Outcome pairs a job with its result. A plain job on a store-attached
+// engine answers with a run summary whatever its source (Result.Trace
+// nil, Result.ArchivedRows set); Engine.Trace reads its rows.
 type Outcome struct {
 	Job    Job
 	Result *sim.Result
@@ -249,6 +264,10 @@ type Engine struct {
 	// the store, then finishes the task, so waiters unblock only once
 	// the point is on disk.
 	arch *archiver
+	// free is the store engine's row-storage free list: the archiver
+	// returns an archived run's buffer to it and workers record into
+	// buffers taken from it.
+	free chan *sim.RowBuffer
 
 	executed  atomic.Int64
 	cacheHits atomic.Int64
@@ -263,14 +282,16 @@ func New(opts Options) *Engine {
 	e := &Engine{opts: opts.withDefaults(), cache: make(map[store.Key]*entry)}
 	e.cond = sync.NewCond(&e.mu)
 	if e.opts.Store != nil {
-		// Bound the backlog at a few results per worker: deep enough that
-		// bursts of fast summary runs never stall on fsync, small enough
-		// that full traces queued for archiving stay a bounded memory cost.
-		bound := 4 * e.opts.Workers
-		if bound < 16 {
-			bound = 16
-		}
+		// The archiver's backlog bound caps the row buffers a store
+		// engine keeps live: a run holds its rows from the moment a
+		// worker starts it until its Put returns them, so at most
+		// bound queued + 1 being written + Workers being recorded
+		// exist, and the free list never needs to hold more. A few per
+		// worker let runs that finish together queue behind a slow Put
+		// without stalling their workers.
+		bound := max(4*e.opts.Workers, 16)
 		e.arch = newArchiver(e, bound)
+		e.free = make(chan *sim.RowBuffer, bound+1+e.opts.Workers)
 	}
 	return e
 }
@@ -363,6 +384,9 @@ func (e *Engine) execute(t *task) {
 		e.finish(t, nil, err)
 		return
 	}
+	if t.registered && e.arch != nil {
+		t.job.rows = e.takeRows()
+	}
 	res, err := e.opts.Runner(t.job)
 	if err != nil {
 		e.failures.Add(1)
@@ -377,20 +401,50 @@ func (e *Engine) execute(t *task) {
 	e.finish(t, res, err)
 }
 
-// archive writes a fresh successful plain run to the persistent store.
-// Store failures are counted, never propagated: the simulation itself
-// succeeded. Non-full results never reach the store: the engine runs
-// persistable jobs at trace.LevelFull, and if an injected runner
-// ignores that, store.Put's own level guard rejects the result and the
-// rejection is counted here.
-func (e *Engine) archive(j Job, res *sim.Result) {
-	_, created, err := e.opts.Store.Put(j.Scenario.Name, j.key(), res)
+// archive writes a fresh successful plain run to the persistent store
+// and returns the result its task publishes. A memory-tier run
+// publishes the entry's run summary, exactly what a disk hit returns,
+// and its row storage goes back on the free list; Trace's heal run,
+// which is outside the tier, keeps its rows for its caller. Store
+// failures are counted, never propagated: the simulation itself
+// succeeded, and its full result is published. Non-full results never
+// reach the store: the engine runs persistable jobs at
+// trace.LevelFull, and if an injected runner ignores that, store.Put's
+// own level guard rejects the result and the rejection is counted
+// here.
+func (e *Engine) archive(t *task, res *sim.Result) *sim.Result {
+	ent, created, err := e.opts.Store.Put(t.job.Scenario.Name, t.job.key(), res)
 	if err != nil {
 		e.storeErrs.Add(1)
-		return
+		return res
 	}
 	if created {
 		e.archived.Add(1)
+	}
+	if !t.registered {
+		return res
+	}
+	e.giveRows(t.job.rows)
+	return ent.Result()
+}
+
+// takeRows returns row storage for a run the archiver will recycle: a
+// buffer off the free list, else a new one.
+func (e *Engine) takeRows() *sim.RowBuffer {
+	select {
+	case b := <-e.free:
+		return b
+	default:
+		return new(sim.RowBuffer)
+	}
+}
+
+// giveRows puts an archived run's row storage back on the free list,
+// or drops it when the list is full.
+func (e *Engine) giveRows(b *sim.RowBuffer) {
+	select {
+	case e.free <- b:
+	default:
 	}
 }
 
@@ -500,7 +554,8 @@ func (e *Engine) run(ctx context.Context, job Job) (*sim.Result, Source, error) 
 }
 
 // runUncached executes a job on the pool outside the cache and waits
-// for its outcome.
+// for its outcome, rows included: an unregistered run keeps them even
+// when it is archived.
 func (e *Engine) runUncached(ctx context.Context, job Job) (*sim.Result, error) {
 	ent := &entry{done: make(chan struct{})}
 	e.enqueue(&task{ctx: ctx, job: job, ent: ent})
@@ -508,12 +563,14 @@ func (e *Engine) runUncached(ctx context.Context, job Job) (*sim.Result, error) 
 	return ent.res, ent.err
 }
 
-// Trace returns the job's full recorded trace, the rows a disk-tier
-// result does not carry. It runs the job as Run does, then takes the
-// rows from the memory tier's result, else from the archived artifact
-// on the caller's goroutine. A missing or unreadable artifact counts
-// one StoreErrors and falls back to a fresh full-level run, whose
-// archive rewrites a missing object before the run returns.
+// Trace returns the job's full recorded trace, the rows a summary does
+// not carry. It runs the job as Run does, then takes the rows from the
+// memory tier's result when it holds them (a store-less full-level
+// engine, or a run whose archive failed), else from the archived
+// artifact on the caller's goroutine. A missing or unreadable artifact
+// counts one StoreErrors and falls back to a fresh full-level run
+// outside the memory tier, whose archive rewrites a missing object
+// before the run returns its rows.
 func (e *Engine) Trace(ctx context.Context, job Job) (*trace.Trace, error) {
 	res, err := e.Run(ctx, job)
 	if err != nil {

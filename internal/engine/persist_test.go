@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,6 +59,32 @@ func summaryOf(res *sim.Result) sim.Result {
 	return s
 }
 
+// freshTrace is the job's rows as a store-less full-level engine
+// records them: the reference every store read must reproduce. A nil
+// runner is DefaultRunner.
+func freshTrace(t *testing.T, runner Runner, j Job) *trace.Trace {
+	t.Helper()
+	e := New(Options{Workers: 1, Runner: runner})
+	defer e.Close()
+	tr, err := e.Trace(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr == nil || tr.Len() == 0 {
+		t.Fatalf("store-less reference run of %+v recorded no rows", j.key())
+	}
+	return tr
+}
+
+// requireSummary fails unless res is a stored point's answer: the run
+// summary with its row count and no rows, as a disk hit returns.
+func requireSummary(t *testing.T, what string, res *sim.Result) {
+	t.Helper()
+	if res == nil || res.Trace != nil || res.ArchivedRows == 0 || res.Level != trace.LevelSummary {
+		t.Fatalf("%s: want a stored summary (no trace, rows counted), got %+v", what, res)
+	}
+}
+
 func openStore(t *testing.T) *store.Store {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
@@ -71,7 +98,8 @@ func openStore(t *testing.T) *store.Store {
 // TestPersistentTierWarmStart replays a recorded campaign on a fresh
 // engine: every point must answer from disk (then memory), simulating
 // nothing, with the fresh pass's summaries, and Trace must read back
-// the fresh pass's rows.
+// the fresh pass's rows. The fresh pass itself answers with the same
+// stored summaries, and its rows come back through Trace too.
 func TestPersistentTierWarmStart(t *testing.T) {
 	st := openStore(t)
 	jobs := gridJobs(fakeScenario("persist"), []float64{1, 5, 30}, 3)
@@ -90,6 +118,9 @@ func TestPersistentTierWarmStart(t *testing.T) {
 	}
 	if st.Len() != len(jobs) {
 		t.Fatalf("store holds %d entries, want %d", st.Len(), len(jobs))
+	}
+	for i, o := range cold.Outcomes {
+		requireSummary(t, fmt.Sprintf("cold outcome %d", i), o.Result)
 	}
 
 	frB := &tracedRunner{}
@@ -111,16 +142,20 @@ func TestPersistentTierWarmStart(t *testing.T) {
 		if warm.Outcomes[i].Source != SourceDisk {
 			t.Fatalf("outcome %d source = %v", i, warm.Outcomes[i].Source)
 		}
+		want := freshTrace(t, (&tracedRunner{}).run, j)
 		tr, err := b.Trace(context.Background(), j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tr, cold.Outcomes[i].Result.Trace) {
+		if !reflect.DeepEqual(tr, want) {
 			t.Fatalf("outcome %d: archived trace differs from the fresh one", i)
 		}
+		if tr, err := a.Trace(context.Background(), j); err != nil || !reflect.DeepEqual(tr, want) {
+			t.Fatalf("outcome %d: the recording engine's Trace = %v, want the fresh rows", i, err)
+		}
 	}
-	if frB.calls.Load() != 0 || b.Stats().StoreErrors != 0 {
-		t.Fatalf("reading rows ran %d simulations, stats %+v", frB.calls.Load(), b.Stats())
+	if frA.calls.Load() != int64(len(jobs)) || frB.calls.Load() != 0 || a.Stats().StoreErrors != 0 || b.Stats().StoreErrors != 0 {
+		t.Fatalf("reading rows ran %d+%d simulations, stats %+v, %+v", frA.calls.Load()-int64(len(jobs)), frB.calls.Load(), a.Stats(), b.Stats())
 	}
 
 	// Third pass on the warm engine: the disk-filled slots now serve
@@ -135,8 +170,8 @@ func TestPersistentTierWarmStart(t *testing.T) {
 }
 
 // TestPersistentTierEquivalenceRealSim pins the store round-trip
-// against the real simulator: a disk-tier result must carry the fresh
-// simulation's summary, and Trace its rows.
+// against the real simulator: a fresh and a disk-tier result must both
+// carry a store-less simulation's summary, and Trace its rows.
 func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real closed-loop simulation")
@@ -156,6 +191,16 @@ func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 	if s := a.Stats(); s.Executed != 1 || s.Archived != 1 || s.StoreErrors != 0 {
 		t.Fatalf("fresh engine stats = %+v", s)
 	}
+	requireSummary(t, "fresh result", fresh)
+	ref := New(Options{Workers: 1})
+	defer ref.Close()
+	full, err := ref.Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(summaryOf(fresh), summaryOf(full)) {
+		t.Error("fresh store summary differs from a store-less simulation")
+	}
 
 	b := New(Options{Workers: 2, Store: st})
 	loaded, err := b.Run(context.Background(), job)
@@ -172,7 +217,7 @@ func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tr, fresh.Trace) {
+	if !reflect.DeepEqual(tr, full.Trace) {
 		t.Error("archived trace differs from fresh simulation")
 	}
 	if s := b.Stats(); s.Executed != 0 || s.StoreErrors != 0 {
@@ -184,8 +229,9 @@ func TestPersistentTierEquivalenceRealSim(t *testing.T) {
 // gone still answers a summary campaign from its manifest alone — every
 // point a disk hit, no store error, no run. The loss surfaces only when
 // rows are read: Trace counts one store error, re-simulates the point
-// at full level, returns the cold run's rows, and its archive rewrites
-// the object, so the next Trace reads it from disk.
+// at full level, returns the rows a store-less run of the point
+// records, and its archive rewrites the object, so the next Trace
+// reads it from disk.
 func TestTraceHealsMissingObjects(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -229,13 +275,17 @@ func TestTraceHealsMissingObjects(t *testing.T) {
 	}
 
 	// The first Trace heals the object; the second reads it from disk.
+	want := freshTrace(t, nil, jobs[0])
 	for pass := range 2 {
 		tr, err := e.Trace(ctx, jobs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tr, cold.Outcomes[0].Result.Trace) {
-			t.Errorf("pass %d: trace differs from the cold run's", pass)
+		if tr == nil || tr.Len() == 0 {
+			t.Fatalf("pass %d: Trace returned no rows", pass)
+		}
+		if !reflect.DeepEqual(tr, want) {
+			t.Errorf("pass %d: trace differs from a store-less run's", pass)
 		}
 		if s := e.Stats(); s.StoreErrors != 1 || s.Executed != 1 {
 			t.Errorf("pass %d: engine stats = %+v, want 1 store error and 1 run", pass, s)
@@ -246,7 +296,7 @@ func TestTraceHealsMissingObjects(t *testing.T) {
 // TestTraceRefusesTruncatedObject: a .zyt object cut short on disk
 // is refused at trace load, since its size disagrees with its manifest
 // entry. Trace counts one store error and returns the rows of a fresh
-// run of the point.
+// run of the point, the rows a store-less run records.
 func TestTraceRefusesTruncatedObject(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -256,7 +306,7 @@ func TestTraceRefusesTruncatedObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := New(Options{Workers: 2, Store: rst})
-	cold, err := rec.RunBatch(ctx, jobs)
+	_, err = rec.RunBatch(ctx, jobs)
 	rec.Close()
 	rst.Close()
 	if err != nil {
@@ -287,7 +337,10 @@ func TestTraceRefusesTruncatedObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tr, cold.Outcomes[0].Result.Trace) {
+	if tr == nil || tr.Len() == 0 {
+		t.Fatal("Trace returned no rows")
+	}
+	if !reflect.DeepEqual(tr, freshTrace(t, nil, jobs[0])) {
 		t.Error("trace differs from the fresh run's")
 	}
 	if s := e.Stats(); s.StoreErrors != 1 || s.Executed != 1 {

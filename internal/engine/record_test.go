@@ -58,7 +58,8 @@ func TestEngineRecordLevelThreadsToRuns(t *testing.T) {
 
 // TestStoreUpgradesRecordLevel proves the "store-recorded runs stay
 // full" policy: on a summary-level engine with a persistent store,
-// persistable jobs run (and archive) full traces, while jobs with a
+// persistable jobs run (and archive) full traces — they answer with the
+// stored summary, whose rows Trace reads back — while jobs with a
 // Configure hook are not persistable and keep the summary level.
 func TestStoreUpgradesRecordLevel(t *testing.T) {
 	sc := specScenario("record-upgrade")
@@ -66,12 +67,18 @@ func TestStoreUpgradesRecordLevel(t *testing.T) {
 	e := New(Options{Workers: 2, Store: st, Record: trace.LevelSummary})
 	defer e.Close()
 
-	plain, err := e.Run(context.Background(), Job{Scenario: sc, FPR: 10, Seed: 1})
+	job := Job{Scenario: sc, FPR: 10, Seed: 1}
+	plain, err := e.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Level != trace.LevelFull || plain.Trace == nil || plain.Trace.Len() == 0 {
-		t.Fatalf("persistable job on store engine: level %v, trace %v — want an archivable full trace", plain.Level, plain.Trace)
+	requireSummary(t, "persistable job on store engine", plain)
+	tr, err := e.Trace(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr == nil || tr.Len() == 0 || tr.Len() != plain.ArchivedRows {
+		t.Fatalf("persistable job on store engine: trace %v, %d rows archived — want an archivable full trace", tr, plain.ArchivedRows)
 	}
 	if st.Len() != 1 {
 		t.Fatalf("store has %d entries, want the archived run", st.Len())
@@ -175,13 +182,19 @@ func TestSpecDeclaredLevelSurvivesEngine(t *testing.T) {
 
 	st := openStore(t)
 	se := New(Options{Workers: 1, Store: st})
-	sres, err := se.Run(context.Background(), Job{Scenario: sc, FPR: 10, Seed: 1})
-	se.Close()
+	defer se.Close()
+	job := Job{Scenario: sc, FPR: 10, Seed: 1}
+	sres, err := se.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sres.Level != trace.LevelFull || sres.Trace.Len() == 0 {
-		t.Fatalf("store engine did not force full over the spec declaration: level %v", sres.Level)
+	requireSummary(t, "spec-declared summary on a store engine", sres)
+	tr, err := se.Trace(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr == nil || tr.Len() == 0 || tr.Len() != sres.ArchivedRows {
+		t.Fatalf("store engine did not force full over the spec declaration: trace %v", tr)
 	}
 	if st.Len() != 1 {
 		t.Fatalf("store has %d entries, want the archived run", st.Len())

@@ -121,7 +121,11 @@ type Simulation struct {
 // New validates the configuration and returns a simulation positioned
 // before step 0. Defaults (dt, rig, perception, rate epoch) are
 // applied to the simulation's private copy of cfg.
-func New(cfg Config) (*Simulation, error) {
+func New(cfg Config) (*Simulation, error) { return newSimulation(cfg, nil) }
+
+// newSimulation is New recording LevelFull rows into buf (nil
+// allocates them).
+func newSimulation(cfg Config, buf *RowBuffer) (*Simulation, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
@@ -162,8 +166,7 @@ func New(cfg Config) (*Simulation, error) {
 		}}
 	}
 	if cfg.Record == trace.LevelFull {
-		s.tr.Rows = make([]trace.Row, 0, s.steps+1)
-		s.rowActors = make([]world.Agent, (s.steps+1)*len(s.actors))
+		s.tr.Rows, s.rowActors = buf.take(s.steps+1, (s.steps+1)*len(s.actors))
 	} else {
 		s.scratch = make([]world.Agent, 0, len(s.actors))
 	}

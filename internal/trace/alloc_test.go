@@ -1,6 +1,6 @@
 //go:build !race
 
-// The allocation-budget regression gate for the ZYT1 decoder. Race
+// The allocation-budget regression gates for the ZYT1 codec. Race
 // instrumentation perturbs allocation counts, so the gate only runs in
 // non-race builds (CI runs it as a dedicated step).
 
@@ -8,6 +8,7 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -49,5 +50,35 @@ func TestReadZYTAllocBudget(t *testing.T) {
 		len(tr.Rows), actors, len(data), perRun, budget)
 	if perRun > budget {
 		t.Errorf("decoding allocated %d bytes (budget %d): the decoder regressed to a second row array or buffer copy", perRun, budget)
+	}
+}
+
+// TestWriteZYTAllocBudget pins the encoder's allocation diet: once an
+// encoder has grown to the cut-out @ 30 FPR trace, writing it again
+// allocates only the JSON header and a small constant — no frame
+// buffer, which is a row block's worth of bytes (about 380 KB for a
+// Table-1 point). The encoders are pooled per P, so the gate runs on
+// one P: a goroutine that moves to another P may find that P's pool
+// empty and grow a second encoder.
+func TestWriteZYTAllocBudget(t *testing.T) {
+	const budget = 8 << 10
+	tr := recordedTrace(t, scenario.CutOut, 30)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := tr.WriteZYT(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if err := tr.WriteZYT(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d rows: %d bytes allocated per encode (budget %d)", len(tr.Rows), perRun, budget)
+	if perRun > budget {
+		t.Errorf("encoding allocated %d bytes (budget %d): the encoder regressed to a fresh frame buffer per call", perRun, budget)
 	}
 }

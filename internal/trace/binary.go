@@ -66,6 +66,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/world"
 )
@@ -135,7 +136,8 @@ func (tr *Trace) WriteZYT(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("trace: encode header: %w", err)
 	}
-	var e zytEncoder
+	e := zytEncoders.Get().(*zytEncoder)
+	defer zytEncoders.Put(e)
 	e.begin(len(hdr))
 	e.buf = append(e.buf, hdr...)
 	if err := e.flush(w, zytFrameHeader, ZYTMagic); err != nil {
@@ -152,7 +154,14 @@ func (tr *Trace) WriteZYT(w io.Writer) error {
 	return e.flush(w, zytFrameEnd, "")
 }
 
-// zytEncoder holds one WriteZYT call's frame buffer and block tables.
+// zytEncoders recycles encoders across WriteZYT calls, so a call
+// reuses the frame buffer and block tables an earlier one grew instead
+// of allocating a row block's worth of bytes per trace.
+var zytEncoders = sync.Pool{New: func() any { return new(zytEncoder) }}
+
+// zytEncoder holds one WriteZYT call's frame buffer and block tables;
+// every block resets the tables, so a recycled encoder writes the
+// same bytes as a new one.
 type zytEncoder struct {
 	buf      []byte
 	strings  map[string]uint64

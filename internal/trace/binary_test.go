@@ -197,6 +197,32 @@ func TestZYTGolden(t *testing.T) {
 	}
 }
 
+// TestZYTRecycledEncoderWritesSameBytes: WriteZYT reuses encoders
+// across calls, so an encoder that last wrote a larger trace, with
+// other strings and cameras, must still write the golden bytes, and a
+// trace written twice must come out the same both times.
+func TestZYTRecycledEncoderWritesSameBytes(t *testing.T) {
+	big := randomTrace(rand.New(rand.NewSource(5)), 3*zytBlockRows)
+	var first bytes.Buffer
+	if err := big.WriteZYT(&first); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := goldenZYTTrace().WriteZYT(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != goldenZYTHex {
+		t.Fatalf("golden trace after a larger one:\n got %s\nwant %s", got, goldenZYTHex)
+	}
+	buf.Reset()
+	if err := big.WriteZYT(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+		t.Fatal("a trace written twice encoded differently the second time")
+	}
+}
+
 // TestZYTRejectsTruncation: every proper prefix of a valid encoding
 // must error — never panic, never return a silently shortened trace.
 func TestZYTRejectsTruncation(t *testing.T) {

@@ -55,10 +55,11 @@
 //	res, err := zhuyi.Campaign(ctx, eng, points) // Result.Trace carries no rows
 //
 // Engines with a persistent store always record archivable points at
-// RecordFull — the store refuses anything less. A point such an engine
-// answers from the store carries its run summary and row count but no
-// rows (Result.Trace is nil); PointTrace reads them on demand, on any
-// engine:
+// RecordFull — the store refuses anything less — but keep no rows: a
+// point such an engine answers, whether from the store or from a fresh
+// run it has just archived, carries its run summary and row count but
+// no rows (Result.Trace is nil), and the run's row storage is reused
+// by the next one. PointTrace reads the rows on demand, on any engine:
 //
 //	tr, err := zhuyi.PointTrace(ctx, eng, zhuyi.CampaignPoint{Scenario: zhuyi.ScenarioCutIn, FPR: 30, Seed: 1})
 //
@@ -156,7 +157,8 @@ type (
 // Trace recording levels. Configure an engine's level via
 // EngineOptions.Record — e.g. NewEngine(EngineOptions{Record:
 // RecordSummary}) for campaigns that only read summaries; engines with
-// a persistent store always record archivable points at RecordFull.
+// a persistent store always record archivable points at RecordFull,
+// then answer with their archived summaries.
 const (
 	RecordFull    = trace.LevelFull
 	RecordSummary = trace.LevelSummary
