@@ -17,17 +17,20 @@ import (
 // states, one slot per sampled row, and an instant's future is a
 // subslice of its column. A class is built the first time an instant
 // in it is asked for: when the evaluation period is a multiple of the
-// stride, that is class 0 alone. The index belongs to one EvaluateTrace
-// call and reads the trace in place.
+// stride, that is class 0 alone. The index serves one EvaluateTrace
+// call at a time and reads the trace in place; reset readies it for
+// the next trace, keeping the columns earlier traces grew.
 type futureIndex struct {
 	tr      *trace.Trace
 	stride  int
 	horizon float64
-	classes []*futureClass // by residue, nil until first asked for
+	classes []futureClass // by residue
 }
 
 // futureClass is one residue class r: slot q stands for row r+q·stride.
+// Its columns outlive a reset: a rebuild refills them in place.
 type futureClass struct {
+	built  bool           // filled for the current trace
 	times  []float64      // row time per slot
 	column map[string]int // actor ID -> index into states/runEnd
 	states [][]world.TrajectoryPoint
@@ -36,8 +39,18 @@ type futureClass struct {
 	runEnd [][]int32
 }
 
-func newFutureIndex(tr *trace.Trace, stride int, horizon float64) *futureIndex {
-	return &futureIndex{tr: tr, stride: stride, horizon: horizon, classes: make([]*futureClass, stride)}
+// reset points the index at tr with every class unbuilt.
+func (x *futureIndex) reset(tr *trace.Trace, stride int, horizon float64) {
+	x.tr, x.stride, x.horizon = tr, stride, horizon
+	if cap(x.classes) < stride {
+		old := x.classes[:cap(x.classes)]
+		x.classes = make([]futureClass, stride)
+		copy(x.classes, old)
+	}
+	x.classes = x.classes[:stride]
+	for r := range x.classes {
+		x.classes[r].built = false
+	}
 }
 
 // instant returns the class and slot of row i and the end of its
@@ -45,10 +58,9 @@ func newFutureIndex(tr *trace.Trace, stride int, horizon float64) *futureIndex {
 // seconds after row i.
 func (x *futureIndex) instant(i int) (c *futureClass, q, end int) {
 	r := i % x.stride
-	c = x.classes[r]
-	if c == nil {
-		c = x.build(r)
-		x.classes[r] = c
+	c = &x.classes[r]
+	if !c.built {
+		x.build(c, r)
 	}
 	q = i / x.stride
 	start := c.times[q]
@@ -59,10 +71,16 @@ func (x *futureIndex) instant(i int) (c *futureClass, q, end int) {
 	return c, q, end
 }
 
-func (x *futureIndex) build(r int) *futureClass {
+func (x *futureIndex) build(c *futureClass, r int) {
 	rows := x.tr.Rows
 	slots := (len(rows) - r + x.stride - 1) / x.stride
-	c := &futureClass{times: make([]float64, slots), column: make(map[string]int)}
+	c.built = true
+	c.times = fit(c.times, slots)
+	if c.column == nil {
+		c.column = make(map[string]int)
+	}
+	clear(c.column)
+	c.states, c.runEnd = c.states[:0], c.runEnd[:0]
 	for q := range slots {
 		row := &rows[r+q*x.stride]
 		c.times[q] = row.Time
@@ -72,8 +90,12 @@ func (x *futureIndex) build(r int) *futureClass {
 			if !ok {
 				col = len(c.states)
 				c.column[a.ID] = col
-				c.states = append(c.states, make([]world.TrajectoryPoint, slots))
-				c.runEnd = append(c.runEnd, make([]int32, slots))
+				// A state is read only where its run end marks it
+				// present, so a reused column needs no clearing; its
+				// run ends do.
+				c.states = nextColumn(c.states, slots)
+				c.runEnd = nextColumn(c.runEnd, slots)
+				clear(c.runEnd[col])
 			}
 			if c.runEnd[col][q] != 0 {
 				continue // a later listing of an ID this row already gave
@@ -97,7 +119,33 @@ func (x *futureIndex) build(r int) *futureClass {
 			ends[q] = next
 		}
 	}
-	return c
+}
+
+// nextColumn appends a column of n slots to cols, reusing the column a
+// previous build left in that position.
+func nextColumn[T any](cols [][]T, n int) [][]T {
+	k := len(cols)
+	if k < cap(cols) {
+		cols = cols[:k+1]
+	} else {
+		cols = append(cols, nil)
+	}
+	cols[k] = fit(cols[k], n)
+	return cols
+}
+
+// fit returns s resized to n, keeping its array when it holds n. New
+// storage is exact; storage that has to grow takes a quarter more, so
+// a stream of slightly larger traces does not regrow it every time.
+func fit[T any](s []T, n int) []T {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case s == nil:
+		return make([]T, n)
+	default:
+		return make([]T, n, n+n/4)
+	}
 }
 
 // future returns actor id's recorded future from slot q, cut at the

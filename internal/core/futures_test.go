@@ -28,6 +28,12 @@ func futureTrace() *trace.Trace {
 
 // futureAt is the recorded future of id from row i, as EvaluateTrace
 // hands it to the model.
+func newFutureIndex(tr *trace.Trace, stride int, horizon float64) *futureIndex {
+	x := new(futureIndex)
+	x.reset(tr, stride, horizon)
+	return x
+}
+
 func futureAt(x *futureIndex, id string, i int) []world.TrajectoryPoint {
 	c, q, end := x.instant(i)
 	return c.future(id, q, end)
@@ -172,7 +178,7 @@ func TestFutureIndexResidueClasses(t *testing.T) {
 	}
 	built := 0
 	for _, c := range x.classes {
-		if c != nil {
+		if c.built {
 			built++
 		}
 	}

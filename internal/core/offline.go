@@ -34,6 +34,19 @@ type OfflineResult struct {
 	RunFPR   float64 // FPR the trace was recorded at (l0 = 1/RunFPR)
 	Points   []SeriesPoint
 	Cameras  []string
+
+	// work is the evaluation storage EvaluateTraceInto keeps with a
+	// result for the next evaluation into it; nil on EvaluateTrace's.
+	work *offlineWork
+}
+
+// offlineWork is one evaluation's transient storage: the futures
+// index, the estimate scratch, and the estimate whose actor list and
+// threat map every instant refills.
+type offlineWork struct {
+	futures futureIndex
+	sc      EstimateScratch
+	est     Estimate
 }
 
 // MaxFPR returns the highest per-camera FPR estimate across all
@@ -129,6 +142,18 @@ func (r *OfflineResult) AccelSeries() (times, accels []float64) {
 // allocates only the index and while the scratch grows to its working
 // size.
 func (e *Estimator) EvaluateTrace(tr *trace.Trace, opt OfflineOptions) (*OfflineResult, error) {
+	return e.EvaluateTraceInto(tr, opt, nil)
+}
+
+// EvaluateTraceInto is EvaluateTrace overwriting dst, an empty result
+// or one an earlier evaluation returned: it reuses dst's Points slice,
+// each point's two camera maps (cleared), and the futures index and
+// scratch an earlier EvaluateTraceInto left with dst, so a caller
+// evaluating trace after trace allocates only when one outgrows them.
+// It returns dst, whose previous contents are gone; a nil dst
+// allocates a result, as EvaluateTrace does. A result must not be
+// evaluated into by two goroutines at once.
+func (e *Estimator) EvaluateTraceInto(tr *trace.Trace, opt OfflineOptions, dst *OfflineResult) (*OfflineResult, error) {
 	if tr.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
@@ -145,20 +170,23 @@ func (e *Estimator) EvaluateTrace(tr *trace.Trace, opt OfflineOptions) (*Offline
 	}
 
 	rowEvery := int(math.Max(1, math.Round(opt.EvalEvery/math.Max(tr.Meta.Dt, 1e-6))))
+	points := (tr.Len() + rowEvery - 1) / rowEvery
 	cams := e.cameras()
-	res := &OfflineResult{
-		Scenario: tr.Meta.Scenario,
-		RunFPR:   tr.Meta.FPR,
-		Points:   make([]SeriesPoint, 0, (tr.Len()+rowEvery-1)/rowEvery),
-		Cameras:  cams,
+	res, w := dst, dst.reuse(points)
+	if res == nil {
+		res = &OfflineResult{Points: make([]SeriesPoint, 0, points)}
 	}
+	res.Scenario, res.RunFPR, res.Cameras = tr.Meta.Scenario, tr.Meta.FPR, cams
 
-	futures := newFutureIndex(tr, stride, e.Params.Horizon)
-	var sc EstimateScratch
-	est := Estimate{CameraThreat: make(map[string]bool, len(cams))}
+	w.futures.reset(tr, stride, e.Params.Horizon)
+	sc, est := &w.sc, &w.est
+	if est.CameraThreat == nil {
+		est.CameraThreat = make(map[string]bool, len(cams))
+	}
+	pts := res.Points[:0]
 	for i := 0; i < tr.Len(); i += rowEvery {
 		row := &tr.Rows[i]
-		class, q, end := futures.instant(i)
+		class, q, end := w.futures.instant(i)
 		sc.trajs = sc.trajs[:0]
 		sc.actorTraj = sc.actorTraj[:0]
 		for k := range row.Actors {
@@ -169,12 +197,17 @@ func (e *Estimator) EvaluateTrace(tr *trace.Trace, opt OfflineOptions) (*Offline
 			}
 			sc.actorTraj = append(sc.actorTraj, [2]int{start, len(sc.trajs)})
 		}
-		// Each point keeps its own camera maps; the threat map is
-		// scratch and is not part of the result.
-		est.CameraLatency = make(map[string]float64, len(cams))
-		est.CameraFPR = make(map[string]float64, len(cams))
-		e.estimateInto(&est, &sc, row.Time, row.Ego, row.Actors, l0)
-		res.Points = append(res.Points, SeriesPoint{
+		// Each point keeps its own camera maps, a reused point's or new
+		// ones (estimateInto clears them); the threat map is scratch
+		// and is not part of the result.
+		old := pts[:len(pts)+1][len(pts)]
+		est.CameraLatency, est.CameraFPR = old.Latency, old.FPR
+		if est.CameraLatency == nil {
+			est.CameraLatency = make(map[string]float64, len(cams))
+			est.CameraFPR = make(map[string]float64, len(cams))
+		}
+		e.estimateInto(est, sc, row.Time, row.Ego, row.Actors, l0)
+		pts = append(pts, SeriesPoint{
 			Time:     row.Time,
 			Latency:  est.CameraLatency,
 			FPR:      est.CameraFPR,
@@ -182,5 +215,27 @@ func (e *Estimator) EvaluateTrace(tr *trace.Trace, opt OfflineOptions) (*Offline
 			Evals:    est.Evals,
 		})
 	}
+	res.Points = pts
+	w.futures.tr = nil
 	return res, nil
+}
+
+// reuse readies r to take an evaluation of n points and returns the
+// storage the evaluation works in: r's own, kept for the next
+// evaluation, or new for a nil r. Points past r's length keep their
+// maps for reuse; a Points slice that has to grow takes a quarter more
+// than n and carries the old points' maps along.
+func (r *OfflineResult) reuse(n int) *offlineWork {
+	if r == nil {
+		return new(offlineWork)
+	}
+	if cap(r.Points) < n {
+		old := r.Points[:cap(r.Points)]
+		r.Points = make([]SeriesPoint, len(old), n+n/4)
+		copy(r.Points, old)
+	}
+	if r.work == nil {
+		r.work = new(offlineWork)
+	}
+	return r.work
 }

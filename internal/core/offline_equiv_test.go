@@ -128,8 +128,10 @@ func equivOptions() []core.OfflineOptions {
 }
 
 // assertMatchesLegacy evaluates tr with both evaluators under every
-// option in equivOptions and requires deep-equal results.
-func assertMatchesLegacy(t *testing.T, label string, tr *trace.Trace) {
+// option in equivOptions and requires deep-equal results. The
+// evaluator runs twice: fresh (EvaluateTrace) and into reused, one
+// result a caller keeps evaluating into across traces and options.
+func assertMatchesLegacy(t *testing.T, label string, tr *trace.Trace, reused *core.OfflineResult) {
 	t.Helper()
 	e := core.NewEstimator()
 	for _, opt := range equivOptions() {
@@ -141,36 +143,53 @@ func assertMatchesLegacy(t *testing.T, label string, tr *trace.Trace) {
 		if err != nil {
 			t.Fatalf("%s %+v: %v", label, opt, err)
 		}
-		if reflect.DeepEqual(want, got) {
-			continue
+		reportDivergence(t, fmt.Sprintf("%s %+v", label, opt), want, got)
+		if _, err := e.EvaluateTraceInto(tr, opt, reused); err != nil {
+			t.Fatalf("%s %+v: into a reused result: %v", label, opt, err)
 		}
-		if len(want.Points) != len(got.Points) {
-			t.Errorf("%s %+v: %d points, want %d", label, opt, len(got.Points), len(want.Points))
-			continue
-		}
-		for k := range want.Points {
-			if !reflect.DeepEqual(want.Points[k], got.Points[k]) {
-				t.Errorf("%s %+v: first divergent point %d: got %+v, want %+v", label, opt, k, got.Points[k], want.Points[k])
-				break
-			}
+		// The reused result carries its evaluation storage, which a
+		// fresh one does not; every exported field must match.
+		got = &core.OfflineResult{Scenario: reused.Scenario, RunFPR: reused.RunFPR, Points: reused.Points, Cameras: reused.Cameras}
+		reportDivergence(t, fmt.Sprintf("%s %+v into a reused result", label, opt), want, got)
+	}
+}
+
+// reportDivergence requires got to deep-equal want, naming the first
+// divergent point when it does not.
+func reportDivergence(t *testing.T, label string, want, got *core.OfflineResult) {
+	t.Helper()
+	if reflect.DeepEqual(want, got) {
+		return
+	}
+	if len(want.Points) != len(got.Points) {
+		t.Errorf("%s: %d points, want %d", label, len(got.Points), len(want.Points))
+		return
+	}
+	for k := range want.Points {
+		if !reflect.DeepEqual(want.Points[k], got.Points[k]) {
+			t.Errorf("%s: first divergent point %d: got %+v, want %+v", label, k, got.Points[k], want.Points[k])
+			return
 		}
 	}
+	t.Errorf("%s: results differ outside their points", label)
 }
 
 // TestEvaluateTraceMatchesFrozenReference pins the rewritten evaluator
 // to the frozen one over every registered scenario (Table 1 plus the
-// ODD variants) at several rates and seeds.
+// ODD variants) at several rates and seeds, fresh and into one result
+// reused across the scenario's traces.
 func TestEvaluateTraceMatchesFrozenReference(t *testing.T) {
 	for _, sc := range scenario.AllWithVariants() {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
+			reused := new(core.OfflineResult)
 			for _, fpr := range []float64{1, 5, 10, 30} {
 				for _, seed := range []int64{1, 2} {
 					res, err := sim.Run(sc.Build(fpr, seed))
 					if err != nil {
 						t.Fatalf("fpr %g seed %d: %v", fpr, seed, err)
 					}
-					assertMatchesLegacy(t, fmt.Sprintf("fpr %g seed %d", fpr, seed), res.Trace)
+					assertMatchesLegacy(t, fmt.Sprintf("fpr %g seed %d", fpr, seed), res.Trace, reused)
 				}
 			}
 		})
@@ -216,8 +235,9 @@ func irregularTrace() *trace.Trace {
 }
 
 func TestEvaluateTraceMatchesFrozenReferenceIrregular(t *testing.T) {
+	reused := new(core.OfflineResult)
 	tr := irregularTrace()
-	assertMatchesLegacy(t, "irregular", tr)
+	assertMatchesLegacy(t, "irregular", tr, reused)
 
 	// The duplicate sits first in the row for the other order.
 	swapped := irregularTrace()
@@ -225,5 +245,5 @@ func TestEvaluateTraceMatchesFrozenReferenceIrregular(t *testing.T) {
 		a := swapped.Rows[i].Actors
 		a[1], a[2] = a[2], a[1]
 	}
-	assertMatchesLegacy(t, "irregular-swapped", swapped)
+	assertMatchesLegacy(t, "irregular-swapped", swapped, reused)
 }

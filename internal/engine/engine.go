@@ -134,7 +134,7 @@ type Job struct {
 	// rows is the recycled row storage DefaultRunner records into: set
 	// by the worker on a run whose rows the archiver hands back, nil
 	// (the simulator allocates) otherwise.
-	rows *sim.RowBuffer
+	rows *trace.RowBuffer
 }
 
 // key is the job's point identity in both tiers: the store key, so
@@ -267,7 +267,7 @@ type Engine struct {
 	// free is the store engine's row-storage free list: the archiver
 	// returns an archived run's buffer to it and workers record into
 	// buffers taken from it.
-	free chan *sim.RowBuffer
+	free chan *trace.RowBuffer
 
 	executed  atomic.Int64
 	cacheHits atomic.Int64
@@ -291,7 +291,7 @@ func New(opts Options) *Engine {
 		// without stalling their workers.
 		bound := max(4*e.opts.Workers, 16)
 		e.arch = newArchiver(e, bound)
-		e.free = make(chan *sim.RowBuffer, bound+1+e.opts.Workers)
+		e.free = make(chan *trace.RowBuffer, bound+1+e.opts.Workers)
 	}
 	return e
 }
@@ -403,12 +403,13 @@ func (e *Engine) execute(t *task) {
 
 // archive writes a fresh successful plain run to the persistent store
 // and returns the result its task publishes. A memory-tier run
-// publishes the entry's run summary, exactly what a disk hit returns,
-// and its row storage goes back on the free list; Trace's heal run,
-// which is outside the tier, keeps its rows for its caller. Store
-// failures are counted, never propagated: the simulation itself
-// succeeded, and its full result is published. Non-full results never
-// reach the store: the engine runs persistable jobs at
+// publishes a run summary and its row storage goes back on the free
+// list: the entry's summary, exactly what a disk hit returns, or, when
+// the store refused the run, the same summary built from the result,
+// whose rows Trace re-simulates on demand. Trace's heal run, which is
+// outside the tier, keeps its rows for its caller. Store failures are
+// counted, never propagated: the simulation itself succeeded. Non-full
+// results never reach the store: the engine runs persistable jobs at
 // trace.LevelFull, and if an injected runner ignores that, store.Put's
 // own level guard rejects the result and the rejection is counted
 // here.
@@ -416,32 +417,40 @@ func (e *Engine) archive(t *task, res *sim.Result) *sim.Result {
 	ent, created, err := e.opts.Store.Put(t.job.Scenario.Name, t.job.key(), res)
 	if err != nil {
 		e.storeErrs.Add(1)
-		return res
-	}
-	if created {
+	} else if created {
 		e.archived.Add(1)
 	}
 	if !t.registered {
 		return res
 	}
+	if err == nil {
+		res = ent.Result()
+	} else {
+		sum := *res
+		sum.Trace, sum.Level = nil, trace.LevelSummary
+		if res.Trace != nil {
+			sum.ArchivedRows = res.Trace.Len()
+		}
+		res = &sum
+	}
 	e.giveRows(t.job.rows)
-	return ent.Result()
+	return res
 }
 
 // takeRows returns row storage for a run the archiver will recycle: a
 // buffer off the free list, else a new one.
-func (e *Engine) takeRows() *sim.RowBuffer {
+func (e *Engine) takeRows() *trace.RowBuffer {
 	select {
 	case b := <-e.free:
 		return b
 	default:
-		return new(sim.RowBuffer)
+		return new(trace.RowBuffer)
 	}
 }
 
 // giveRows puts an archived run's row storage back on the free list,
 // or drops it when the list is full.
-func (e *Engine) giveRows(b *sim.RowBuffer) {
+func (e *Engine) giveRows(b *trace.RowBuffer) {
 	select {
 	case e.free <- b:
 	default:
@@ -566,9 +575,9 @@ func (e *Engine) runUncached(ctx context.Context, job Job) (*sim.Result, error) 
 // Trace returns the job's full recorded trace, the rows a summary does
 // not carry. It runs the job as Run does, then takes the rows from the
 // memory tier's result when it holds them (a store-less full-level
-// engine, or a run whose archive failed), else from the archived
-// artifact on the caller's goroutine. A missing or unreadable artifact
-// counts one StoreErrors and falls back to a fresh full-level run
+// engine), else from the archived artifact on the caller's goroutine.
+// A missing or unreadable artifact counts one StoreErrors, and it and
+// a point the store never took fall back to a fresh full-level run
 // outside the memory tier, whose archive rewrites a missing object
 // before the run returns its rows.
 func (e *Engine) Trace(ctx context.Context, job Job) (*trace.Trace, error) {

@@ -437,7 +437,8 @@ func TestPersistentTierConcurrentEngines(t *testing.T) {
 // (runs are deterministic); a regular file planted at objects/<aa> in
 // the target store makes the rename fail once the object is fully
 // written. The engine counts one store error, archives nothing, and
-// returns the result a store-less engine returns.
+// answers with the summary a successful archive publishes; Trace then
+// re-simulates the rows a store-less engine returns.
 func TestArchiveRenameFailureIsCounted(t *testing.T) {
 	sc, ok := scenario.Lookup(scenario.CutOut)
 	if !ok {
@@ -449,7 +450,8 @@ func TestArchiveRenameFailureIsCounted(t *testing.T) {
 	sibling := openStore(t)
 	rec := New(Options{Workers: 1, Store: sibling})
 	defer rec.Close()
-	if _, err := rec.Run(ctx, job); err != nil {
+	summary, err := rec.Run(ctx, job)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ent, ok := sibling.Lookup(store.KeyForScenario(sc, job.FPR, job.Seed))
@@ -475,13 +477,21 @@ func TestArchiveRenameFailureIsCounted(t *testing.T) {
 		t.Errorf("store holds %d entries after a failed archive, want 0", st.Len())
 	}
 
+	if !reflect.DeepEqual(got, summary) {
+		t.Error("result with a failing store differs from the summary a successful archive publishes")
+	}
+
 	plain := New(Options{Workers: 1})
 	defer plain.Close()
 	want, err := plain.Run(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("result with a failing store differs from a store-less run")
+	tr, err := e.Trace(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr, want.Trace) {
+		t.Error("rows of a point the store refused differ from a store-less run's")
 	}
 }

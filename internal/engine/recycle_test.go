@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // trafficScenario is a real closed-loop scenario of d seconds with n
@@ -40,7 +41,7 @@ func trafficScenario(name string, d float64, n int) scenario.Scenario {
 func TestStoreEngineRecyclesRowsAcrossRuns(t *testing.T) {
 	ctx := context.Background()
 	var mu sync.Mutex
-	var bufs []*sim.RowBuffer
+	var bufs []*trace.RowBuffer
 	runner := func(j Job) (*sim.Result, error) {
 		mu.Lock()
 		bufs = append(bufs, j.rows)

@@ -4,17 +4,20 @@
 // diffs what it finds against recorded baselines — the
 // monitoring-by-comparison posture of "Monitoring of Perception
 // Systems" applied to this repo's own stack. Replaying a stored trace
-// costs one trace decode and one evaluator pass instead of a
-// closed-loop simulation. Against this repo's kinematic simulator that
-// is about even: for cut-out at 30 FPR a replay took 4.4–5.5 ms and a
-// fresh simulation of the same point 4.3–5.9 ms on a shared 2-vCPU
-// Intel Xeon (BENCH_replay.json; the ratio moves with host load).
-// About two fifths of the replay is loading the archived trace (a
-// store read and ZYT1 decode, ~1.9 ms) and the rest the evaluator,
-// which runs Zhuyi over a 15 s ground-truth horizon at every 100 ms
-// instant. What replay buys here is a check that does not trust the
-// simulator; it saves time only where simulation is the expensive
-// part, as in a GPU-driven stack.
+// costs one object read, one ZYT1 decode and one evaluator pass, which
+// runs Zhuyi over a 15 s ground-truth horizon at every 100 ms instant,
+// instead of a closed-loop simulation. Against this repo's kinematic
+// simulator the two cost about the same, so what replay buys here is a
+// check that does not trust the simulator; it saves time only where
+// simulation is the expensive part, as in a GPU-driven stack.
+//
+// Run gives each worker goroutine one set of storage for the length of
+// the call: a trace.RowBuffer each entry's object is read and decoded
+// into, and an OfflineResult each evaluation overwrites. Once a worker
+// has grown to the largest trace it has met, a replayed point
+// allocates little more than its summary (TestReplayAllocBudget), so
+// the collector rarely runs. docs/benchmarks.md, "Replay reuses its
+// decode and evaluator storage", has the measurements.
 //
 // The quantities diffed per archived run: collision outcome (time and
 // actor), closest bumper approach, the offline estimator's peak
@@ -102,7 +105,32 @@ type Report struct {
 // or reads the trace shows up as a divergence. (A manifest-copied
 // field would compare the manifest to itself and could never fire.)
 func Summarize(e store.Entry, tr *trace.Trace, opt Options) (Summary, error) {
-	opt = opt.withDefaults()
+	w := worker{est: core.NewEstimator()}
+	return w.summarize(e, tr, opt.withDefaults())
+}
+
+// worker is one Run goroutine's storage, kept for the length of the
+// call: an estimator, the buffer every entry's object is read and
+// decoded into, and the offline result every evaluation overwrites. A
+// replayed point then allocates only when its trace outgrows what the
+// worker's earlier points left, and the worker holds one trace and
+// one evaluation at a time.
+type worker struct {
+	est  *core.Estimator
+	rows trace.RowBuffer
+	off  *core.OfflineResult
+}
+
+// replay loads entry e into the worker's storage and summarizes it.
+func (w *worker) replay(st *store.Store, e store.Entry, opt Options) (Summary, error) {
+	tr, err := st.TraceInto(e, &w.rows)
+	if err != nil {
+		return Summary{}, err
+	}
+	return w.summarize(e, tr, opt)
+}
+
+func (w *worker) summarize(e store.Entry, tr *trace.Trace, opt Options) (Summary, error) {
 	s := Summary{
 		Key:      e.Key,
 		Scenario: e.Scenario,
@@ -122,11 +150,11 @@ func Summarize(e store.Entry, tr *trace.Trace, opt Options) (Summary, error) {
 		s.CollisionTime = tr.Collision.Time
 		s.CollisionActor = tr.Collision.ActorID
 	}
-	est := core.NewEstimator()
-	off, err := est.EvaluateTrace(tr, core.OfflineOptions{EvalEvery: opt.EvalEvery})
+	off, err := w.est.EvaluateTraceInto(tr, core.OfflineOptions{EvalEvery: opt.EvalEvery}, w.off)
 	if err != nil {
 		return s, fmt.Errorf("replay: %s fpr %g seed %d: %w", e.Scenario, e.Key.FPR, e.Key.Seed, err)
 	}
+	w.off = off
 	s.MaxEstFPR = off.MaxFPR()
 	s.MaxSumFPR = off.MaxSumFPR()
 	s.Alarms = countAlarms(tr, off)
@@ -200,6 +228,8 @@ func Run(ctx context.Context, st *store.Store, opt Options) (*Report, error) {
 
 	// opt.Workers goroutines pull entry indices from a shared counter,
 	// so the goroutine count is bounded by the option, not the store.
+	// Each decodes and evaluates into its own worker storage, dropped
+	// when Run returns.
 	summaries := make([]Summary, len(entries))
 	errs := make([]error, len(entries))
 	var next atomic.Int64
@@ -208,6 +238,7 @@ func Run(ctx context.Context, st *store.Store, opt Options) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := worker{est: core.NewEstimator()}
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= len(entries) {
@@ -217,12 +248,7 @@ func Run(ctx context.Context, st *store.Store, opt Options) (*Report, error) {
 					errs[i] = err
 					continue
 				}
-				tr, err := st.Trace(entries[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				summaries[i], errs[i] = Summarize(entries[i], tr, opt)
+				summaries[i], errs[i] = w.replay(st, entries[i], opt)
 			}
 		}()
 	}

@@ -382,3 +382,52 @@ func TestRunBoundsGoroutines(t *testing.T) {
 		t.Error("two-worker summaries differ from the serial run's")
 	}
 }
+
+// TestRunWorkersMatchSerial replays real Table-1 traces of varied
+// length with four workers, each reading, decoding and evaluating into
+// its own reused storage, and with one. Both passes must equal a
+// Summarize of each entry read into fresh storage. CI repeats it under
+// the race detector, which flags storage two workers share.
+func TestRunWorkersMatchSerial(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, name := range []string{scenario.CutOut, scenario.CutIn, scenario.CutOutFast} {
+		sc, ok := scenario.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		for _, fpr := range []float64{1, 5, 30} {
+			res, err := sim.Run(sc.Build(fpr, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := st.Put(name, store.KeyForScenario(sc, fpr, 1), res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var fresh []Summary
+	for _, e := range st.Entries() {
+		tr, err := st.Trace(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Summarize(e, tr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, s)
+	}
+	for _, workers := range []int{1, 4} {
+		rep, err := Run(context.Background(), st, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Summaries, fresh) {
+			t.Errorf("%d-worker summaries differ from fresh per-entry summaries", workers)
+		}
+	}
+}

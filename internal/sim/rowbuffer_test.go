@@ -38,7 +38,7 @@ func TestRunIntoRecycledMatchesFresh(t *testing.T) {
 	}
 	for a, cfgA := range cfgs {
 		for b, cfgB := range cfgs {
-			var buf RowBuffer
+			var buf trace.RowBuffer
 			resA, err := RunInto(cfgA, &buf)
 			if err != nil {
 				t.Fatal(err)
@@ -64,7 +64,7 @@ func TestRunIntoRecycledMatchesFresh(t *testing.T) {
 // TestRunIntoLeavesSummaryRunsAlone: a run below LevelFull records no
 // rows, so it neither reads nor fills the buffer.
 func TestRunIntoLeavesSummaryRunsAlone(t *testing.T) {
-	var buf RowBuffer
+	var buf trace.RowBuffer
 	cfg := benchConfig(trace.LevelSummary)
 	res, err := RunInto(cfg, &buf)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestRunIntoLeavesSummaryRunsAlone(t *testing.T) {
 	if !reflect.DeepEqual(res, want) {
 		t.Error("summary run into a buffer differs from a plain run")
 	}
-	if buf.rows != nil || buf.actors != nil {
+	if !reflect.DeepEqual(buf, trace.RowBuffer{}) {
 		t.Error("summary run filled the row buffer")
 	}
 }

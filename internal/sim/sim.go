@@ -119,8 +119,9 @@ type Result struct {
 	EgoStopped      bool    // the ego came to a complete stop at least once
 	// ArchivedRows is a store summary's row count (store.Entry.Result):
 	// its rows stay on disk. A store-attached engine answers every
-	// plain point with such a summary, fresh runs included; read the
-	// rows through Engine.Trace. 0 on a result that carries its trace.
+	// plain point with such a summary, fresh runs included, and with
+	// the same summary of a run the store refused; read the rows
+	// through Engine.Trace. 0 on a result that carries its trace.
 	ArchivedRows int
 	// Level is the recording level the run executed at. The persistent
 	// store refuses to archive anything but trace.LevelFull.
@@ -139,7 +140,7 @@ func Run(cfg Config) (*Result, error) { return RunInto(cfg, nil) }
 // allocates, as Run does. The result's trace aliases buf, so buf may
 // record the next run only once nothing reads this result's rows.
 // Other levels leave buf untouched.
-func RunInto(cfg Config, buf *RowBuffer) (*Result, error) {
+func RunInto(cfg Config, buf *trace.RowBuffer) (*Result, error) {
 	s, err := newSimulation(cfg, buf)
 	if err != nil {
 		return nil, err
@@ -147,32 +148,6 @@ func RunInto(cfg Config, buf *RowBuffer) (*Result, error) {
 	for s.Step() {
 	}
 	return s.Result(), nil
-}
-
-// RowBuffer is reusable storage for a LevelFull run's rows: the row
-// array and the backing array every row's actor slice is carved from.
-// RunInto grows it when a run needs more. The zero value is an empty
-// buffer; a buffer records one run at a time.
-type RowBuffer struct {
-	rows   []trace.Row
-	actors []world.Agent
-}
-
-// take returns row storage for up to rows rows and an actor backing
-// of exactly actors agents, from b when it is large enough. A nil b
-// always allocates. The backing is never a nil slice, even when empty:
-// rows of an actor-less run carry empty, not nil, actor slices.
-func (b *RowBuffer) take(rows, actors int) ([]trace.Row, []world.Agent) {
-	if b == nil {
-		return make([]trace.Row, 0, rows), make([]world.Agent, actors)
-	}
-	if cap(b.rows) < rows {
-		b.rows = make([]trace.Row, 0, rows)
-	}
-	if b.actors == nil || cap(b.actors) < actors {
-		b.actors = make([]world.Agent, actors)
-	}
-	return b.rows[:0], b.actors[:actors]
 }
 
 // ValidateConfig checks a configuration the same way Run does —

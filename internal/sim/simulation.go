@@ -125,7 +125,7 @@ func New(cfg Config) (*Simulation, error) { return newSimulation(cfg, nil) }
 
 // newSimulation is New recording LevelFull rows into buf (nil
 // allocates them).
-func newSimulation(cfg Config, buf *RowBuffer) (*Simulation, error) {
+func newSimulation(cfg Config, buf *trace.RowBuffer) (*Simulation, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func newSimulation(cfg Config, buf *RowBuffer) (*Simulation, error) {
 		}}
 	}
 	if cfg.Record == trace.LevelFull {
-		s.tr.Rows, s.rowActors = buf.take(s.steps+1, (s.steps+1)*len(s.actors))
+		s.tr.Rows, s.rowActors = buf.Take(s.steps+1, (s.steps+1)*len(s.actors))
 	} else {
 		s.scratch = make([]world.Agent, 0, len(s.actors))
 	}

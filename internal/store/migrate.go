@@ -69,7 +69,7 @@ func (s *Store) Migrate() (MigrateStats, error) {
 // upgradeObject rewrites one legacy artifact as ZYT1 and removes the
 // source, returning the new object's on-disk size.
 func (s *Store) upgradeObject(srcPath, hash string) (int64, error) {
-	tr, err := readObject(srcPath, true, -1)
+	tr, err := readObject(srcPath, true, -1, nil)
 	if err != nil {
 		return 0, fmt.Errorf("store: migrate %s: %w", hash, err)
 	}

@@ -662,7 +662,14 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 // mixed-format stores read transparently. A ZYT1 object of an entry
 // addressed by its ZYT1 bytes (HashZYT) must be Entry.Bytes long: a
 // truncated or extended object is refused before it is read.
-func (s *Store) Trace(e Entry) (*trace.Trace, error) {
+func (s *Store) Trace(e Entry) (*trace.Trace, error) { return s.TraceInto(e, nil) }
+
+// TraceInto is Trace reading a ZYT1 object into buf.Bytes and decoding
+// it into buf (trace.DecodeZYTInto), so a caller that reads entry
+// after entry reuses one set of storage. The trace aliases buf until
+// the next read into it. A legacy object decodes into fresh storage. A
+// nil buf allocates, as Trace does.
+func (s *Store) TraceInto(e Entry, buf *trace.RowBuffer) (*trace.Trace, error) {
 	path, legacy, err := s.locateObject(e.Artifact)
 	if err != nil {
 		return nil, err
@@ -671,7 +678,7 @@ func (s *Store) Trace(e Entry) (*trace.Trace, error) {
 	if e.HashScheme == HashZYT {
 		size = e.Bytes
 	}
-	tr, err := readObject(path, legacy, size)
+	tr, err := readObject(path, legacy, size, buf)
 	if err != nil {
 		return nil, fmt.Errorf("store: artifact %s: %w", e.Artifact, err)
 	}
@@ -680,9 +687,9 @@ func (s *Store) Trace(e Entry) (*trace.Trace, error) {
 
 // readObject decodes one object file: gzip JSONL when legacy, else
 // ZYT1 read whole in one read sized from Stat (the disk tier's hot
-// path). A non-negative size is the ZYT1 object's required length,
-// checked before the read.
-func readObject(path string, legacy bool, size int64) (*trace.Trace, error) {
+// path) into buf. A non-negative size is the ZYT1 object's required
+// length, checked before the read.
+func readObject(path string, legacy bool, size int64, buf *trace.RowBuffer) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -703,11 +710,11 @@ func readObject(path string, legacy bool, size int64) (*trace.Trace, error) {
 	if size >= 0 && fi.Size() != size {
 		return nil, fmt.Errorf("object is %d bytes, the manifest records %d", fi.Size(), size)
 	}
-	b := make([]byte, fi.Size())
+	b := buf.Bytes(int(fi.Size()))
 	if _, err := io.ReadFull(f, b); err != nil {
 		return nil, err
 	}
-	return trace.DecodeZYT(b)
+	return trace.DecodeZYTInto(b, buf)
 }
 
 // Result is the entry's run summary as a sim.Result: collision, frames

@@ -42,7 +42,11 @@ package trace
 // allocates the rows once per trace (a scan of the block heads sizes
 // them), one actor backing array per block and one copy of each unique
 // string; it keeps no state between calls, and nothing but the trace
-// survives it (TestReadZYTAllocBudget pins this). Column loops call no
+// survives it (TestReadZYTAllocBudget pins this). DecodeZYTInto takes
+// the rows, actors and tables from a caller's RowBuffer instead, so a
+// worker decoding a stream of objects allocates only when one outgrows
+// the storage its predecessors left (TestDecodeZYTIntoReusedBuffer
+// pins equality with DecodeZYT). Column loops call no
 // closures, and the varint reader decodes one-byte values inline and
 // longer ones from one 8-byte load. Every count read is bounded
 // against the bytes that remain, so truncated, bit-flipped, or
@@ -630,7 +634,15 @@ func appendFull(b []byte, r io.Reader, n int) ([]byte, error) {
 // truncation, trailing data, frame-order violations, and any count
 // that exceeds the bytes backing it. The trace shares no memory with
 // b, and no decoder state outlives the call.
-func DecodeZYT(b []byte) (*Trace, error) {
+func DecodeZYT(b []byte) (*Trace, error) { return DecodeZYTInto(b, nil) }
+
+// DecodeZYTInto is DecodeZYT decoding into buf's storage: the rows,
+// every block's actors and the decoder's tables come from buf, which
+// grows when the trace needs more. The trace aliases buf and is valid
+// until the next decode or run into it (see RowBuffer); b may be
+// buf.Bytes. A nil buf allocates, as DecodeZYT does. A failed decode
+// leaves buf ready for the next one.
+func DecodeZYTInto(b []byte, buf *RowBuffer) (*Trace, error) {
 	if len(b) < len(ZYTMagic) {
 		return nil, fmt.Errorf("trace: zyt magic: %w", io.ErrUnexpectedEOF)
 	}
@@ -638,8 +650,14 @@ func DecodeZYT(b []byte) (*Trace, error) {
 		return nil, fmt.Errorf("trace: bad magic %q", b[:len(ZYTMagic)])
 	}
 	b = b[len(ZYTMagic):]
-	rows := make([]Row, zytCountRows(b))
-	d := zytDecoder{intern: make(map[string]string)}
+	rows := buf.decodeRows(zytCountRows(b))
+	var local zytDecoder
+	d := &local
+	if buf != nil {
+		d = buf.decoder()
+	} else {
+		local.intern = make(map[string]string)
+	}
 	var tr *Trace
 	decoded := 0
 	for {
@@ -683,7 +701,7 @@ func DecodeZYT(b []byte) (*Trace, error) {
 				return nil, fmt.Errorf("trace: zyt: trailing data after end frame")
 			}
 			if decoded > 0 {
-				tr.Rows = rows[:decoded]
+				tr.Rows = rows[:decoded:decoded]
 			}
 			return tr, nil
 		default:
@@ -693,12 +711,25 @@ func DecodeZYT(b []byte) (*Trace, error) {
 }
 
 // zytDecoder carries one decode's state: the file-wide string intern
-// table and the current block's string and camera tables.
+// table, the current block's string and camera tables, and the buffer
+// the rows' actors come from (nil: each block allocates its own).
 type zytDecoder struct {
 	intern   map[string]string
 	table    []string
 	camTable []string
 	camLast  []uint64
+	buf      *RowBuffer
+}
+
+// decoder returns b's decoder state for one decode into b, its intern
+// table cleared.
+func (b *RowBuffer) decoder() *zytDecoder {
+	if b.dec.intern == nil {
+		b.dec.intern = make(map[string]string)
+	}
+	clear(b.dec.intern)
+	b.dec.buf = b
+	return &b.dec
 }
 
 func (d *zytDecoder) internBytes(b []byte) string {
@@ -807,7 +838,7 @@ func (d *zytDecoder) decodeBlock(p []byte, dst []Row) (int, error) {
 		c.fail("actor total %d exceeds remaining payload", total)
 		return 0, c.err
 	}
-	actors := make([]world.Agent, total)
+	actors := d.buf.blockActors(total)
 	for i := range actors {
 		actors[i].ID = d.id(&c)
 	}
@@ -833,6 +864,7 @@ func (d *zytDecoder) decodeBlock(p []byte, dst []Row) (int, error) {
 	}
 	off := 0
 	for i := range rows {
+		rows[i].Actors = nil
 		if shape := int(shapeCol.uvarint()); shape > 0 {
 			k := shape - 1
 			rows[i].Actors = actors[off : off+k : off+k]
@@ -843,6 +875,7 @@ func (d *zytDecoder) decodeBlock(p []byte, dst []Row) (int, error) {
 	d.camTable = d.readTable(&c, d.camTable)
 	d.camLast = append(d.camLast[:0], make([]uint64, len(d.camTable))...)
 	for i := 0; i < n && c.err == nil; i++ {
+		rows[i].Rates = nil
 		cnt := c.count(len(d.camTable))
 		if cnt == 0 {
 			continue

@@ -52,12 +52,26 @@ func FuzzRead(f *testing.F) {
 // the decoder accepts must survive a binary write→read round trip, and
 // re-encoding must be idempotent: the store addresses objects by their
 // ZYT1 bytes, so WriteZYT(ReadZYT(WriteZYT(tr))) must equal WriteZYT(tr).
+// Every input is also decoded into one buffer reused across inputs,
+// which must agree with a fresh decode, error for error.
 func FuzzTraceDecode(f *testing.F) {
+	var reused RowBuffer
 	var valid bytes.Buffer
 	if err := sampleTrace().WriteZYT(&valid); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
+	// The sample without actors or rates, decoded into the buffer the
+	// sample left, must not keep the sample's.
+	bare := sampleTrace()
+	for i := range bare.Rows {
+		bare.Rows[i].Actors, bare.Rows[i].Rates = nil, nil
+	}
+	var bareZYT bytes.Buffer
+	if err := bare.WriteZYT(&bareZYT); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bareZYT.Bytes())
 	var empty bytes.Buffer
 	if err := (&Trace{Meta: Meta{Scenario: "e", FPR: 5}}).WriteZYT(&empty); err != nil {
 		f.Fatal(err)
@@ -73,6 +87,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeReused(t, "fuzz input", &reused, data)
 		tr, err := ReadZYT(bytes.NewReader(data))
 		if err != nil {
 			return // rejected cleanly
