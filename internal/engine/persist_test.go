@@ -296,7 +296,8 @@ func TestTraceHealsMissingObjects(t *testing.T) {
 // TestTraceRefusesTruncatedObject: a .zyt object cut short on disk
 // is refused at trace load, since its size disagrees with its manifest
 // entry. Trace counts one store error and returns the rows of a fresh
-// run of the point, the rows a store-less run records.
+// run of the point, the rows a store-less run records. That run's
+// archive heals the object, so a second engine reads it from disk.
 func TestTraceRefusesTruncatedObject(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -340,11 +341,28 @@ func TestTraceRefusesTruncatedObject(t *testing.T) {
 	if tr == nil || tr.Len() == 0 {
 		t.Fatal("Trace returned no rows")
 	}
-	if !reflect.DeepEqual(tr, freshTrace(t, nil, jobs[0])) {
+	want := freshTrace(t, nil, jobs[0])
+	if !reflect.DeepEqual(tr, want) {
 		t.Error("trace differs from the fresh run's")
 	}
 	if s := e.Stats(); s.StoreErrors != 1 || s.Executed != 1 {
 		t.Errorf("engine stats = %+v, want 1 store error and 1 run", s)
+	}
+
+	if fi, err := os.Stat(path); err != nil || fi.Size() != ents[0].Bytes {
+		t.Fatalf("object after Trace: %v, want %d bytes", err, ents[0].Bytes)
+	}
+	healed := New(Options{Workers: 2, Store: st})
+	defer healed.Close()
+	tr, err = healed.Trace(ctx, jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr, want) {
+		t.Error("healed object's trace differs from the fresh run's")
+	}
+	if s := healed.Stats(); s.StoreErrors != 0 || s.Executed != 0 {
+		t.Errorf("second engine stats = %+v, want 0 store errors and 0 runs", s)
 	}
 }
 

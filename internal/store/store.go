@@ -226,9 +226,12 @@ func (s *Store) LegacyObjectPath(hash string) string { return s.objectPathExt(ha
 
 // locateObject finds an artifact in whichever format it is stored,
 // preferring the binary format when both exist (e.g. mid-migration).
-func (s *Store) locateObject(hash string) (path string, legacy bool, err error) {
+// A non-negative size is the length a .zyt object at the address must
+// have: one of another size is damaged and counts as missing, so a
+// heal renames a good copy over it.
+func (s *Store) locateObject(hash string, size int64) (path string, legacy bool, err error) {
 	p := s.ObjectPath(hash)
-	if _, err := os.Stat(p); err == nil {
+	if fi, err := os.Stat(p); err == nil && (size < 0 || fi.Size() == size) {
 		return p, false, nil
 	}
 	p = s.LegacyObjectPath(hash)
@@ -250,7 +253,11 @@ func (s *Store) loadManifest() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	return s.ingestReaderLocked(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return s.ingestReaderLocked(f, fi.Size())
 }
 
 // ingestReaderLocked parses manifest lines starting at offset s.loaded
@@ -261,9 +268,16 @@ func (s *Store) loadManifest() error {
 // finishes. A complete line that fails to parse is tolerated only in
 // final position (crashed-writer debris another process appended
 // after); corruption anywhere else is a real error.
-func (s *Store) ingestReaderLocked(r io.Reader) error {
-	br := bufio.NewReaderSize(r, 256<<10)
+//
+// The reader's buffer is sized to the unread bytes, up to 256 KiB
+// (bufio floors it at its minimum), so the refresh after each Put reads
+// its one line through a line-sized buffer; ReadBytes handles longer
+// lines. A line in the shape Put writes is decoded by
+// lineDecoder.entry; any other goes through json.Unmarshal.
+func (s *Store) ingestReaderLocked(r io.Reader, unread int64) error {
+	br := bufio.NewReaderSize(r, int(min(unread, 256<<10)))
 	var (
+		dec    lineDecoder
 		badErr error // parse failure pending the is-it-final check
 		badEnd int64 // offset just past the unparseable line
 	)
@@ -290,10 +304,12 @@ func (s *Store) ingestReaderLocked(r io.Reader) error {
 			s.loaded = next
 			continue
 		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			badErr, badEnd = err, next
-			continue
+		e, ok := dec.entry(line)
+		if !ok {
+			if err := json.Unmarshal(line, &e); err != nil {
+				badErr, badEnd = err, next
+				continue
+			}
 		}
 		s.addLocked(e)
 		s.loaded = next
@@ -337,7 +353,7 @@ func (s *Store) refreshLocked(force bool) {
 	if _, err := f.Seek(s.loaded, io.SeekStart); err != nil {
 		return
 	}
-	_ = s.ingestReaderLocked(f)
+	_ = s.ingestReaderLocked(f, fi.Size()-s.loaded)
 }
 
 // Refresh ingests manifest lines other processes appended since the
@@ -443,7 +459,8 @@ func (s *Store) Entries() []Entry {
 // present returns its existing entry untouched (created == false),
 // and identical traces under different keys share one
 // content-addressed object. If the key exists but its object file has
-// vanished (partial cleanup, a crashed recorder's debris removal),
+// vanished (partial cleanup, a crashed recorder's debris removal), or
+// its .zyt object is not the Entry.Bytes a ZYT-scheme entry records,
 // Put self-heals by rewriting the object — runs are deterministic, so
 // the fresh result must reproduce the recorded artifact hash in the
 // entry's own scheme; a mismatch is reported instead of silently
@@ -474,7 +491,7 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 	closed := s.manifest == nil
 	s.mu.Unlock()
 	if exists {
-		if _, _, err := s.locateObject(existing.Artifact); err == nil {
+		if _, _, err := s.locateObject(existing.Artifact, existing.zytSize()); err == nil {
 			return existing, false, nil
 		}
 		if err := s.heal(existing, res.Trace); err != nil {
@@ -538,11 +555,11 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 	return e, true, nil
 }
 
-// heal rewrites the vanished object of an existing entry from a fresh
-// run of its key, after checking that the run hashes to the recorded
-// address in the entry's scheme. A ZYT-scheme check is the staged
-// stream's own hash; a legacy check renders the JSONL first. Either
-// way the object is written as ZYT1.
+// heal rewrites the vanished or mis-sized object of an existing entry
+// from a fresh run of its key, after checking that the run hashes to
+// the recorded address in the entry's scheme. A ZYT-scheme check is the
+// staged stream's own hash; a legacy check renders the JSONL first.
+// Either way the object is written as ZYT1.
 func (s *Store) heal(e Entry, tr *trace.Trace) error {
 	if e.HashScheme != HashZYT {
 		hash, err := traceHash(tr, e.HashScheme)
@@ -626,9 +643,14 @@ func (s *Store) stageObject(tr *trace.Trace) (*stagedObject, error) {
 
 // installObject renames a staged object to objects/<aa>/<addr>.zyt. An
 // object already present at addr in either format is kept, and the
-// staged copy is left for discard.
+// staged copy is left for discard, unless addr is the staged bytes' own
+// address and the .zyt there is not their size.
 func (s *Store) installObject(obj *stagedObject, addr string) error {
-	if _, _, err := s.locateObject(addr); err == nil {
+	size := int64(-1)
+	if addr == obj.hash {
+		size = obj.size
+	}
+	if _, _, err := s.locateObject(addr, size); err == nil {
 		return nil
 	}
 	path := s.ObjectPath(addr)
@@ -670,15 +692,11 @@ func (s *Store) Trace(e Entry) (*trace.Trace, error) { return s.TraceInto(e, nil
 // the next read into it. A legacy object decodes into fresh storage. A
 // nil buf allocates, as Trace does.
 func (s *Store) TraceInto(e Entry, buf *trace.RowBuffer) (*trace.Trace, error) {
-	path, legacy, err := s.locateObject(e.Artifact)
+	path, legacy, err := s.locateObject(e.Artifact, -1)
 	if err != nil {
 		return nil, err
 	}
-	size := int64(-1)
-	if e.HashScheme == HashZYT {
-		size = e.Bytes
-	}
-	tr, err := readObject(path, legacy, size, buf)
+	tr, err := readObject(path, legacy, e.zytSize(), buf)
 	if err != nil {
 		return nil, fmt.Errorf("store: artifact %s: %w", e.Artifact, err)
 	}
@@ -715,6 +733,15 @@ func readObject(path string, legacy bool, size int64, buf *trace.RowBuffer) (*tr
 		return nil, err
 	}
 	return trace.DecodeZYTInto(b, buf)
+}
+
+// zytSize is the length the entry's .zyt object must have: Entry.Bytes
+// under HashZYT, or -1 for a legacy entry, whose Bytes counts JSONL.
+func (e Entry) zytSize() int64 {
+	if e.HashScheme == HashZYT {
+		return e.Bytes
+	}
+	return -1
 }
 
 // Result is the entry's run summary as a sim.Result: collision, frames
