@@ -241,6 +241,26 @@ type task struct {
 	job        Job
 	ent        *entry
 	registered bool // ent lives in the cache map
+	// batch, when set, is the completion channel of the RunBatchFunc
+	// call that owns the task; finish reports the outcome on it as the
+	// job's batch index idx.
+	batch chan<- completion
+	idx   int
+}
+
+// completion is one batch job's outcome, named by its batch index: the
+// caller fills in the job itself.
+type completion struct {
+	i   int
+	res *sim.Result
+	src Source
+	err error
+}
+
+// completed names a finished cache entry in the eviction FIFO.
+type completed struct {
+	key store.Key
+	ent *entry
 }
 
 // Engine schedules runs onto a fixed worker pool and caches results.
@@ -257,7 +277,11 @@ type Engine struct {
 	queue  []*task
 	closed bool
 	cache  map[store.Key]*entry
-	order  []store.Key // insertion order for FIFO eviction
+	// evictable lists the cache's completed entries, oldest first: eviction
+	// pops it and never sees an entry still in flight.
+	evictable []completed
+	// evictWork counts the entries eviction has examined.
+	evictWork int
 
 	// arch is the bounded async archiver (nil without a store): workers
 	// hand it fresh results and go back to simulating; it writes each to
@@ -366,16 +390,26 @@ func (e *Engine) enqueue(t *task) {
 // The async archiver is flushed before Close returns — every result it
 // held is on disk and its task finished — and results that
 // still-running workers produce afterwards are archived synchronously
-// before their tasks finish. Cached results remain readable only
-// through jobs already joined; use Close for short-lived engines
+// before their tasks finish. The row free list is emptied once the
+// archiver has flushed, and rows archived later are dropped, so a
+// closed engine holds no row storage. Cached results remain readable
+// only through jobs already joined; use Close for short-lived engines
 // (benchmarks, one-shot campaigns) so their workers don't outlive them.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
 	e.cond.Broadcast()
-	if e.arch != nil {
-		e.arch.close()
+	if e.arch == nil {
+		return
+	}
+	e.arch.close()
+	for {
+		select {
+		case <-e.free:
+		default:
+			return
+		}
 	}
 }
 
@@ -449,8 +483,13 @@ func (e *Engine) takeRows() *trace.RowBuffer {
 }
 
 // giveRows puts an archived run's row storage back on the free list,
-// or drops it when the list is full.
+// or drops it when the list is full or the engine is closed.
 func (e *Engine) giveRows(b *trace.RowBuffer) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return
+	}
 	select {
 	case e.free <- b:
 	default:
@@ -476,21 +515,35 @@ func (e *Engine) storeLookup(j Job) (*sim.Result, bool) {
 	return ent.Result(), true
 }
 
-// finish publishes the task's outcome. Failures are never cached:
-// cancellations and shutdown rejections mean the point was not actually
-// measured, and run errors may be transient (the runner is injectable),
-// so a later campaign must be able to schedule the point again. Only
-// successful results are retained.
+// finish publishes the task's outcome, then reports it to the batch
+// that owns the task, if any. Failures are never cached: cancellations
+// and shutdown rejections mean the point was not actually measured, and
+// run errors may be transient (the runner is injectable), so a later
+// campaign must be able to schedule the point again. Only successful
+// results are retained.
 func (e *Engine) finish(t *task, res *sim.Result, err error) {
 	t.ent.res, t.ent.err = res, err
-	if t.registered && err != nil {
+	if t.registered {
+		key := t.job.key()
 		e.mu.Lock()
-		if e.cache[t.job.key()] == t.ent {
-			delete(e.cache, t.job.key())
+		if err == nil {
+			e.completeLocked(key, t.ent)
+		} else if e.cache[key] == t.ent {
+			delete(e.cache, key)
 		}
 		e.mu.Unlock()
 	}
 	close(t.ent.done)
+	if t.batch != nil {
+		t.batch <- completion{i: t.idx, res: res, src: SourceFresh, err: err}
+	}
+}
+
+// completeLocked queues a successfully completed cache entry for
+// eviction and evicts down to the bound.
+func (e *Engine) completeLocked(key store.Key, ent *entry) {
+	e.evictable = append(e.evictable, completed{key: key, ent: ent})
+	e.evictLocked()
 }
 
 func isCancellation(err error) bool {
@@ -501,64 +554,95 @@ func isCancellation(err error) bool {
 // persistent store when possible. It blocks until the result is
 // available or ctx is cancelled.
 func (e *Engine) Run(ctx context.Context, job Job) (*sim.Result, error) {
-	res, _, err := e.run(ctx, job)
-	return res, err
+	o := e.RunJob(ctx, job)
+	return o.Result, o.Err
 }
 
-// run reports where the result came from: a fresh simulation, the
-// memory cache (including joining a run another caller already had in
-// flight), or the persistent store.
-func (e *Engine) run(ctx context.Context, job Job) (*sim.Result, Source, error) {
+// submit starts a job without blocking. It answers a memory or disk hit
+// at once (t and join nil). Otherwise it returns either the task it
+// enqueued for the job — reported on batch as index i when batch is
+// set, and finished at once with ErrClosed on a closed engine — or the
+// entry of a run another caller already has in flight, to join.
+func (e *Engine) submit(ctx context.Context, job Job, batch chan<- completion, i int) (o Outcome, t *task, join *entry) {
 	e.startWorkers()
+	o.Job = job
 	// The engine's level, unless the spec declares a lesser one.
 	job.record = max(e.opts.Record, job.Scenario.Record)
 	if !job.persistable() {
 		// A hooked run always executes, outside both tiers.
-		res, err := e.runUncached(ctx, job)
-		return res, SourceFresh, err
+		t = &task{ctx: ctx, job: job, ent: &entry{done: make(chan struct{})}, batch: batch, idx: i}
+		e.enqueue(t)
+		return o, t, nil
 	}
 	if e.opts.Store != nil {
 		job.record = trace.LevelFull // the archive needs every row
 	}
 	key := job.key()
-	for {
-		e.mu.Lock()
-		ent, ok := e.cache[key]
-		if !ok {
-			// Claim the point: we own the execution, later callers
-			// join it through the entry. Wait unconditionally: the
-			// worker finishes every task — with ctx's error when
-			// cancelled before starting — so jobs that did start
-			// always report their real outcome, never a spurious
-			// cancellation.
-			ent = &entry{done: make(chan struct{})}
-			e.cache[key] = ent
-			e.order = append(e.order, key)
-			e.evictLocked()
-			e.mu.Unlock()
-			// Persistent tier: a disk hit fills the claimed slot
-			// without simulating; joiners see a plain memory hit.
-			if res, hit := e.storeLookup(job); hit {
-				ent.res = res
-				close(ent.done)
-				return res, SourceDisk, nil
-			}
-			e.enqueue(&task{ctx: ctx, job: job, ent: ent, registered: true})
-			<-ent.done
-			return ent.res, SourceFresh, ent.err
-		}
-		e.mu.Unlock()
+	e.mu.Lock()
+	if ent, ok := e.cache[key]; ok {
+		// A failed run leaves the cache before its entry completes, so
+		// a completed entry still cached holds a result.
 		select {
 		case <-ent.done:
-			if !isCancellation(ent.err) {
-				e.cacheHits.Add(1)
-				return ent.res, SourceMemory, ent.err
-			}
-			// The owner was cancelled before the point ran; loop
-			// and try to claim it ourselves.
-		case <-ctx.Done():
-			return nil, SourceFresh, ctx.Err()
+			e.mu.Unlock()
+			e.cacheHits.Add(1)
+			o.Result, o.Source = ent.res, SourceMemory
+			return o, nil, nil
+		default:
+			e.mu.Unlock()
+			return o, nil, ent
 		}
+	}
+	// Claim the point: we own the execution, later callers join it
+	// through the entry.
+	ent := &entry{done: make(chan struct{})}
+	e.cache[key] = ent
+	e.evictLocked()
+	e.mu.Unlock()
+	// Persistent tier: a disk hit fills the claimed slot without
+	// simulating; joiners see a plain memory hit.
+	if res, hit := e.storeLookup(job); hit {
+		ent.res = res
+		e.mu.Lock()
+		e.completeLocked(key, ent)
+		e.mu.Unlock()
+		close(ent.done)
+		o.Result, o.Source = res, SourceDisk
+		return o, nil, nil
+	}
+	t = &task{ctx: ctx, job: job, ent: ent, registered: true, batch: batch, idx: i}
+	e.enqueue(t)
+	return o, t, nil
+}
+
+// wait completes what submit started. An owned task is waited for
+// unconditionally: the worker finishes every task — with ctx's error
+// when cancelled before starting — so jobs that did start always report
+// their real outcome, never a spurious cancellation. A joined entry
+// answers as a memory hit unless its owner was cancelled before the
+// point ran; then the job is submitted again.
+func (e *Engine) wait(ctx context.Context, o Outcome, t *task, join *entry) Outcome {
+	for {
+		if t != nil {
+			<-t.ent.done
+			o.Result, o.Source, o.Err = t.ent.res, SourceFresh, t.ent.err
+			return o
+		}
+		if join == nil {
+			return o
+		}
+		select {
+		case <-join.done:
+			if !isCancellation(join.err) {
+				e.cacheHits.Add(1)
+				o.Result, o.Source, o.Err = join.res, SourceMemory, join.err
+				return o
+			}
+		case <-ctx.Done():
+			o.Source, o.Err = SourceFresh, ctx.Err()
+			return o
+		}
+		o, t, join = e.submit(ctx, o.Job, nil, 0)
 	}
 }
 
@@ -604,29 +688,16 @@ func (e *Engine) Trace(ctx context.Context, job Job) (*trace.Trace, error) {
 }
 
 // evictLocked drops the oldest completed entries until the cache fits.
-// In-flight entries are skipped: evicting one would detach waiters.
+// In-flight entries are never queued for eviction (evicting one would
+// detach its waiters); while they alone fill the cache, it overshoots.
 func (e *Engine) evictLocked() {
-	for len(e.cache) > cacheSize {
-		evicted := false
-		for i, key := range e.order {
-			ent, ok := e.cache[key]
-			if !ok {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				evicted = true
-				break
-			}
-			select {
-			case <-ent.done:
-				delete(e.cache, key)
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				evicted = true
-			default:
-				continue
-			}
-			break
-		}
-		if !evicted {
-			return // everything in flight; let the cache overshoot
+	for len(e.cache) > cacheSize && len(e.evictable) > 0 {
+		c := e.evictable[0]
+		e.evictable[0] = completed{}
+		e.evictable = e.evictable[1:]
+		e.evictWork++
+		if e.cache[c.key] == c.ent {
+			delete(e.cache, c.key)
 		}
 	}
 }
@@ -636,8 +707,8 @@ func (e *Engine) evictLocked() {
 // store). Run is the error-pair convenience; RunJob is for callers —
 // the campaign server, stats-printing CLIs — that surface the source.
 func (e *Engine) RunJob(ctx context.Context, job Job) Outcome {
-	res, src, err := e.run(ctx, job)
-	return Outcome{Job: job, Result: res, Source: src, Err: err}
+	o, t, join := e.submit(ctx, job, nil, 0)
+	return e.wait(ctx, o, t, join)
 }
 
 // RunBatch submits a campaign: all jobs are scheduled onto the shared
@@ -652,40 +723,55 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job) (*BatchResult, error)
 }
 
 // RunBatchFunc is RunBatch with a completion hook: fn (when non-nil) is
-// invoked once per job, in completion order, as soon as that job's
+// invoked once per job, on the calling goroutine, as soon as that job's
 // outcome is known — while the rest of the campaign is still running.
-// Calls to fn are serialized by the engine, so fn may write to a shared
-// sink (the campaign server streams one NDJSON line per call) without
-// its own locking; i is the job's submission index. The returned
-// BatchResult still carries every outcome in submission order.
+// Every job is submitted first: memory and disk hits are answered (and
+// fn called) at once without queueing, and misses are queued. fn then
+// sees the rest in completion order. Calls to fn are thus serialized,
+// so fn may write to a shared sink (the campaign server streams one
+// NDJSON line per call) without its own locking; i is the job's
+// submission index. Only a job that joins another caller's in-flight
+// run costs a goroutine. The returned BatchResult still carries every
+// outcome in submission order.
 func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, fn func(i int, o Outcome)) (*BatchResult, error) {
 	startAt := time.Now()
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	outcomes := make([]Outcome, len(jobs))
-	var emit sync.Mutex
 	deliver := func(i int, o Outcome) {
 		outcomes[i] = o
 		if o.Err != nil && !isCancellation(o.Err) {
 			cancel()
 		}
 		if fn != nil {
-			emit.Lock()
 			fn(i, o)
-			emit.Unlock()
 		}
 	}
 
-	var wg sync.WaitGroup
+	// One send per job at most, so neither a worker finishing a task
+	// nor a joiner ever blocks on it.
+	done := make(chan completion, len(jobs))
+	waiting := 0
 	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j Job) {
-			defer wg.Done()
-			deliver(i, e.RunJob(bctx, j))
-		}(i, j)
+		o, t, join := e.submit(bctx, j, done, i)
+		switch {
+		case t != nil:
+			waiting++
+		case join != nil:
+			waiting++
+			go func() {
+				o := e.wait(bctx, o, nil, join)
+				done <- completion{i: i, res: o.Result, src: o.Source, err: o.Err}
+			}()
+		default:
+			deliver(i, o)
+		}
 	}
-	wg.Wait()
+	for ; waiting > 0; waiting-- {
+		c := <-done
+		deliver(c.i, Outcome{Job: jobs[c.i], Result: c.res, Source: c.src, Err: c.err})
+	}
 
 	br := &BatchResult{Outcomes: outcomes}
 	br.Stats.Jobs = len(jobs)

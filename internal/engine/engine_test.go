@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -474,5 +475,204 @@ func TestRunBatchDefaultRunnerWorkerInvariant(t *testing.T) {
 			t.Errorf("job %d (fpr %g): 1 worker %+v, 4 workers %+v",
 				i, a.Job.FPR, a.Result, b.Result)
 		}
+	}
+}
+
+// blockedRunner returns fr's runner, blocked until release is closed
+// on every job block picks.
+func blockedRunner(fr *fakeRunner, release <-chan struct{}, block func(Job) bool) Runner {
+	return func(j Job) (*sim.Result, error) {
+		if block(j) {
+			<-release
+		}
+		return fr.run(j)
+	}
+}
+
+// waitQueued polls until the engine's queue holds n tasks.
+func waitQueued(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		e.mu.Lock()
+		queued := len(e.queue)
+		e.mu.Unlock()
+		if queued == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d tasks, want %d", queued, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunBatchGoroutinesBounded: a batch costs no goroutine per point.
+// 5,000 misses queue behind runners that block until released; while
+// they wait, the process runs at most its baseline goroutines plus the
+// pool, the batch's caller and a small constant.
+func TestRunBatchGoroutinesBounded(t *testing.T) {
+	const jobs, workers, slack = 5000, 4, 8
+	release := make(chan struct{})
+	fr := &fakeRunner{}
+	e := New(Options{Workers: workers, Runner: blockedRunner(fr, release, func(Job) bool { return true })})
+	defer e.Close()
+	batch := gridJobs(fakeScenario("bound"), []float64{1}, jobs)
+
+	base := runtime.NumGoroutine()
+	type result struct {
+		br  *BatchResult
+		err error
+	}
+	out := make(chan result, 1)
+	go func() {
+		br, err := e.RunBatch(context.Background(), batch)
+		out <- result{br, err}
+	}()
+	waitQueued(t, e, jobs-workers)
+	n := runtime.NumGoroutine()
+	close(release)
+	r := <-out
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.br.Stats.Executed != jobs {
+		t.Errorf("stats = %+v, want %d executed", r.br.Stats, jobs)
+	}
+	if limit := base + workers + 1 + slack; n > limit {
+		t.Errorf("%d goroutines with %d jobs queued (baseline %d, limit %d): a goroutine per point", n, jobs, base, limit)
+	}
+}
+
+// TestRunBatchJoinerResubmitsCancelledOwner races two overlapping
+// batches (CI runs it with -race -count=10). Batch A owns every point
+// of a grid; batch B joins them all, and then A is cancelled while its
+// first point runs. Every job of both batches gets exactly one fn call:
+// A's running point is fresh and the rest are skipped, while B joins
+// the running point as a memory hit and resubmits and runs every point
+// A skipped.
+func TestRunBatchJoinerResubmitsCancelledOwner(t *testing.T) {
+	sc := fakeScenario("overlap")
+	grid := gridJobs(sc, []float64{1, 2, 3}, 4)
+	warm := Job{Scenario: sc, FPR: 99, Seed: 1}
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	fr := &fakeRunner{}
+	e := New(Options{Workers: 1, Runner: blockedRunner(fr, release, func(j Job) bool {
+		if j.key() != grid[0].key() {
+			return false
+		}
+		entered <- struct{}{}
+		return true
+	})})
+	defer e.Close()
+	if _, err := e.Run(context.Background(), warm); err != nil {
+		t.Fatal(err)
+	}
+
+	type record struct {
+		mu    sync.Mutex
+		calls map[int]int
+		outs  map[int]Outcome
+	}
+	hook := func(r *record, last chan<- struct{}) func(int, Outcome) {
+		r.calls, r.outs = map[int]int{}, map[int]Outcome{}
+		return func(i int, o Outcome) {
+			r.mu.Lock()
+			r.calls[i]++
+			r.outs[i] = o
+			r.mu.Unlock()
+			if last != nil && i == len(grid) {
+				close(last) // B's warm hit comes after every join
+			}
+		}
+	}
+	var a, b record
+	actx, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	aErr, bErr := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := e.RunBatchFunc(actx, grid, hook(&a, nil))
+		aErr <- err
+	}()
+	<-entered
+	waitQueued(t, e, len(grid)-1)
+	bSubmitted := make(chan struct{})
+	go func() {
+		_, err := e.RunBatchFunc(context.Background(), append(append([]Job(nil), grid...), warm), hook(&b, bSubmitted))
+		bErr <- err
+	}()
+	<-bSubmitted
+	cancelA()
+	close(release)
+	if err := <-aErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch A error = %v, want context.Canceled", err)
+	}
+	if err := <-bErr; err != nil {
+		t.Fatalf("batch B: %v", err)
+	}
+
+	for i := range grid {
+		if a.calls[i] != 1 || b.calls[i] != 1 {
+			t.Fatalf("job %d: fn called %d times in A and %d in B, want once each", i, a.calls[i], b.calls[i])
+		}
+		ao, bo := a.outs[i], b.outs[i]
+		if i == 0 {
+			if ao.Err != nil || ao.Source != SourceFresh || bo.Err != nil || bo.Source != SourceMemory {
+				t.Errorf("running point: A %v/%v, B %v/%v; want fresh and a memory hit", ao.Source, ao.Err, bo.Source, bo.Err)
+			}
+			continue
+		}
+		if !errors.Is(ao.Err, context.Canceled) {
+			t.Errorf("job %d: A err %v, want skipped", i, ao.Err)
+		}
+		if bo.Err != nil || bo.Source != SourceFresh || bo.Result == nil {
+			t.Errorf("job %d: B %v/%v, want a fresh run after resubmitting", i, bo.Source, bo.Err)
+		}
+		if bo.Job.key() != grid[i].key() {
+			t.Errorf("job %d: B's outcome names another job", i)
+		}
+	}
+	if o := b.outs[len(grid)]; b.calls[len(grid)] != 1 || o.Source != SourceMemory {
+		t.Errorf("warm point: %d calls, source %v; want one memory hit", b.calls[len(grid)], o.Source)
+	}
+	if got, want := fr.calls.Load(), int64(1+len(grid)); got != want {
+		t.Errorf("runner calls = %d, want %d (the warm point and each grid point once)", got, want)
+	}
+}
+
+// TestEvictionWorkLinear: eviction examines each completed entry at
+// most once and never an in-flight one. A batch of 4×cacheSize misses
+// queues behind a blocked runner, so its claims fill the cache far past
+// the bound while eviction does no work; once released, the batch's
+// whole eviction work is at most one step per point, and the cache is
+// back at its bound.
+func TestEvictionWorkLinear(t *testing.T) {
+	const jobs = 4 * cacheSize
+	release := make(chan struct{})
+	fr := &fakeRunner{}
+	e := New(Options{Workers: 1, Runner: blockedRunner(fr, release, func(Job) bool { return true })})
+	defer e.Close()
+	out := make(chan error, 1)
+	go func() {
+		_, err := e.RunBatch(context.Background(), gridJobs(fakeScenario("evict"), []float64{1}, jobs))
+		out <- err
+	}()
+	waitQueued(t, e, jobs-1)
+	e.mu.Lock()
+	work, size := e.evictWork, len(e.cache)
+	e.mu.Unlock()
+	if work != 0 || size != jobs {
+		t.Errorf("all in flight: eviction work %d, cache size %d; want 0 and %d", work, size, jobs)
+	}
+	close(release)
+	if err := <-out; err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	work, size = e.evictWork, len(e.cache)
+	e.mu.Unlock()
+	if work > jobs || size != cacheSize {
+		t.Errorf("after the batch: eviction work %d, cache size %d; want at most %d and %d", work, size, jobs, cacheSize)
 	}
 }

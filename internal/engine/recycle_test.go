@@ -126,3 +126,48 @@ func TestConcurrentRecycle(t *testing.T) {
 		t.Errorf("engine stats = %+v, want %d runs archived and no store errors", s, len(jobs))
 	}
 }
+
+// TestClosedStoreEngineHoldsNoRows: Close empties the row free list once
+// the archiver has flushed, and a run a worker finishes after Close is
+// archived and drops its rows instead of handing them back.
+func TestClosedStoreEngineHoldsNoRows(t *testing.T) {
+	ctx := context.Background()
+	sc := trafficScenario("closed", 2, 1)
+	late := Job{Scenario: sc, FPR: 10, Seed: 99}
+	entered, release := make(chan struct{}), make(chan struct{})
+	runner := func(j Job) (*sim.Result, error) {
+		if j.Seed == late.Seed {
+			close(entered)
+			<-release
+		}
+		return DefaultRunner(j)
+	}
+	st := openStore(t)
+	e := New(Options{Workers: 2, Runner: runner, Store: st})
+	if _, err := e.RunBatch(ctx, gridJobs(sc, []float64{10, 30}, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.free) == 0 {
+		t.Fatal("no row storage on the free list before Close: the check could not fail")
+	}
+	lateErr := make(chan error, 1)
+	go func() {
+		_, err := e.Run(ctx, late)
+		lateErr <- err
+	}()
+	<-entered
+	e.Close()
+	if n := len(e.free); n != 0 {
+		t.Errorf("closed engine holds %d row buffers, want 0", n)
+	}
+	close(release)
+	if err := <-lateErr; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.free); n != 0 {
+		t.Errorf("a run archived after Close left %d row buffers, want 0", n)
+	}
+	if _, ok := st.Lookup(late.key()); !ok {
+		t.Error("the run finished after Close was not archived")
+	}
+}
