@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/trace"
 	"repro/internal/world"
 )
@@ -37,6 +39,12 @@ type futureClass struct {
 	// runEnd[c][q] is the first slot at or after q whose row does not
 	// list actor c (q itself where it is absent, len(times) if none).
 	runEnd [][]int32
+
+	// ascending: times are finite and never decrease, so a horizon end
+	// never moves back as q grows and instant resumes its scan from
+	// lastEnd, the end it returned for slot lastQ.
+	ascending      bool
+	lastQ, lastEnd int
 }
 
 // reset points the index at tr with every class unbuilt.
@@ -65,9 +73,17 @@ func (x *futureIndex) instant(i int) (c *futureClass, q, end int) {
 	q = i / x.stride
 	start := c.times[q]
 	end = q
+	if c.ascending && q >= c.lastQ {
+		// Every slot in [lastQ, lastEnd) lies within the horizon of
+		// lastQ, so one in [q, lastEnd) does of q: its time is no
+		// later and q's no earlier, and rounded subtraction keeps
+		// that order.
+		end = max(q, c.lastEnd)
+	}
 	for end < len(c.times) && c.times[end]-start <= x.horizon {
 		end++
 	}
+	c.lastQ, c.lastEnd = q, end
 	return c, q, end
 }
 
@@ -81,9 +97,13 @@ func (x *futureIndex) build(c *futureClass, r int) {
 	}
 	clear(c.column)
 	c.states, c.runEnd = c.states[:0], c.runEnd[:0]
+	c.ascending, c.lastQ, c.lastEnd = true, 0, 0
 	for q := range slots {
 		row := &rows[r+q*x.stride]
 		c.times[q] = row.Time
+		if math.IsNaN(row.Time) || math.IsInf(row.Time, 0) || q > 0 && row.Time < c.times[q-1] {
+			c.ascending = false
+		}
 		for k := range row.Actors {
 			a := &row.Actors[k]
 			col, ok := c.column[a.ID]

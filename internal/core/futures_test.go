@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -184,5 +185,61 @@ func TestFutureIndexResidueClasses(t *testing.T) {
 	}
 	if built != len(residues) {
 		t.Errorf("%d classes built for %d residues asked for", built, len(residues))
+	}
+}
+
+// CheckFutureEnds asks one futureIndex for the given rows of tr, in
+// that order, and compares each instant's (q, end) with a scan of the
+// horizon from q, as instant did before it resumed from the end it
+// returned last. It returns the first mismatch.
+func CheckFutureEnds(tr *trace.Trace, stride int, horizon float64, rows []int) error {
+	x := newFutureIndex(tr, stride, horizon)
+	for _, i := range rows {
+		c, q, end := x.instant(i)
+		wantEnd := q
+		for wantEnd < len(c.times) && c.times[wantEnd]-c.times[q] <= horizon {
+			wantEnd++
+		}
+		if q != i/stride || end != wantEnd {
+			return fmt.Errorf("stride %d horizon %g row %d: (q, end) = (%d, %d), scan (%d, %d)", stride, horizon, i, q, end, i/stride, wantEnd)
+		}
+	}
+	return nil
+}
+
+// FutureEndOrders are the row orders CheckFutureEnds is run in for a
+// trace of n rows: every row ascending, every tenth, every tenth from
+// an offset in a later residue class, and every row descending.
+func FutureEndOrders(n int) [][]int {
+	var all, tenth, offset, down []int
+	for i := range n {
+		all = append(all, i)
+		down = append(down, n-1-i)
+		if i%10 == 0 {
+			tenth = append(tenth, i)
+		}
+		if i%10 == 3 {
+			offset = append(offset, i)
+		}
+	}
+	return [][]int{all, tenth, offset, down}
+}
+
+// TestFutureIndexEndsUnorderedTimes covers row times that are not
+// finite and ascending, where the end must come from a full scan: a
+// time that steps back, a NaN and an infinity, each mid-trace.
+func TestFutureIndexEndsUnorderedTimes(t *testing.T) {
+	for _, bad := range []float64{-1, 0.05, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tr := futureTrace()
+		tr.Rows[40].Time = bad
+		for _, stride := range []int{1, 4} {
+			for _, horizon := range []float64{0.1, 0.5, math.Inf(1), -1} {
+				for _, rows := range FutureEndOrders(tr.Len()) {
+					if err := CheckFutureEnds(tr, stride, horizon, rows); err != nil {
+						t.Fatalf("row 40 at %v: %v", bad, err)
+					}
+				}
+			}
+		}
 	}
 }

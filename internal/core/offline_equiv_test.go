@@ -247,3 +247,29 @@ func TestEvaluateTraceMatchesFrozenReferenceIrregular(t *testing.T) {
 	}
 	assertMatchesLegacy(t, "irregular-swapped", swapped, reused)
 }
+
+// TestFutureIndexEndsMatchScan checks the futures index's resumed
+// horizon scan against a full one on every Table-1 trace and on the
+// irregular trace, over strides, horizons and row orders.
+func TestFutureIndexEndsMatchScan(t *testing.T) {
+	traces := []*trace.Trace{irregularTrace()}
+	for _, sc := range scenario.All() {
+		res, err := sim.Run(sc.Build(10, 1))
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		traces = append(traces, res.Trace)
+	}
+	horizon := core.DefaultParams().Horizon
+	for _, tr := range traces {
+		for _, stride := range []int{1, 5, 7} {
+			for _, h := range []float64{horizon, 0.5} {
+				for _, rows := range core.FutureEndOrders(tr.Len()) {
+					if err := core.CheckFutureEnds(tr, stride, h, rows); err != nil {
+						t.Fatalf("%s: %v", tr.Meta.Scenario, err)
+					}
+				}
+			}
+		}
+	}
+}

@@ -5,13 +5,14 @@ import (
 	"strings"
 
 	"repro/internal/predict"
+	"repro/internal/sensor"
 	"repro/internal/world"
 )
 
 // EstimateScratch holds every piece of transient storage one Zhuyi
 // evaluation needs: predicted trajectories and their sample points,
 // per-trajectory latency results, per-actor latencies/threat flags,
-// the actor index, and the camera-sweep and percentile-sort scratch.
+// the camera cones and the percentile-sort scratch.
 // Reusing one scratch across calls makes EstimateOnlineInto free of
 // heap allocation once steady-state capacity is reached — the
 // serving tier keeps one per pooled request context. The zero value is
@@ -24,9 +25,19 @@ type EstimateScratch struct {
 	probs     []float64
 	latencies []float64 // per actor, indexed like the wm slice
 	threats   []bool
-	index     map[string]int // actor ID -> wm index (last occurrence wins)
-	seen      []string
+	order     []int // actor indices sorted by ID, when IDs repeat
 	agg       []aggEntry
+
+	// The camera sweep's cones, built for rig (a private copy, so a
+	// caller editing its Estimator's rig in place cannot leave them
+	// stale), and the rig index of each reported camera in names (-1
+	// for a name the rig lacks); allCams marks names resolved for a
+	// nil Estimator.Cameras.
+	cones   *sensor.RigCones
+	rig     sensor.Rig
+	names   []string
+	camIdx  []int
+	allCams bool
 }
 
 // EstimateOnlineInto is EstimateOnline writing into dst using sc for
@@ -51,7 +62,7 @@ func (e *Estimator) EstimateOnlineInto(dst *Estimate, sc *EstimateScratch, now f
 // and EstimateOnlineInto: the per-actor latency aggregation and the
 // Eq. 5 camera sweep, with sc.trajs/sc.actorTraj already populated.
 func (e *Estimator) estimateInto(dst *Estimate, sc *EstimateScratch, now float64, ego world.Agent, actors []world.Agent, l0 float64) {
-	cams := e.cameras()
+	cams, camIdx := sc.sweepFor(e)
 	dst.Time = now
 	dst.Evals = 0
 	dst.Actors = dst.Actors[:0]
@@ -66,11 +77,6 @@ func (e *Estimator) estimateInto(dst *Estimate, sc *EstimateScratch, now float64
 	}
 	egoState := EgoFromAgent(ego)
 
-	if sc.index == nil {
-		sc.index = make(map[string]int, len(actors))
-	} else {
-		clear(sc.index)
-	}
 	sc.latencies = sc.latencies[:0]
 	sc.threats = sc.threats[:0]
 	for ai, a := range actors {
@@ -101,23 +107,27 @@ func (e *Estimator) estimateInto(dst *Estimate, sc *EstimateScratch, now float64
 		}
 		sc.latencies = append(sc.latencies, lat)
 		sc.threats = append(sc.threats, !agg.NoThreat)
-		sc.index[a.ID] = ai
 	}
 	slices.SortFunc(dst.Actors, func(a, b ActorEstimate) int { return strings.Compare(a.ActorID, b.ActorID) })
+	for k := 1; k < len(dst.Actors); k++ {
+		if dst.Actors[k].ActorID == dst.Actors[k-1].ActorID {
+			sc.shareLastOccurrence(actors)
+			break
+		}
+	}
 
 	// Eq. 5: per camera, the binding actor is the one with the smallest
-	// tolerable latency among those in the camera's FOV. One scratch
-	// sweep per camera over the pre-filtered cone replaces the old
-	// all-cameras VisibleSet map.
-	for _, cam := range cams {
+	// tolerable latency among those in the camera's FOV, tested on the
+	// scratch's cones rotated to the ego pose once per instant.
+	sc.cones.Update(ego.Pose)
+	for k, cam := range cams {
 		l := e.Params.LMax // empty FOV: idle floor (FPR 1)
 		threat := false
-		sc.seen = sc.seen[:0]
-		if c, ok := e.Rig.Camera(cam); ok {
-			sc.seen = c.AppendSeenIDs(sc.seen, ego.Pose, actors)
-		}
-		for _, id := range sc.seen {
-			if ai, ok := sc.index[id]; ok {
+		if ci := camIdx[k]; ci >= 0 {
+			for ai := range actors {
+				if !sc.cones.SeesAgentAt(ci, &actors[ai]) {
+					continue
+				}
 				if al := sc.latencies[ai]; al < l {
 					l = al
 				}
@@ -133,4 +143,52 @@ func (e *Estimator) estimateInto(dst *Estimate, sc *EstimateScratch, now float64
 		dst.CameraFPR[cam] = 1 / l
 		dst.CameraThreat[cam] = threat
 	}
+}
+
+// shareLastOccurrence gives every actor the latency and threat of the
+// last actor listing the same ID, the one an ID-keyed view of the scene
+// keeps: a camera that sees any listing of an ID binds on that one.
+func (sc *EstimateScratch) shareLastOccurrence(actors []world.Agent) {
+	sc.order = sc.order[:0]
+	for ai := range actors {
+		sc.order = append(sc.order, ai)
+	}
+	slices.SortStableFunc(sc.order, func(i, j int) int { return strings.Compare(actors[i].ID, actors[j].ID) })
+	for lo := 0; lo < len(sc.order); {
+		hi := lo + 1
+		for hi < len(sc.order) && actors[sc.order[hi]].ID == actors[sc.order[lo]].ID {
+			hi++
+		}
+		last := sc.order[hi-1]
+		for _, ai := range sc.order[lo : hi-1] {
+			sc.latencies[ai], sc.threats[ai] = sc.latencies[last], sc.threats[last]
+		}
+		lo = hi
+	}
+}
+
+// sweepFor returns the cameras e reports and each one's rig index,
+// rebuilding the scratch's cones only when e's rig differs from the
+// one they were built for, and the index table only then or when e's
+// camera list changes. A name the rig lacks gets -1; a name the rig
+// lists twice gets its first camera, as Rig.Camera does.
+func (sc *EstimateScratch) sweepFor(e *Estimator) ([]string, []int) {
+	if sc.cones == nil || !slices.Equal(sc.rig, e.Rig) {
+		sc.rig = append(sc.rig[:0], e.Rig...)
+		sc.cones = sensor.NewRigCones(sc.rig)
+	} else if sc.allCams == (e.Cameras == nil) && (sc.allCams || slices.Equal(sc.names, e.Cameras)) {
+		return sc.names, sc.camIdx
+	}
+	sc.allCams = e.Cameras == nil
+	sc.names = append(sc.names[:0], e.Cameras...)
+	if sc.allCams {
+		for _, c := range sc.rig {
+			sc.names = append(sc.names, c.Name)
+		}
+	}
+	sc.camIdx = sc.camIdx[:0]
+	for _, name := range sc.names {
+		sc.camIdx = append(sc.camIdx, slices.IndexFunc(sc.rig, func(c sensor.Camera) bool { return c.Name == name }))
+	}
+	return sc.names, sc.camIdx
 }

@@ -139,8 +139,8 @@ func (w *worker) summarize(e store.Entry, tr *trace.Trace, opt Options) (Summary
 		Rows:     tr.Len(),
 	}
 	s.MinGap, s.MinGapInfinite = minGapFromTrace(tr)
-	for _, row := range tr.Rows {
-		if row.Ego.Speed == 0 {
+	for i := range tr.Rows {
+		if tr.Rows[i].Ego.Speed == 0 {
 			s.EgoStopped = true
 			break
 		}
@@ -170,13 +170,17 @@ func (w *worker) summarize(e store.Entry, tr *trace.Trace, opt Options) (Summary
 // the road — and it is what the regression diff compares.
 func minGapFromTrace(tr *trace.Trace) (gap float64, infinite bool) {
 	gap = math.Inf(1)
-	for _, row := range tr.Rows {
+	for i := range tr.Rows {
+		row := &tr.Rows[i]
 		fwd := row.Ego.Pose.Forward()
-		for _, a := range row.Actors {
+		for k := range row.Actors {
+			a := &row.Actors[k]
 			rel := a.Pose.Pos.Sub(row.Ego.Pose.Pos)
 			along := rel.Dot(fwd)
 			lat := rel.Sub(fwd.Scale(along))
-			if lat.Len() > 2.2 {
+			// Len is a hypot, never below either component, so a
+			// component past 2.2 decides the reject without it.
+			if math.Abs(lat.X) > 2.2 || math.Abs(lat.Y) > 2.2 || lat.Len() > 2.2 {
 				continue
 			}
 			if g := math.Abs(along) - (row.Ego.Length+a.Length)/2; g < gap {

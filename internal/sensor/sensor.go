@@ -117,30 +117,3 @@ func (r Rig) Visible(ego geom.Pose, a world.Agent) []string {
 	}
 	return seen
 }
-
-// AppendSeenIDs appends the IDs of the agents the camera sees from the
-// ego pose (FOV membership only — no occlusion) into dst, reusing its
-// backing array. The frame-cone pre-filter skips the exact cone test
-// for agents that provably cannot be seen; the accepted set is exactly
-// the plain SeesAgent sweep's. Per-instant callers (the estimator's
-// Eq. 5 loop) pass a scratch slice so the sweep allocates nothing.
-func (c Camera) AppendSeenIDs(dst []string, ego geom.Pose, actors []world.Agent) []string {
-	fc := NewFrameCone(c, ego)
-	for i := range actors {
-		if fc.CannotSee(actors[i]) || !c.SeesAgent(ego, actors[i]) {
-			continue
-		}
-		dst = append(dst, actors[i].ID)
-	}
-	return dst
-}
-
-// VisibleSet returns, for each camera, the IDs of the agents it sees:
-// the allocating convenience over AppendSeenIDs.
-func (r Rig) VisibleSet(ego geom.Pose, actors []world.Agent) map[string][]string {
-	m := make(map[string][]string, len(r))
-	for _, c := range r {
-		m[c.Name] = c.AppendSeenIDs(nil, ego, actors)
-	}
-	return m
-}

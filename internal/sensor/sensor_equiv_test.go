@@ -112,7 +112,8 @@ func TestRigConesMatchesExactVisibility(t *testing.T) {
 
 // TestRigConesBoundaryPoints pins sample points exactly on cone edges:
 // the tri-state must classify them as uncertain (falling back to the
-// exact test), never flipping the decision.
+// exact test), never flipping the decision, on the simulator's frame
+// path and the estimator's SeesAgentAt alike.
 func TestRigConesBoundaryPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 4000; iter++ {
@@ -134,8 +135,12 @@ func TestRigConesBoundaryPoints(t *testing.T) {
 			p := ego.Pos.Add(geom.FromAngle(dir).Scale(dist))
 			a := world.Agent{ID: "x", Pose: geom.Pose{Pos: p}, Length: 1e-9, Width: 1e-9}
 			f := frameOf([]world.Agent{a})
-			if got, want := rc.SeesAgentFrame(ci, f, 0), cam.SeesAgent(ego, a); got != want {
+			want := cam.SeesAgent(ego, a)
+			if got := rc.SeesAgentFrame(ci, f, 0); got != want {
 				t.Fatalf("boundary: cam %s dist %v edge %v: fast %v exact %v", cam.Name, dist, edge, got, want)
+			}
+			if got := rc.SeesAgentAt(ci, &a); got != want {
+				t.Fatalf("boundary: cam %s dist %v edge %v: SeesAgentAt %v exact %v", cam.Name, dist, edge, got, want)
 			}
 		}
 	}

@@ -138,26 +138,6 @@ func TestRigVisible(t *testing.T) {
 	}
 }
 
-func TestRigVisibleSet(t *testing.T) {
-	rig := DefaultRig()
-	ego := geom.Pose{Pos: geom.V(0, 0), Heading: 0}
-	actors := []world.Agent{
-		agentAt("f", 60, 0),
-		agentAt("l", 5, 12),
-		agentAt("r", 5, -12),
-	}
-	m := rig.VisibleSet(ego, actors)
-	if !contains(m[Front120], "f") {
-		t.Errorf("front120 sees %v", m[Front120])
-	}
-	if !contains(m[Left], "l") || contains(m[Left], "r") {
-		t.Errorf("left sees %v", m[Left])
-	}
-	if !contains(m[Right], "r") || contains(m[Right], "l") {
-		t.Errorf("right sees %v", m[Right])
-	}
-}
-
 // An actor diagonally ahead-left near the FOV seam should appear in both
 // the front and left cameras; Zhuyi's per-camera aggregation depends on
 // overlapping FOVs behaving this way.
