@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,7 +47,8 @@ func referenceSweep(e *Estimator, ego world.Agent, actors []world.Agent, pred pr
 		l := e.Params.LMax
 		th := false
 		var seen []string
-		if c, ok := e.Rig.Camera(cam); ok {
+		if ci := slices.IndexFunc(e.Rig, func(c sensor.Camera) bool { return c.Name == cam }); ci >= 0 {
+			c := e.Rig[ci]
 			fc := sensor.NewFrameCone(c, ego.Pose)
 			for i := range actors {
 				if fc.CannotSee(actors[i]) || !c.SeesAgent(ego.Pose, actors[i]) {

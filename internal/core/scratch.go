@@ -171,7 +171,7 @@ func (sc *EstimateScratch) shareLastOccurrence(actors []world.Agent) {
 // rebuilding the scratch's cones only when e's rig differs from the
 // one they were built for, and the index table only then or when e's
 // camera list changes. A name the rig lacks gets -1; a name the rig
-// lists twice gets its first camera, as Rig.Camera does.
+// lists twice gets the first camera of that name.
 func (sc *EstimateScratch) sweepFor(e *Estimator) ([]string, []int) {
 	if sc.cones == nil || !slices.Equal(sc.rig, e.Rig) {
 		sc.rig = append(sc.rig[:0], e.Rig...)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
@@ -93,13 +94,14 @@ func BenchmarkReplayVsSimulate(b *testing.B) {
 	b.Run("Replay", func(b *testing.B) {
 		st, _, _ := benchRecordedStore(b, 1, false)
 		entry := st.Entries()[0]
+		// One worker across iterations, as each Run goroutine keeps one
+		// across its entries: the read, decode and evaluation reuse its
+		// storage.
+		w := worker{est: core.NewEstimator()}
+		opt := Options{}.withDefaults()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tr, err := st.Trace(entry)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := Summarize(entry, tr, Options{}); err != nil {
+			if _, err := w.replay(st, entry, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

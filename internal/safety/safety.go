@@ -155,6 +155,11 @@ type Controller struct {
 	lastRates map[string]float64
 	checks    []CheckResult
 	spare     map[string]float64 // recycled by RatesFromEstimateReuse
+
+	// Rates' estimate and estimator storage, refilled at every control
+	// step. Check copies what it keeps out of the estimate.
+	est     core.Estimate
+	scratch core.EstimateScratch
 }
 
 // NewController builds a controller over the estimator's cameras.
@@ -182,8 +187,8 @@ func (c *Controller) Rates(now float64, ego world.Agent, wm []world.Agent) map[s
 	// l0: the controller aims to run each camera at its estimate, so the
 	// conservative choice is the smallest latency it could be granted.
 	l0 := 1 / c.Cfg.MaxFPR
-	est := c.Estimator.EstimateOnline(now, ego, wm, c.Predictor, l0)
-	return c.RatesFromEstimate(now, ego, wm, est)
+	c.Estimator.EstimateOnlineInto(&c.est, &c.scratch, now, ego, wm, c.Predictor, l0)
+	return c.RatesFromEstimate(now, ego, wm, c.est)
 }
 
 // RatesFromEstimate is Rates with the online estimate already in hand.

@@ -87,16 +87,6 @@ func DefaultRig() Rig {
 // two side cameras.
 func AnalyzedCameras() []string { return []string{Front120, Left, Right} }
 
-// Camera returns the named camera.
-func (r Rig) Camera(name string) (Camera, bool) {
-	for _, c := range r {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Camera{}, false
-}
-
 // Names returns the camera names in rig order.
 func (r Rig) Names() []string {
 	names := make([]string, len(r))

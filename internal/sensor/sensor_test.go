@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -90,11 +91,11 @@ func TestDefaultRigComplete(t *testing.T) {
 		t.Fatalf("rig size = %d", len(rig))
 	}
 	for _, name := range []string{Front120, Front60, Left, Right, Rear} {
-		if _, ok := rig.Camera(name); !ok {
+		if !slices.ContainsFunc(rig, func(c Camera) bool { return c.Name == name }) {
 			t.Errorf("missing camera %s", name)
 		}
 	}
-	if _, ok := rig.Camera("nope"); ok {
+	if slices.ContainsFunc(rig, func(c Camera) bool { return c.Name == "nope" }) {
 		t.Error("phantom camera found")
 	}
 	names := rig.Names()
@@ -106,7 +107,7 @@ func TestDefaultRigComplete(t *testing.T) {
 		t.Errorf("analyzed cameras = %v", analyzed)
 	}
 	for _, name := range analyzed {
-		if _, ok := rig.Camera(name); !ok {
+		if !slices.ContainsFunc(rig, func(c Camera) bool { return c.Name == name }) {
 			t.Errorf("analyzed camera %s not in rig", name)
 		}
 	}

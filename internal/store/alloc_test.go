@@ -43,3 +43,32 @@ func TestRefreshAllocBudget(t *testing.T) {
 		t.Errorf("Refresh of one line allocated %d bytes, budget %d", got, budget)
 	}
 }
+
+// TestOpenAllocBudget: Open of a 1,000-entry manifest allocates, per
+// entry, its artifact string, its collision, and its frames_processed
+// map and the map's first group: 4.0, plus the index, the reader's
+// buffer and the files, sized once. Copying each line, holding each
+// Entry in the map through a pointer, regrowing the index and a heap
+// Entry per line read 7.06 per entry before.
+func TestOpenAllocBudget(t *testing.T) {
+	const (
+		entries = 1000
+		budget  = 4.2 // allocations per entry
+	)
+	dir := syntheticStore(t, entries)
+	allocs := testing.AllocsPerRun(5, func() {
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Len() != entries {
+			t.Fatalf("Len = %d, want %d", st.Len(), entries)
+		}
+		st.Close()
+	})
+	if per := allocs / entries; per > budget {
+		t.Errorf("Open allocated %.2f per entry, budget %.1f", per, budget)
+	} else {
+		t.Logf("Open allocated %.2f per entry, budget %.1f", per, budget)
+	}
+}

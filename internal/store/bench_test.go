@@ -54,7 +54,7 @@ func BenchmarkStoreOpen(b *testing.B) {
 
 // syntheticStore writes a store whose manifest holds n distinct keys
 // (seeds 1..n) that all point at one archived trace.
-func syntheticStore(b *testing.B, n int) string {
+func syntheticStore(b testing.TB, n int) string {
 	b.Helper()
 	dir := b.TempDir()
 	st, err := Open(dir)

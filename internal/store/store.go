@@ -132,9 +132,12 @@ const HashZYT = "zyt"
 type Store struct {
 	dir string
 
-	mu       sync.Mutex
-	index    map[Key]Entry
-	order    []Key // first-recorded order, deduplicated
+	mu sync.Mutex
+	// entries holds one entry per key in first-recorded order, and index
+	// its position. An Entry is too large to be a map value held in
+	// place, so the map would allocate each one separately.
+	index    map[Key]int
+	entries  []Entry
 	manifest *os.File
 	// loaded is the manifest byte offset up to which the index has been
 	// ingested — the high-water mark of refreshLocked's incremental
@@ -169,7 +172,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, index: make(map[Key]Entry), refreshEvery: defaultRefreshEvery}
+	s := &Store{dir: dir, refreshEvery: defaultRefreshEvery}
 	if err := s.loadManifest(); err != nil {
 		return nil, err
 	}
@@ -241,12 +244,18 @@ func (s *Store) locateObject(hash string, size int64) (path string, legacy bool,
 	return "", false, fmt.Errorf("store: artifact %s: %w", hash, os.ErrNotExist)
 }
 
+// putLineBytes is about the length of a manifest line Put writes.
+const putLineBytes = 400
+
 // loadManifest populates the index at Open by streaming the manifest
 // line by line — never slurped whole, so opening a large store doesn't
-// spike memory.
+// spike memory. The index is sized once for the manifest's length over
+// putLineBytes, so it does not regrow from empty line by line; the
+// size is bounded by the manifest's bytes, re-recorded keys or not.
 func (s *Store) loadManifest() error {
 	f, err := os.Open(s.manifestPath())
 	if os.IsNotExist(err) {
+		s.index = make(map[Key]int)
 		return nil
 	}
 	if err != nil {
@@ -257,6 +266,8 @@ func (s *Store) loadManifest() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	n := int(fi.Size() / putLineBytes)
+	s.index, s.entries = make(map[Key]int, n), make([]Entry, 0, n)
 	return s.ingestReaderLocked(f, fi.Size())
 }
 
@@ -271,18 +282,28 @@ func (s *Store) loadManifest() error {
 //
 // The reader's buffer is sized to the unread bytes, up to 256 KiB
 // (bufio floors it at its minimum), so the refresh after each Put reads
-// its one line through a line-sized buffer; ReadBytes handles longer
-// lines. A line in the shape Put writes is decoded by
-// lineDecoder.entry; any other goes through json.Unmarshal.
+// its one line through a line-sized buffer. A line is read in place
+// from that buffer and is dead at the next read: the decoder and
+// json.Unmarshal copy every string they keep. Only a line longer than
+// the buffer is gathered into a copy. A line in the shape Put writes is
+// decoded by lineDecoder.entry; any other goes through json.Unmarshal.
 func (s *Store) ingestReaderLocked(r io.Reader, unread int64) error {
 	br := bufio.NewReaderSize(r, int(min(unread, 256<<10)))
 	var (
 		dec    lineDecoder
-		badErr error // parse failure pending the is-it-final check
-		badEnd int64 // offset just past the unparseable line
+		long   []byte // the start of a line longer than br's buffer
+		badErr error  // parse failure pending the is-it-final check
+		badEnd int64  // offset just past the unparseable line
 	)
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long, line...)
+			continue
+		}
+		if long != nil {
+			line, long = append(long, line...), nil
+		}
 		if err != nil {
 			// EOF: an unterminated fragment in line is a torn tail — leave
 			// it unconsumed. An unparseable complete line right before it
@@ -306,10 +327,12 @@ func (s *Store) ingestReaderLocked(r io.Reader, unread int64) error {
 		}
 		e, ok := dec.entry(line)
 		if !ok {
-			if err := json.Unmarshal(line, &e); err != nil {
+			var je Entry // escapes to the heap, so only on this path
+			if err := json.Unmarshal(line, &je); err != nil {
 				badErr, badEnd = err, next
 				continue
 			}
+			e = je
 		}
 		s.addLocked(e)
 		s.loaded = next
@@ -369,17 +392,28 @@ func (s *Store) Refresh() {
 // addLocked inserts an entry into the in-memory index; later manifest
 // lines for the same key win (re-records supersede).
 func (s *Store) addLocked(e Entry) {
-	if _, ok := s.index[e.Key]; !ok {
-		s.order = append(s.order, e.Key)
+	if i, ok := s.index[e.Key]; ok {
+		s.entries[i] = e
+		return
 	}
-	s.index[e.Key] = e
+	s.index[e.Key] = len(s.entries)
+	s.entries = append(s.entries, e)
+}
+
+// lookupLocked returns the indexed entry for a key.
+func (s *Store) lookupLocked(k Key) (Entry, bool) {
+	i, ok := s.index[k]
+	if !ok {
+		return Entry{}, false
+	}
+	return s.entries[i], true
 }
 
 // Len reports the number of distinct keys in the store.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return len(s.entries)
 }
 
 // Summary aggregates the manifest index: distinct archived keys, the
@@ -400,9 +434,9 @@ func (s *Store) Summarize() Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.refreshLocked(true)
-	sum := Summary{Entries: len(s.index)}
+	sum := Summary{Entries: len(s.entries)}
 	names := make(map[string]struct{})
-	for _, e := range s.index {
+	for _, e := range s.entries {
 		names[e.Scenario] = struct{}{}
 		sum.Rows += e.Rows
 		sum.Bytes += e.Bytes
@@ -419,10 +453,10 @@ func (s *Store) Summarize() Summary {
 func (s *Store) Lookup(k Key) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index[k]
+	e, ok := s.lookupLocked(k)
 	if !ok {
 		s.refreshLocked(false)
-		e, ok = s.index[k]
+		e, ok = s.lookupLocked(k)
 	}
 	return e, ok
 }
@@ -433,10 +467,8 @@ func (s *Store) Lookup(k Key) (Entry, bool) {
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	s.refreshLocked(true)
-	out := make([]Entry, 0, len(s.index))
-	for _, k := range s.order {
-		out = append(out, s.index[k])
-	}
+	out := make([]Entry, len(s.entries))
+	copy(out, s.entries)
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -479,14 +511,14 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 			scenarioName, res.Level, trace.LevelFull)
 	}
 	s.mu.Lock()
-	existing, exists := s.index[k]
+	existing, exists := s.lookupLocked(k)
 	if !exists {
 		// Another process sharing the directory may have archived this
 		// point already; the refresh turns that into an idempotent no-op
 		// instead of a duplicate manifest line. Forced: the miss-path
 		// debounce must never cause a duplicate append.
 		s.refreshLocked(true)
-		existing, exists = s.index[k]
+		existing, exists = s.lookupLocked(k)
 	}
 	closed := s.manifest == nil
 	s.mu.Unlock()
@@ -540,7 +572,7 @@ func (s *Store) Put(scenarioName string, k Key, res *sim.Result) (Entry, bool, e
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.index[k]; ok {
+	if prev, ok := s.lookupLocked(k); ok {
 		// Lost the race to a concurrent recorder of the same point; the
 		// object write above was idempotent, so just adopt its entry.
 		return prev, false, nil
