@@ -1,18 +1,22 @@
 package server
 
-// ratefast.go is the pooled zero-allocation serving path behind
-// POST /v1/rate. Each request borrows a rateScratch from a sync.Pool:
-// the body buffer, decoded request, estimator scratch, controller, and
-// response buffer all live in it and are reused across requests, so a
-// steady-state rate request performs no heap allocation at all on the
-// binary wire format and stays within a small fixed budget on JSON
-// (both pinned by TestRateServeAllocBudget, a step of the CI loadtest
-// job). The scratch also carries a stable histogram shard hint, so
-// latency self-recording never contends across pooled requests.
-// Admission priority (internal/admission) brackets the compute; the
-// engine's campaign workers yield while any rate request is in flight.
+// ratefast.go is the pooled serving path behind POST /v1/rate. Each
+// request borrows a rateScratch from a sync.Pool: the body buffer,
+// decoded request, estimator scratch, controller, and binary response
+// buffer all live in it and are reused across requests. On the binary
+// wire (ratewire.go) a steady-state request performs no heap
+// allocation at all; the JSON wire decodes with encoding/json into the
+// reused request and answers through WriteJSON, and allocates within a
+// fixed ceiling (both pinned by TestRateServeAllocBudget, a step of
+// the CI loadtest job). The scratch also carries a stable histogram
+// shard hint, so latency self-recording never contends across pooled
+// requests. Admission priority (internal/admission) brackets the
+// compute; the engine's campaign workers yield while any rate request
+// is in flight.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -31,33 +35,20 @@ import (
 // and rebuilt rather than growing without bound.
 const maxInternEntries = 4096
 
-// rateStatusFallback signals the handler to re-encode through the
-// reflective WriteJSON path: a non-finite float reached the wire and
-// the legacy behavior (a 500 from MarshalIndent) must be preserved.
-const rateStatusFallback = -1
-
-// rateWireReq is the decoded RateRequest in scratch form. Actors keeps
-// its backing array across requests (zeroed between them) and
-// Operating is cleared, not reallocated.
-type rateWireReq struct {
-	Time      float64
-	Ego       AgentState
-	Actors    []AgentState
-	Operating map[string]float64
-}
-
 // rateScratch is the per-request working set of the pooled path.
 type rateScratch struct {
-	body   []byte // request body, read fully before decoding
-	out    []byte // encoded response
-	strbuf []byte // string unescape scratch
+	body []byte // request body, read fully before decoding
+	out  []byte // encoded binary response
 
-	// ids interns agent IDs and operating-map keys: a fleet posting
-	// the same snapshot shape allocates each distinct string once per
-	// pooled scratch, ever.
+	// ids interns binary-frame agent IDs and operating-map keys: a
+	// fleet posting the same snapshot shape allocates each distinct
+	// string once per pooled scratch, ever.
 	ids map[string]string
 
-	req     rateWireReq
+	// req is the decode destination. Actors keeps its backing array
+	// across requests (zeroed between them) and Operating is cleared,
+	// not reallocated.
+	req     RateRequest
 	actorsW []world.Agent // lowered world-model actors
 
 	est  *core.Estimator
@@ -67,7 +58,7 @@ type rateScratch struct {
 	ctrl *safety.Controller
 	esc  core.EstimateScratch
 
-	// Computed per request, consumed by the encoders.
+	// Computed per request, consumed by the response writers.
 	e        core.Estimate
 	rates    map[string]float64
 	sumFPR   float64
@@ -76,7 +67,7 @@ type rateScratch struct {
 	chk      safety.CheckResult
 
 	analyzed []string // sensor.AnalyzedCameras(), cached
-	keys     []string // sorted map keys scratch for encoding
+	keys     []string // sorted map keys scratch for the binary encoder
 
 	// shard is this scratch's stable histogram shard hint: pooled
 	// scratches spread across shards once and stay there, avoiding
@@ -113,8 +104,11 @@ func putRateScratch(sc *rateScratch) { rateScratchPool.Put(sc) }
 
 // reset restores the decode destination to the all-zero state a fresh
 // json.Unmarshal target would have. The actor backing array is zeroed
-// through its full capacity so the duplicate-key merge semantics the
-// decoder replicates start from clean memory.
+// through its full capacity: encoding/json decodes an array element
+// into whatever that slot of the backing array holds, so a stale actor
+// would leak into fields the next request leaves out. A JSON
+// "operating":null leaves the map nil, and the binary decoder writes
+// into it, so it is remade here.
 func (sc *rateScratch) reset() {
 	sc.req.Time = 0
 	sc.req.Ego = AgentState{}
@@ -123,6 +117,9 @@ func (sc *rateScratch) reset() {
 		as[i] = AgentState{}
 	}
 	sc.req.Actors = as[:0]
+	if sc.req.Operating == nil {
+		sc.req.Operating = make(map[string]float64, 8)
+	}
 	clear(sc.req.Operating)
 	if len(sc.ids) > maxInternEntries {
 		clear(sc.ids)
@@ -159,11 +156,11 @@ func (sc *rateScratch) readBody(r io.Reader) error {
 }
 
 // serveRate runs the pooled path end to end: read, decode (JSON or
-// binary per Content-Type), validate, compute, encode. On success it
-// returns (0, "") with the response encoded in sc.out; otherwise the
-// HTTP status and message for WriteError, or rateStatusFallback.
-// Validation order and error messages match the pre-pooled handler
-// exactly. Error paths may allocate — they are off the hot path.
+// binary per Content-Type), validate, compute, and on the binary wire
+// encode. On success it returns (0, "") with a binary response encoded
+// in sc.out, or a JSON one ready for sc.response; otherwise the HTTP
+// status and message for WriteError. Error paths may allocate — they
+// are off the hot path.
 func (s *Server) serveRate(sc *rateScratch, body io.Reader, binary bool) (int, string) {
 	sc.reset()
 	if err := sc.readBody(body); err != nil {
@@ -173,11 +170,8 @@ func (s *Server) serveRate(sc *rateScratch, body io.Reader, binary bool) (int, s
 		if err := sc.decodeBinaryRequest(); err != nil {
 			return 400, "bad rate request: " + err.Error()
 		}
-	} else {
-		d := rateDecoder{sc: sc, data: sc.body}
-		if err := d.decodeRequest(); err != nil {
-			return 400, "bad rate request: " + err.Error()
-		}
+	} else if err := json.NewDecoder(bytes.NewReader(sc.body)).Decode(&sc.req); err != nil {
+		return 400, "bad rate request: " + err.Error()
 	}
 
 	if sc.req.Ego.ID == "" {
@@ -215,18 +209,14 @@ func (s *Server) serveRate(sc *rateScratch, body io.Reader, binary bool) (int, s
 
 	if binary {
 		sc.encodeBinaryResponse()
-		return 0, ""
-	}
-	if !sc.encodeJSONResponse() {
-		return rateStatusFallback, ""
 	}
 	return 0, ""
 }
 
-// fallbackResponse rebuilds the wire response allocating freely; only
-// the non-finite-float fallback uses it, to reproduce the exact legacy
-// WriteJSON behavior (a 500 from MarshalIndent).
-func (sc *rateScratch) fallbackResponse() RateResponse {
+// response builds the JSON wire response from the computed estimate.
+// Its maps are the scratch's own, so it must be encoded before the
+// scratch returns to the pool.
+func (sc *rateScratch) response() RateResponse {
 	resp := RateResponse{
 		Time:      sc.e.Time,
 		CameraFPR: sc.e.CameraFPR,

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -178,6 +179,34 @@ func rateHammerRequest() RateRequest {
 			{ID: "right", X: 12, Y: -3.5, Speed: 15, Lane: -1},
 		},
 		Operating: map[string]float64{"front120": 10, "left": 5, "right": 5},
+	}
+}
+
+// TestRateNonFiniteFrameReleasesGate: a binary frame with a NaN
+// heading is answered with a JSON 400 and leaves the admission gate
+// closed, so campaign workers do not park behind a request that
+// already ended.
+func TestRateNonFiniteFrameReleasesGate(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := rateHammerRequest()
+	req.Ego.Heading = math.NaN()
+	frame, err := AppendRateRequestBinary(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.Post(ts.URL+"/v1/rate", RateBinaryContentType, bytes.NewReader(frame)); err != nil {
+		t.Errorf("NaN-heading frame: %v", err)
+	} else {
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("NaN-heading frame: status %d, error body %q (%v), want a JSON 400", resp.StatusCode, e.Error, err)
+		}
+		resp.Body.Close()
+	}
+	if n := s.gate.Active(); n != 0 {
+		t.Errorf("admission gate holds %d requests after the answer, want 0", n)
 	}
 }
 

@@ -3,12 +3,14 @@ package server
 // ratewire.go is the optional length-prefixed binary wire format for
 // POST /v1/rate, negotiated by Content-Type. It exists for callers on
 // the tightest loops — a closed-loop controller polling at camera
-// rate — where even a pooled JSON parse is measurable: the frame is
-// fixed-layout little-endian, the server decodes and encodes it with
-// zero allocations, and clients use the exported Append/Decode helpers
-// (zhuyi.Client.RateBinary rides on them). Errors are always answered
-// in JSON regardless of the request format, so error handling needs no
-// second code path. docs/api.md documents the frame layout.
+// rate — where the JSON wire's encoding/json decode and MarshalIndent
+// encode are measurable: the frame is fixed-layout little-endian, the
+// server decodes and encodes it with zero allocations, and clients use
+// the exported Append/Decode helpers (zhuyi.Client.RateBinary rides on
+// them). A request frame carries only finite floats, as JSON does.
+// Errors are always answered in JSON regardless of the request format,
+// so error handling needs no second code path. docs/api.md documents
+// the frame layout.
 
 import (
 	"encoding/binary"
@@ -152,6 +154,18 @@ func (r *binReader) f64() (float64, error) {
 	return v, nil
 }
 
+// finite is f64 for a request field: a NaN or an infinity is refused,
+// since the JSON wire cannot carry one and the estimator is not
+// defined on one.
+func (r *binReader) finite() (float64, error) {
+	at := r.pos
+	v, err := r.f64()
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("rate binary: non-finite value %v at offset %d", v, at)
+	}
+	return v, err
+}
+
 func (r *binReader) bytes(n int) ([]byte, error) {
 	if r.remaining() < n {
 		return nil, fmt.Errorf("rate binary: truncated frame at offset %d", r.pos)
@@ -203,28 +217,28 @@ func (sc *rateScratch) readAgentBinary(r *binReader, dst *AgentState) error {
 		return err
 	}
 	dst.ID = sc.intern(id)
-	if dst.X, err = r.f64(); err != nil {
+	if dst.X, err = r.finite(); err != nil {
 		return err
 	}
-	if dst.Y, err = r.f64(); err != nil {
+	if dst.Y, err = r.finite(); err != nil {
 		return err
 	}
-	if dst.Heading, err = r.f64(); err != nil {
+	if dst.Heading, err = r.finite(); err != nil {
 		return err
 	}
-	if dst.Speed, err = r.f64(); err != nil {
+	if dst.Speed, err = r.finite(); err != nil {
 		return err
 	}
-	if dst.Accel, err = r.f64(); err != nil {
+	if dst.Accel, err = r.finite(); err != nil {
 		return err
 	}
-	if dst.LatVel, err = r.f64(); err != nil {
+	if dst.LatVel, err = r.finite(); err != nil {
 		return err
 	}
-	if dst.Length, err = r.f64(); err != nil {
+	if dst.Length, err = r.finite(); err != nil {
 		return err
 	}
-	if dst.Width, err = r.f64(); err != nil {
+	if dst.Width, err = r.finite(); err != nil {
 		return err
 	}
 	lane, err := r.u32()
@@ -247,7 +261,7 @@ func (sc *rateScratch) decodeBinaryRequest() error {
 	if err != nil {
 		return err
 	}
-	if sc.req.Time, err = r.f64(); err != nil {
+	if sc.req.Time, err = r.finite(); err != nil {
 		return err
 	}
 	if err := sc.readAgentBinary(&r, &sc.req.Ego); err != nil {
@@ -290,7 +304,7 @@ func (sc *rateScratch) decodeBinaryRequest() error {
 		if err != nil {
 			return err
 		}
-		v, err := r.f64()
+		v, err := r.finite()
 		if err != nil {
 			return err
 		}
@@ -302,7 +316,7 @@ func (sc *rateScratch) decodeBinaryRequest() error {
 // encodeBinaryResponse renders the computed response as a binary
 // frame into sc.out. Map entries are emitted sorted by name so
 // identical responses produce identical frames; floats are raw IEEE
-// bits, so non-finite values need no fallback path.
+// bits, so every value encodes, non-finite ones included.
 func (sc *rateScratch) encodeBinaryResponse() {
 	b := sc.out[:0]
 	b = appendU32(b, 0) // patched below

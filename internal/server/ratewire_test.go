@@ -2,14 +2,36 @@ package server
 
 // Binary wire-format tests: the request frame layout is pinned byte
 // for byte (a wire contract, like the JSON golden), round-trips are
-// lossless, and truncated or corrupt frames fail cleanly.
+// lossless, truncated, corrupt or non-finite frames fail cleanly, and
+// no frame can panic the serving path.
 
 import (
+	"bytes"
 	"encoding/hex"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// rateBenchRequest is the fixed snapshot the allocation budget, the
+// benchmarks and the fuzz seeds post: six actors and an operating point
+// so the check branch runs.
+func rateBenchRequest() RateRequest {
+	return RateRequest{
+		Time: 4.2,
+		Ego:  AgentState{ID: "ego", Speed: 22},
+		Actors: []AgentState{
+			{ID: "lead", X: 32, Speed: 17},
+			{ID: "lead2", X: 58, Speed: 19},
+			{ID: "left", X: 8, Y: 3.5, Speed: 24, Lane: 1},
+			{ID: "left-rear", X: -14, Y: 3.5, Speed: 26, Lane: 1},
+			{ID: "right", X: 12, Y: -3.5, Speed: 15, Lane: -1},
+			{ID: "merge", X: 40, Y: -3.5, Speed: 13, Heading: 0.12, LatVel: 0.8, Lane: -1},
+		},
+		Operating: map[string]float64{"front120": 10, "left": 5, "right": 5},
+	}
+}
 
 // TestRateRequestFrameGolden pins the exact frame AppendRateRequestBinary
 // emits for a fixed request: length prefix, "ZYR1" magic, ego and
@@ -104,4 +126,56 @@ func TestRateBinaryDecodeRejects(t *testing.T) {
 	if _, err := DecodeRateRequestBinary(withTrailing); err == nil {
 		t.Error("trailing byte after frame decoded successfully")
 	}
+	// JSON cannot carry a NaN or an infinity, and the estimator panics
+	// on some of them, so the frame refuses every one, in every field.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, set := range map[string]func(*RateRequest){
+			"time":           func(r *RateRequest) { r.Time = v },
+			"ego heading":    func(r *RateRequest) { r.Ego.Heading = v },
+			"ego speed":      func(r *RateRequest) { r.Ego.Speed = v },
+			"actor accel":    func(r *RateRequest) { r.Actors[0].Accel = v },
+			"actor x":        func(r *RateRequest) { r.Actors[1].X = v },
+			"actor width":    func(r *RateRequest) { r.Actors[2].Width = v },
+			"operating rate": func(r *RateRequest) { r.Operating["left"] = v },
+		} {
+			req := rateHammerRequest()
+			set(&req)
+			frame, err := AppendRateRequestBinary(nil, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeRateRequestBinary(frame); err == nil {
+				t.Errorf("%s %v decoded successfully", name, v)
+			}
+		}
+	}
+}
+
+// FuzzRateBinaryServe: any bytes posted on the binary wire end in a
+// 400 or a 200 whose frame decodes, never a panic.
+func FuzzRateBinaryServe(f *testing.F) {
+	frame, err := AppendRateRequestBinary(nil, rateBenchRequest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	nan := rateBenchRequest()
+	nan.Ego.Heading = math.NaN()
+	if frame, err = AppendRateRequestBinary(nil, nan); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	s := New(Options{})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		sc := newRateScratch()
+		switch code, msg := s.serveRate(sc, bytes.NewReader(frame), true); code {
+		case 0:
+			if _, err := DecodeRateResponseBinary(sc.out); err != nil {
+				t.Fatalf("%x: response frame does not decode: %v", frame, err)
+			}
+		case 400:
+		default:
+			t.Fatalf("%x: status %d %s", frame, code, msg)
+		}
+	})
 }

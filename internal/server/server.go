@@ -399,11 +399,12 @@ func agentFromWire(a AgentState) world.Agent {
 }
 
 // handleRate is the pooled serving path: one borrowed scratch carries
-// the request from raw bytes to encoded response with no per-request
-// allocation on the hot path (see ratefast.go). The admission gate is
-// held for the full decode-compute-encode span so campaign workers
-// yield while this request runs; latency is self-recorded with the
-// scratch's stable shard hint.
+// the request from raw bytes to response (see ratefast.go). The
+// admission gate is held from decode through compute, and through the
+// encode of a binary answer, so campaign workers yield while this
+// request runs; a JSON answer is encoded by WriteJSON after the gate
+// is left. Latency is self-recorded with the scratch's stable shard
+// hint.
 func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sc := getRateScratch()
@@ -411,19 +412,13 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 	s.gate.Enter()
 	code, msg := s.serveRate(sc, r.Body, binary)
 	s.gate.Leave()
-	switch code {
-	case 0:
-		ct := "application/json"
-		if binary {
-			ct = RateBinaryContentType
-		}
-		w.Header().Set("Content-Type", ct)
+	switch {
+	case code == 0 && binary:
+		w.Header().Set("Content-Type", RateBinaryContentType)
 		w.WriteHeader(http.StatusOK)
 		w.Write(sc.out)
-	case rateStatusFallback:
-		// A non-finite float reached the JSON wire: reproduce the
-		// legacy WriteJSON behavior exactly (a 500 from MarshalIndent).
-		WriteJSON(w, http.StatusOK, sc.fallbackResponse())
+	case code == 0:
+		WriteJSON(w, http.StatusOK, sc.response())
 	default:
 		WriteError(w, code, "%s", msg)
 	}

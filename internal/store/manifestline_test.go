@@ -157,40 +157,54 @@ func TestOpenReadsOtherLineShapes(t *testing.T) {
 	}
 }
 
-// FuzzManifestLine holds decodeEntryLine to json.Unmarshal. A line the
-// fast decoder accepts must be one json.Unmarshal accepts, with a
-// deep-equal Entry. A line json.Unmarshal accepts and json.Marshal
-// writes back byte for byte must be accepted by the fast decoder,
-// unless it holds a backslash: escapes are outside the decoder's shape,
-// and json.Marshal writes them only for strings holding quotes,
-// backslashes, control bytes, <, >, & or U+2028/U+2029.
+// FuzzManifestLine holds lineDecoder.entry to json.Unmarshal on two
+// lines decoded in turn by one decoder, as Open decodes a manifest:
+// the second line meets the names and previous-line slots the first
+// left behind, and overwrites the first in the read buffer before
+// either entry is checked. A line the fast decoder accepts must be one
+// json.Unmarshal accepts, with a deep-equal Entry. A line
+// json.Unmarshal accepts and json.Marshal writes back byte for byte
+// must be accepted by the fast decoder, unless it holds a backslash:
+// escapes are outside the decoder's shape, and json.Marshal writes them
+// only for strings holding quotes, backslashes, control bytes, <, >, &
+// or U+2028/U+2029.
 func FuzzManifestLine(f *testing.F) {
+	var lines [][]byte
 	for _, dir := range []string{"legacy-store", "sidecar-store"} {
-		for _, line := range manifestLines(f, filepath.Join("testdata", dir)) {
-			f.Add(line)
-		}
+		lines = append(lines, manifestLines(f, filepath.Join("testdata", dir))...)
 	}
-	for _, line := range putLines(f) {
-		f.Add(line)
+	lines = append(lines, putLines(f)...)
+	for i, line := range lines {
+		f.Add(line, lines[(i+1)%len(lines)])
 	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		fast, ok := decodeEntryLine(line)
-		var ref Entry
-		refErr := json.Unmarshal(line, &ref)
-		if ok {
-			if refErr != nil {
-				t.Fatalf("fast decoder accepted %q, json.Unmarshal refused it: %v", line, refErr)
-			}
-			if !reflect.DeepEqual(fast, ref) {
-				t.Fatalf("%q: fast decoder read %+v, json.Unmarshal %+v", line, fast, ref)
-			}
-			return
-		}
-		if refErr != nil || bytes.IndexByte(line, '\\') >= 0 {
-			return
-		}
-		if out, err := json.Marshal(ref); err == nil && bytes.Equal(append(out, '\n'), line) {
-			t.Fatalf("fast decoder refused %q, a line json.Marshal writes", line)
-		}
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		var d lineDecoder
+		buf := make([]byte, max(len(first), len(second)))
+		e1, ok1 := d.entry(buf[:copy(buf, first)])
+		clear(buf)
+		e2, ok2 := d.entry(buf[:copy(buf, second)])
+		checkLineAgainstUnmarshal(t, first, e1, ok1)
+		checkLineAgainstUnmarshal(t, second, e2, ok2)
 	})
+}
+
+func checkLineAgainstUnmarshal(t *testing.T, line []byte, fast Entry, ok bool) {
+	t.Helper()
+	var ref Entry
+	refErr := json.Unmarshal(line, &ref)
+	if ok {
+		if refErr != nil {
+			t.Fatalf("fast decoder accepted %q, json.Unmarshal refused it: %v", line, refErr)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("%q: fast decoder read %+v, json.Unmarshal %+v", line, fast, ref)
+		}
+		return
+	}
+	if refErr != nil || bytes.IndexByte(line, '\\') >= 0 {
+		return
+	}
+	if out, err := json.Marshal(ref); err == nil && bytes.Equal(append(out, '\n'), line) {
+		t.Fatalf("fast decoder refused %q, a line json.Marshal writes", line)
+	}
 }
