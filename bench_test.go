@@ -211,7 +211,7 @@ func BenchmarkEstimateSnapshot(b *testing.B) {
 		evals += e.Evals
 	}
 	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
-	b.ReportMetric(float64(core.MeasuredOps(evals))/float64(b.N), "model-ops/op")
+	b.ReportMetric(float64(evals*core.OpsPerIteration)/float64(b.N), "model-ops/op")
 }
 
 // --- Ablations (DESIGN.md §5) ---
@@ -267,7 +267,7 @@ func benchAggregation(b *testing.B, opt core.AggregateOptions) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Aggregate(results, probs, opt)
+		core.Aggregate(results, probs, opt, nil)
 	}
 }
 

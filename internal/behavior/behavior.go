@@ -51,13 +51,6 @@ func WhenGapToEgoAbove(gap float64) Trigger {
 	return func(ctx *Context, st vehicle.FrenetState) bool { return st.S-ctx.Ego.S >= gap }
 }
 
-// WhenEgoGapBelow fires when the ego's station lead over the actor
-// (ego.S − st.S) drops to gap meters or less; useful for actors that act
-// as the ego approaches from behind.
-func WhenEgoGapBelow(gap float64) Trigger {
-	return func(ctx *Context, st vehicle.FrenetState) bool { return ctx.Ego.S-st.S <= gap }
-}
-
 // WhenEgoWithin fires when the absolute station distance between actor
 // and ego is at most dist meters.
 func WhenEgoWithin(dist float64) Trigger {
@@ -129,9 +122,6 @@ func (sc *Script) StepInto(ctx *Context, st *vehicle.FrenetState, dt float64) {
 	st.LatVel = latVel
 	st.StepInPlace(dt)
 }
-
-// Finished reports whether all stages have completed.
-func (sc *Script) Finished() bool { return sc.idx >= len(sc.Stages) }
 
 // BrakeTo decelerates at Decel (positive magnitude) until the speed
 // drops to Target m/s. It reproduces maneuvers like the paper's Vehicle

@@ -53,22 +53,6 @@ func (d DemandConfig) TOPS() float64 {
 	return d.Model.OpsPerFrame * float64(d.Cameras) * d.FPR * (1 + d.ExtraModelFrac) / 1e12
 }
 
-// PerCameraTOPS returns the demand contributed by each camera.
-func (d DemandConfig) PerCameraTOPS() float64 {
-	if d.Cameras == 0 {
-		return 0
-	}
-	return d.TOPS() / float64(d.Cameras)
-}
-
-// Utilization returns demand/capacity for the SoC (>1 = over-subscribed).
-func (d DemandConfig) Utilization(s SoC) float64 {
-	if s.TOPS <= 0 {
-		return 0
-	}
-	return d.TOPS() / s.TOPS
-}
-
 // MaxCameras returns the largest camera count the SoC can serve at the
 // configured per-camera rate.
 func (d DemandConfig) MaxCameras(s SoC) int {
@@ -77,16 +61,6 @@ func (d DemandConfig) MaxCameras(s SoC) int {
 		return 0
 	}
 	return int(s.TOPS / per)
-}
-
-// MaxFPRPerCamera returns the highest uniform per-camera rate the SoC
-// sustains for the configured camera count.
-func (d DemandConfig) MaxFPRPerCamera(s SoC) float64 {
-	perFrame := d.Model.OpsPerFrame * float64(d.Cameras) * (1 + d.ExtraModelFrac) / 1e12
-	if perFrame <= 0 {
-		return 0
-	}
-	return s.TOPS / perFrame
 }
 
 // CurvePoint is one camera-count sample of the Figure-1 demand curve.

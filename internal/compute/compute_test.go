@@ -27,22 +27,6 @@ func TestDemandArithmetic(t *testing.T) {
 	if math.Abs(d.TOPS()-187.056) > 0.01 {
 		t.Errorf("TOPS = %v, want 187.056", d.TOPS())
 	}
-	if math.Abs(d.PerCameraTOPS()-187.056/12) > 0.01 {
-		t.Errorf("per camera = %v", d.PerCameraTOPS())
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	d := DefaultDemand()
-	if u := d.Utilization(Xavier()); u <= 1 {
-		t.Errorf("Xavier utilization = %v, want > 1", u)
-	}
-	if u := d.Utilization(Orin()); u >= 1 {
-		t.Errorf("Orin utilization = %v, want < 1", u)
-	}
-	if u := d.Utilization(SoC{TOPS: 0}); u != 0 {
-		t.Errorf("zero SoC utilization = %v", u)
-	}
 }
 
 func TestMaxCameras(t *testing.T) {
@@ -54,21 +38,6 @@ func TestMaxCameras(t *testing.T) {
 	// Orin: 275 / 15.588 = 17.6 -> 17 cameras.
 	if got := d.MaxCameras(Orin()); got != 17 {
 		t.Errorf("Orin MaxCameras = %d, want 17", got)
-	}
-}
-
-func TestMaxFPRPerCamera(t *testing.T) {
-	d := DefaultDemand()
-	// Xavier with 12 cameras: 32 / (0.433*12*1.2) = 5.13 FPR.
-	got := d.MaxFPRPerCamera(Xavier())
-	if math.Abs(got-5.13) > 0.05 {
-		t.Errorf("Xavier max FPR = %v, want ~5.13", got)
-	}
-	// Zhuyi's point: the scenarios' max summed demand (32 FPR over 3
-	// cameras) fits in Xavier-class budgets that a fixed 90-FPR total
-	// does not.
-	if got < 5 {
-		t.Errorf("max FPR %v too low for the Zhuyi operating point", got)
 	}
 }
 
@@ -103,15 +72,8 @@ func TestValidate(t *testing.T) {
 }
 
 func TestZeroEdgeCases(t *testing.T) {
-	d := DemandConfig{Model: SSDLarge(), Cameras: 0, FPR: 30}
-	if d.PerCameraTOPS() != 0 {
-		t.Error("zero cameras per-camera demand")
-	}
 	z := DemandConfig{}
 	if z.MaxCameras(Orin()) != 0 {
 		t.Error("zero model max cameras")
-	}
-	if z.MaxFPRPerCamera(Orin()) != 0 {
-		t.Error("zero model max FPR")
 	}
 }

@@ -37,14 +37,9 @@ type AggregateOptions struct {
 // members, so any infeasible trajectory forces a pessimistic result
 // under AggPessimistic. If every trajectory is infeasible the result is
 // infeasible. Probabilities are taken from the trajectories' weights and
-// renormalized.
-func Aggregate(results []LatencyResult, probs []float64, opt AggregateOptions) LatencyResult {
-	return aggregateScratch(results, probs, opt, nil)
-}
-
-// aggregateScratch is Aggregate with optional reusable sort storage
-// for the percentile mode; a nil scratch allocates as before.
-func aggregateScratch(results []LatencyResult, probs []float64, opt AggregateOptions, scratch *[]aggEntry) LatencyResult {
+// renormalized. scratch, when non-nil, supplies reusable sort storage
+// for the percentile mode; a nil scratch allocates it.
+func Aggregate(results []LatencyResult, probs []float64, opt AggregateOptions, scratch *[]aggEntry) LatencyResult {
 	if len(results) == 0 {
 		return LatencyResult{}
 	}

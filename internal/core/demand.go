@@ -42,7 +42,3 @@ func (d Demand) ExecutionSeconds(opsPerSecond float64) float64 {
 	}
 	return float64(d.Ops()) / opsPerSecond
 }
-
-// MeasuredOps converts the estimator's recorded constraint-evaluation
-// count into ops, for comparing the analytic bound against actual work.
-func MeasuredOps(evals int) int { return evals * OpsPerIteration }

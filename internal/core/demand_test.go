@@ -46,7 +46,7 @@ func TestMeasuredOpsBoundedByAnalyticDemand(t *testing.T) {
 	est := e.EstimateSnapshot(0, ego, []world.Agent{obstacle}, trajs, 1.0/30)
 
 	bound := NewDemand(1, 1, e.Params).Ops()
-	if got := MeasuredOps(est.Evals); got > bound {
+	if got := est.Evals * OpsPerIteration; got > bound {
 		t.Errorf("measured ops %d exceed analytic bound %d", got, bound)
 	}
 	if est.Evals == 0 {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/predict"
 	"repro/internal/sensor"
 	"repro/internal/world"
@@ -94,17 +92,6 @@ func (e *Estimator) EstimateSnapshot(now float64, ego world.Agent, actors []worl
 	return est
 }
 
-// GroundTruthTrajs wraps a single recorded future per actor as the
-// trajectory set (|T| = 1, pre-deployment).
-func GroundTruthTrajs(futures map[string]world.Trajectory) map[string][]world.Trajectory {
-	out := make(map[string][]world.Trajectory, len(futures))
-	for id, tr := range futures {
-		tr.Prob = 1
-		out[id] = []world.Trajectory{tr}
-	}
-	return out
-}
-
 // EstimateOnline runs the Zhuyi model post-deployment: the scene is the
 // perceived world model and futures come from the trajectory predictor
 // (§3.2, Figure 3).
@@ -113,24 +100,4 @@ func (e *Estimator) EstimateOnline(now float64, ego world.Agent, wm []world.Agen
 	var est Estimate
 	e.EstimateOnlineInto(&est, &sc, now, ego, wm, pred, l0)
 	return est
-}
-
-// ActorImportance ranks actors by the inverse of their tolerable
-// latency (§3.2 work prioritization: "the inverse of the per-actor
-// tolerable latency estimate is proportional to the actor's
-// importance"). Higher values are more important. Infeasible actors get
-// +Inf.
-func ActorImportance(est Estimate) map[string]float64 {
-	out := make(map[string]float64, len(est.Actors))
-	for _, a := range est.Actors {
-		switch {
-		case !a.Feasible:
-			out[a.ActorID] = math.Inf(1)
-		case a.Latency <= 0:
-			out[a.ActorID] = math.Inf(1)
-		default:
-			out[a.ActorID] = 1 / a.Latency
-		}
-	}
-	return out
 }

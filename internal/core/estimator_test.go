@@ -123,36 +123,6 @@ func TestEstimateOnlineUsesPredictor(t *testing.T) {
 	}
 }
 
-func TestActorImportanceOrdering(t *testing.T) {
-	est := Estimate{
-		Actors: []ActorEstimate{
-			{ActorID: "far", Latency: 1.0, Feasible: true},
-			{ActorID: "near", Latency: 0.2, Feasible: true},
-			{ActorID: "doomed", Feasible: false},
-		},
-	}
-	imp := ActorImportance(est)
-	if !(imp["near"] > imp["far"]) {
-		t.Errorf("importance near (%v) should exceed far (%v)", imp["near"], imp["far"])
-	}
-	if !math.IsInf(imp["doomed"], 1) {
-		t.Errorf("infeasible importance = %v", imp["doomed"])
-	}
-}
-
-func TestGroundTruthTrajs(t *testing.T) {
-	futures := map[string]world.Trajectory{
-		"a": {ActorID: "a", Prob: 0.5, Points: []world.TrajectoryPoint{{T: 0}, {T: 1}}},
-	}
-	trajs := GroundTruthTrajs(futures)
-	if len(trajs["a"]) != 1 {
-		t.Fatalf("set size = %d", len(trajs["a"]))
-	}
-	if trajs["a"][0].Prob != 1 {
-		t.Errorf("prob = %v, want 1 (ground truth)", trajs["a"][0].Prob)
-	}
-}
-
 func TestEstimatorCustomCameraSubset(t *testing.T) {
 	e := NewEstimator()
 	e.Cameras = []string{sensor.Front120}

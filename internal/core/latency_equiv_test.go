@@ -266,7 +266,11 @@ func assertKernelMatches(t *testing.T, label string, ego core.EgoState, traj wor
 // registered scenario, at 5 and 30 FPR.
 func TestTolerableLatencyMatchesFrozenKernelScenarios(t *testing.T) {
 	p := core.DefaultParams()
-	for _, sc := range scenario.AllWithVariants() {
+	scs := scenario.Default().List()
+	if len(scs) != 13 {
+		t.Fatalf("%d registered scenarios, want the 9 Table-1 scenarios and 4 variants", len(scs))
+	}
+	for _, sc := range scs {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, fpr := range []float64{5, 30} {
@@ -426,7 +430,10 @@ func TestTrajectorySamplerMatchesFrozenAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for c := 0; c < 5000; c++ {
 		_, traj, _, _, _ := randomKernelCase(rng)
-		start, end := traj.Start(), traj.End()
+		start, end := traj.Start(), 0.0
+		if n := len(traj.Points); n > 0 {
+			end = traj.Points[n-1].T
+		}
 		qs := make([]float64, 64)
 		for k := range qs {
 			switch rng.Intn(4) {

@@ -56,13 +56,14 @@ func legacyEvaluateTrace(e *core.Estimator, tr *trace.Trace, opt core.OfflineOpt
 	rowEvery := int(math.Max(1, math.Round(opt.EvalEvery/math.Max(tr.Meta.Dt, 1e-6))))
 	for i := 0; i < tr.Len(); i += rowEvery {
 		row := tr.Rows[i]
-		futures := make(map[string]world.Trajectory, len(row.Actors))
+		trajs := make(map[string][]world.Trajectory, len(row.Actors))
 		for _, a := range row.Actors {
 			if f, ok := legacyActorFuture(tr, a.ID, i, e.Params.Horizon, stride); ok {
-				futures[a.ID] = f
+				f.Prob = 1 // one recorded future per actor: |T| = 1
+				trajs[a.ID] = []world.Trajectory{f}
 			}
 		}
-		est := e.EstimateSnapshot(row.Time, row.Ego, row.Actors, core.GroundTruthTrajs(futures), l0)
+		est := e.EstimateSnapshot(row.Time, row.Ego, row.Actors, trajs, l0)
 		res.Points = append(res.Points, core.SeriesPoint{
 			Time:     row.Time,
 			Latency:  est.CameraLatency,
@@ -179,7 +180,11 @@ func reportDivergence(t *testing.T, label string, want, got *core.OfflineResult)
 // ODD variants) at several rates and seeds, fresh and into one result
 // reused across the scenario's traces.
 func TestEvaluateTraceMatchesFrozenReference(t *testing.T) {
-	for _, sc := range scenario.AllWithVariants() {
+	scs := scenario.Default().List()
+	if len(scs) != 13 {
+		t.Fatalf("%d registered scenarios, want the 9 Table-1 scenarios and 4 variants", len(scs))
+	}
+	for _, sc := range scs {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			reused := new(core.OfflineResult)

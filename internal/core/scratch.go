@@ -87,7 +87,7 @@ func (e *Estimator) estimateInto(dst *Estimate, sc *EstimateScratch, now float64
 			sc.results = append(sc.results, TolerableLatency(egoState, tr, [2]float64{a.Length, a.Width}, l0, e.Params))
 			sc.probs = append(sc.probs, tr.Prob)
 		}
-		agg := aggregateScratch(sc.results, sc.probs, e.Agg, &sc.agg)
+		agg := Aggregate(sc.results, sc.probs, e.Agg, &sc.agg)
 		ae := ActorEstimate{
 			ActorID:   a.ID,
 			Latency:   agg.Latency,

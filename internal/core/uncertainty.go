@@ -62,18 +62,3 @@ func (u Uncertainty) Apply(p Params) Params {
 	out.LateralMargin = p.LateralMargin + margin*u.PosSigma/2
 	return out
 }
-
-// AccuracyOperatingPoint describes one perception model variant in an
-// accuracy-for-throughput trade study: its measurement quality and the
-// highest frame rate the compute budget sustains.
-type AccuracyOperatingPoint struct {
-	Name        string
-	Uncertainty Uncertainty
-	MaxFPR      float64 // sustainable per-camera rate under the budget
-}
-
-// FeasibleAt reports whether the operating point can satisfy a required
-// FPR computed under its own uncertainty-adjusted parameters.
-func (op AccuracyOperatingPoint) FeasibleAt(required float64) bool {
-	return required <= op.MaxFPR
-}

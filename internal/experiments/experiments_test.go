@@ -2,14 +2,20 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/predict"
+	"repro/internal/safety"
 	"repro/internal/scenario"
+	"repro/internal/sensor"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -117,7 +123,12 @@ func TestCameraLatencyFigureCutOutFast(t *testing.T) {
 	// §4.2's correlation between front-camera requirements and ego
 	// deceleration: the tight moment occurs at the reveal, and the ego
 	// brakes hard within the following second.
-	peak := fs.PeakFrontFPRTime()
+	peak, tightest := 0.0, math.Inf(1)
+	for i, l := range fs.Front {
+		if l < tightest {
+			peak, tightest = fs.Times[i], l
+		}
+	}
 	minAccel := math.Inf(1)
 	for i, tm := range fs.Times {
 		if tm >= peak && tm <= peak+1.0 {
@@ -315,6 +326,58 @@ func TestHeadlineClosedLoop(t *testing.T) {
 	if !strings.Contains(sb.String(), "fraction") {
 		t.Error("headline rendering missing header")
 	}
+}
+
+// PrioritizationRow compares Zhuyi-prioritized allocation against a
+// uniform split of the same total frame budget — §3.2's work
+// prioritization under constrained resources.
+type PrioritizationRow struct {
+	Scenario    string
+	Budget      float64
+	UniformSafe bool
+	ZhuyiSafe   bool
+}
+
+// Prioritization runs a scenario under a constrained total budget with
+// both allocators, concurrently on eng.
+func Prioritization(ctx context.Context, eng *engine.Engine, name string, budget float64, seed int64) (PrioritizationRow, error) {
+	row := PrioritizationRow{Scenario: name, Budget: budget}
+	sc, ok := scenario.ByName(name)
+	if !ok {
+		return row, fmt.Errorf("experiments: unknown scenario %q", name)
+	}
+
+	est := core.NewEstimator()
+	est.Cameras = est.Rig.Names()
+	ccfg := safety.DefaultControllerConfig()
+	ccfg.Budget = budget
+	batch, err := eng.RunBatch(ctx, []engine.Job{
+		{
+			Scenario: sc, FPR: 30, Seed: seed,
+			Configure: func(cfg *sim.Config) {
+				if cfg.Rig == nil {
+					cfg.Rig = sensor.DefaultRig()
+				}
+				cfg.RateController = safety.UniformRates{Cameras: cfg.Rig.Names(), Budget: budget}
+			},
+		},
+		{
+			Scenario: sc, FPR: 30, Seed: seed,
+			Configure: func(cfg *sim.Config) {
+				cfg.RateController = safety.NewController(
+					est,
+					predict.MultiHypothesis{Horizon: est.Params.Horizon, Dt: 0.1},
+					ccfg,
+				)
+			},
+		},
+	})
+	if err != nil {
+		return row, err
+	}
+	row.UniformSafe = !batch.Outcomes[0].Result.Collided()
+	row.ZhuyiSafe = !batch.Outcomes[1].Result.Collided()
+	return row, nil
 }
 
 func TestPrioritizationBeatsUniformUnderTightBudget(t *testing.T) {

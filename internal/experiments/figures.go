@@ -73,20 +73,6 @@ func (fs *FigureSeries) MinLatency() (left, front, right float64) {
 	return left, front, right
 }
 
-// PeakFrontFPRTime returns the time of the tightest front-camera
-// requirement, used to correlate with the deceleration dips (§4.2).
-func (fs *FigureSeries) PeakFrontFPRTime() float64 {
-	best := math.Inf(1)
-	at := 0.0
-	for i, l := range fs.Front {
-		if l < best {
-			best = l
-			at = fs.Times[i]
-		}
-	}
-	return at
-}
-
 // WriteFigureSeries renders the series as aligned columns (one row per
 // evaluation instant) followed by sparkline overviews of the four
 // panels.

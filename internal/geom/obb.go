@@ -57,16 +57,6 @@ func (b OBB) Intersects(o OBB) bool {
 	return true
 }
 
-// Inflate returns a copy of the box grown by margin on every side.
-func (b OBB) Inflate(margin float64) OBB {
-	b.Length += 2 * margin
-	b.Width += 2 * margin
-	return b
-}
-
-// Area returns the box area.
-func (b OBB) Area() float64 { return b.Length * b.Width }
-
 func projectCorners(c [4]Vec2, axis Vec2) (min, max float64) {
 	min = c[0].Dot(axis)
 	max = min
@@ -103,11 +93,6 @@ func (s Segment) ClosestParam(p Vec2) float64 {
 	}
 	t := p.Sub(s.A).Dot(d) / den
 	return math.Max(0, math.Min(1, t))
-}
-
-// DistToPoint returns the minimum distance from p to the segment.
-func (s Segment) DistToPoint(p Vec2) float64 {
-	return s.PointAt(s.ClosestParam(p)).Dist(p)
 }
 
 // Intersects reports whether two segments intersect (including touching).

@@ -108,17 +108,6 @@ func TestOBBSelfIntersects(t *testing.T) {
 	}
 }
 
-func TestOBBInflate(t *testing.T) {
-	b := OBB{Center: V(0, 0), Heading: 0, Length: 4, Width: 2}
-	g := b.Inflate(0.5)
-	if g.Length != 5 || g.Width != 3 {
-		t.Errorf("Inflate = %+v", g)
-	}
-	if b.Area() != 8 || g.Area() != 15 {
-		t.Errorf("Area = %v, %v", b.Area(), g.Area())
-	}
-}
-
 func TestSegmentClosest(t *testing.T) {
 	s := Segment{A: V(0, 0), B: V(10, 0)}
 	if got := s.ClosestParam(V(5, 3)); got != 0.5 {
@@ -130,8 +119,8 @@ func TestSegmentClosest(t *testing.T) {
 	if got := s.ClosestParam(V(20, 0)); got != 1 {
 		t.Errorf("ClosestParam after B = %v", got)
 	}
-	if got := s.DistToPoint(V(5, 3)); got != 3 {
-		t.Errorf("DistToPoint = %v", got)
+	if got := s.DistSqToPoint(V(5, 3)); got != 9 {
+		t.Errorf("DistSqToPoint = %v", got)
 	}
 	if got := s.Len(); got != 10 {
 		t.Errorf("Len = %v", got)

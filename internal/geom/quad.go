@@ -88,7 +88,7 @@ func (q *Quad) HitBy(s Segment) bool {
 
 // DistSqToPoint returns the squared minimum distance from p to the
 // segment, for prefilters that compare against a squared radius
-// without paying the sqrt of DistToPoint.
+// without paying a sqrt.
 func (s Segment) DistSqToPoint(p Vec2) float64 {
 	return s.PointAt(s.ClosestParam(p)).Sub(p).LenSq()
 }

@@ -106,9 +106,3 @@ func (p Pose) ToLocal(world Vec2) Vec2 {
 	d := world.Sub(p.Pos)
 	return d.Rotate(-p.Heading)
 }
-
-// ToWorld transforms a pose-local point (x forward, y left) into the
-// world frame.
-func (p Pose) ToWorld(local Vec2) Vec2 {
-	return p.Pos.Add(local.Rotate(p.Heading))
-}

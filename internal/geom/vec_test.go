@@ -124,7 +124,7 @@ func TestPoseTransformRoundTrip(t *testing.T) {
 		if !finiteVec(v) {
 			return true
 		}
-		back := p.ToLocal(p.ToWorld(v))
+		back := p.ToLocal(p.Pos.Add(v.Rotate(p.Heading)))
 		return vecNear(back, v, 1e-6*math.Max(1, v.Len()))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -140,9 +140,9 @@ func TestPoseForwardLeft(t *testing.T) {
 	if !vecNear(p.Left(), V(0, 1), tol) {
 		t.Errorf("Left = %v", p.Left())
 	}
-	// A point 5 m ahead of a pose heading +Y is at world (0, 5).
+	// World (0, 5) is 5 m ahead of a pose heading +Y.
 	p2 := Pose{Pos: V(0, 0), Heading: math.Pi / 2}
-	if got := p2.ToWorld(V(5, 0)); !vecNear(got, V(0, 5), tol) {
-		t.Errorf("ToWorld = %v", got)
+	if got := p2.ToLocal(V(0, 5)); !vecNear(got, V(5, 0), tol) {
+		t.Errorf("ToLocal = %v", got)
 	}
 }

@@ -17,7 +17,6 @@
 package perception
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -112,23 +111,16 @@ type Track struct {
 
 	// Coasted-state memo: within one simulation step the same track is
 	// queried at the same instant by several cameras' miss checks and
-	// the world model; State is pure, so the pipeline caches it
+	// the world model; the coasted state is pure, so the pipeline caches it
 	// (invalidated on every measurement update).
 	cacheValid bool
 	cacheT     float64
 	cacheState world.Agent
 }
 
-// State coasts the track estimate to time t and returns it as an agent.
-func (tk *Track) State(t float64) world.Agent {
-	var a world.Agent
-	tk.fillState(t, &a)
-	return a
-}
-
-// fillState is State writing into dst in place — the per-step sweeps
-// fill the track's own cache slot instead of copying the 112-byte
-// agent through a return value.
+// fillState coasts the track estimate to time t and writes it into dst
+// in place — the per-step sweeps fill the track's own cache slot
+// instead of copying the 112-byte agent through a return value.
 func (tk *Track) fillState(t float64, dst *world.Agent) {
 	dt := t - tk.LastUpdate
 	x := tk.fx
@@ -423,30 +415,4 @@ func (p *Pipeline) WorldModelAppend(dst []world.Agent, t float64) []world.Agent 
 		}
 	}
 	return dst
-}
-
-// Tracks returns all current tracks (confirmed or not), sorted by ID.
-func (p *Pipeline) Tracks() []*Track {
-	if len(p.tracks) == 0 {
-		return nil
-	}
-	out := make([]*Track, len(p.tracks))
-	copy(out, p.tracks)
-	return out
-}
-
-// Track returns the track for the given actor ID, if present.
-func (p *Pipeline) Track(id string) (*Track, bool) {
-	tk, _ := p.findTrack(id)
-	return tk, tk != nil
-}
-
-// ConfirmationDelay returns how long the given actor took from first
-// sighting to confirmation, or NaN if it is not confirmed.
-func (p *Pipeline) ConfirmationDelay(id string) float64 {
-	tk, _ := p.findTrack(id)
-	if tk == nil || !tk.Confirmed {
-		return math.NaN()
-	}
-	return tk.ConfirmedAt - tk.FirstSeen
 }

@@ -39,6 +39,16 @@ func noiseless(k int) Config {
 	return cfg
 }
 
+// confirmationDelay is how long the actor's track took from first
+// sighting to confirmation, or NaN if it is not confirmed.
+func confirmationDelay(p *Pipeline, id string) float64 {
+	tk, _ := p.findTrack(id)
+	if tk == nil || !tk.Confirmed {
+		return math.NaN()
+	}
+	return tk.ConfirmedAt - tk.FirstSeen
+}
+
 func TestConfirmationTakesKFrames(t *testing.T) {
 	const k = 5
 	p := NewPipeline(noiseless(k), 1)
@@ -60,7 +70,7 @@ func TestConfirmationTakesKFrames(t *testing.T) {
 		t.Fatalf("world model size = %d after %d frames", len(wm), k)
 	}
 	// Confirmation delay = (K-1) frame intervals from first sighting.
-	if got := p.ConfirmationDelay("a1"); math.Abs(got-0.4) > 1e-9 {
+	if got := confirmationDelay(p, "a1"); math.Abs(got-0.4) > 1e-9 {
 		t.Errorf("confirmation delay = %v, want 0.4", got)
 	}
 }
@@ -76,7 +86,7 @@ func TestConfirmationDelayScalesWithFrameInterval(t *testing.T) {
 			p.ProcessFrame(cam, tm, ego, []world.Agent{a})
 		}
 		want := 4 * interval
-		if got := p.ConfirmationDelay("a1"); math.Abs(got-want) > 1e-9 {
+		if got := confirmationDelay(p, "a1"); math.Abs(got-want) > 1e-9 {
 			t.Errorf("interval %v: delay = %v, want %v", interval, got, want)
 		}
 	}
@@ -267,12 +277,12 @@ func TestStaticObstacleState(t *testing.T) {
 
 func TestConfirmationDelayNaNWhenUnconfirmed(t *testing.T) {
 	p := NewPipeline(noiseless(5), 1)
-	if got := p.ConfirmationDelay("ghost"); !math.IsNaN(got) {
+	if got := confirmationDelay(p, "ghost"); !math.IsNaN(got) {
 		t.Errorf("delay for unknown track = %v, want NaN", got)
 	}
 	cam := frontCam()
 	p.ProcessFrame(cam, 0, egoAt(0), []world.Agent{actorAt("a1", 40, 0, 0)})
-	if got := p.ConfirmationDelay("a1"); !math.IsNaN(got) {
+	if got := confirmationDelay(p, "a1"); !math.IsNaN(got) {
 		t.Errorf("delay for unconfirmed track = %v, want NaN", got)
 	}
 }
@@ -286,11 +296,11 @@ func TestTracksSorted(t *testing.T) {
 		actorAt("a", 50, 2, 0),
 		actorAt("c", 60, -2, 0),
 	})
-	tracks := p.Tracks()
+	tracks := p.tracks
 	if len(tracks) != 3 || tracks[0].ID != "a" || tracks[2].ID != "c" {
 		t.Errorf("tracks order: %v, %v, %v", tracks[0].ID, tracks[1].ID, tracks[2].ID)
 	}
-	if _, ok := p.Track("b"); !ok {
-		t.Error("Track(b) not found")
+	if tk, _ := p.findTrack("b"); tk == nil {
+		t.Error("track b not found")
 	}
 }

@@ -243,17 +243,9 @@ func (p Static) AppendPrediction(dst []world.Trajectory, buf []world.TrajectoryP
 	return append(dst, world.Trajectory{ActorID: a.ID, Prob: 1, Points: pts}), buf
 }
 
-// ForAgent picks a sensible predictor output for the agent: Static for
-// static agents, the provided predictor otherwise.
-func ForAgent(p Predictor, a world.Agent, now, horizon, dt float64) []world.Trajectory {
-	if a.Static || a.Speed < 0.3 {
-		return Static{Horizon: horizon, Dt: dt}.Predict(a, now)
-	}
-	return p.Predict(a, now)
-}
-
-// AppendForAgent is ForAgent into caller-owned storage. Predictors
-// that implement AppendPredictor emit without allocating (buf and dst
+// AppendForAgent appends a sensible prediction for the agent to dst:
+// Static for static or near-stationary agents, the provided predictor
+// otherwise. Predictors that implement AppendPredictor emit without allocating (buf and dst
 // grow amortized); others fall back to Predict and copy, preserving
 // semantics at the old allocation cost.
 func AppendForAgent(p Predictor, dst []world.Trajectory, buf []world.TrajectoryPoint, a world.Agent, now, horizon, dt float64) ([]world.Trajectory, []world.TrajectoryPoint) {

@@ -162,12 +162,12 @@ func TestStaticPredictor(t *testing.T) {
 func TestForAgentDispatch(t *testing.T) {
 	cv := ConstantVelocity{Horizon: 5, Dt: 0.1}
 	obs := world.Agent{ID: "obs", Pose: geom.Pose{Pos: geom.V(80, 0)}, Length: 4, Width: 2, Static: true}
-	trs := ForAgent(cv, obs, 0, 5, 0.1)
+	trs, _ := AppendForAgent(cv, nil, nil, obs, 0, 5, 0.1)
 	if trs[0].At(5).Pos != obs.Pose.Pos {
 		t.Error("static agent not dispatched to Static predictor")
 	}
 	mover := movingAgent(10, 0)
-	trs = ForAgent(cv, mover, 0, 5, 0.1)
+	trs, _ = AppendForAgent(cv, nil, nil, mover, 0, 5, 0.1)
 	if math.Abs(trs[0].At(5).Pos.X-100) > 1e-9 {
 		t.Error("moving agent not dispatched to the provided predictor")
 	}

@@ -101,4 +101,3 @@ func (sineRef) PoseAt(s float64) geom.Pose {
 }
 func (sineRef) Project(p geom.Vec2) (s, d float64) { return p.X, p.Y }
 func (sineRef) Length() float64                    { return 100 }
-func (sineRef) Curvature(float64) float64          { return 0 }

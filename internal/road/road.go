@@ -28,9 +28,6 @@ type Centerline interface {
 	Project(p geom.Vec2) (s, d float64)
 	// Length returns the total curve length in meters.
 	Length() float64
-	// Curvature returns the signed curvature (1/m, positive = turning
-	// left) at station s.
-	Curvature(s float64) float64
 }
 
 // Line is a straight centerline starting at Start and running Len meters
@@ -53,9 +50,6 @@ func (l Line) Project(p geom.Vec2) (s, d float64) {
 
 // Length implements Centerline.
 func (l Line) Length() float64 { return l.Len }
-
-// Curvature implements Centerline. A line has zero curvature everywhere.
-func (l Line) Curvature(float64) float64 { return 0 }
 
 // Arc is a constant-curvature centerline. Curv is the signed curvature;
 // positive turns left, negative turns right. Curv must be non-zero (use
@@ -96,9 +90,6 @@ func (a Arc) Project(p geom.Vec2) (s, d float64) {
 
 // Length implements Centerline.
 func (a Arc) Length() float64 { return a.Len }
-
-// Curvature implements Centerline.
-func (a Arc) Curvature(float64) float64 { return a.Curv }
 
 // Composite chains centerline pieces end to end. The caller is
 // responsible for geometric continuity (each piece should start where
@@ -150,12 +141,6 @@ func (c *Composite) Project(p geom.Vec2) (s, d float64) {
 
 // Length implements Centerline.
 func (c *Composite) Length() float64 { return c.total }
-
-// Curvature implements Centerline.
-func (c *Composite) Curvature(s float64) float64 {
-	i := c.pieceAt(s)
-	return c.pieces[i].Curvature(s - c.starts[i])
-}
 
 func (c *Composite) pieceAt(s float64) int {
 	for i := len(c.pieces) - 1; i > 0; i-- {

@@ -20,9 +20,6 @@ func TestLinePoseAndProject(t *testing.T) {
 	if s != 25 || d != 3 {
 		t.Errorf("Project = %v, %v", s, d)
 	}
-	if l.Curvature(5) != 0 {
-		t.Error("line curvature nonzero")
-	}
 }
 
 func TestLineRotated(t *testing.T) {
@@ -47,9 +44,6 @@ func TestArcLeftTurn(t *testing.T) {
 	}
 	if math.Abs(end.Heading-math.Pi/2) > 1e-9 {
 		t.Errorf("end heading = %v", end.Heading)
-	}
-	if a.Curvature(10) != 0.01 {
-		t.Errorf("curvature = %v", a.Curvature(10))
 	}
 }
 
@@ -112,12 +106,12 @@ func TestCompositeContinuity(t *testing.T) {
 	if got := r.Ref.Length(); math.Abs(got-500) > tol {
 		t.Errorf("Length = %v", got)
 	}
-	// Curvature switches from 0 to 1/300 at s=100.
-	if got := r.Ref.Curvature(50); got != 0 {
-		t.Errorf("curvature at 50 = %v", got)
+	// The heading holds until s=100, then turns at 1/300 rad per meter.
+	if got := r.Ref.PoseAt(50).Heading; got != 0 {
+		t.Errorf("heading at 50 = %v", got)
 	}
-	if got := r.Ref.Curvature(150); math.Abs(got-1.0/300) > tol {
-		t.Errorf("curvature at 150 = %v", got)
+	if got := r.Ref.PoseAt(150).Heading; math.Abs(got-50.0/300) > tol {
+		t.Errorf("heading at 150 = %v", got)
 	}
 }
 

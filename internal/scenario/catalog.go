@@ -36,6 +36,3 @@ func (r *Registry) Catalog(tags ...string) []Info {
 	}
 	return out
 }
-
-// Catalog lists the default registry as Infos. See Registry.Catalog.
-func Catalog(tags ...string) []Info { return Default().Catalog(tags...) }

@@ -5,7 +5,7 @@ import "testing"
 // TestCatalogMirrorsRegistry: every registered scenario appears as an
 // Info with its spec's tags, and tag filtering matches List.
 func TestCatalogMirrorsRegistry(t *testing.T) {
-	all := Catalog()
+	all := Default().Catalog()
 	if len(all) != Default().Len() {
 		t.Fatalf("catalog size %d, registry %d", len(all), Default().Len())
 	}
@@ -22,7 +22,7 @@ func TestCatalogMirrorsRegistry(t *testing.T) {
 			t.Errorf("%s: HasSpec = %v, tags %v, want true and %v", info.Name, info.HasSpec, info.Tags, sc.Tags)
 		}
 	}
-	if got := len(Catalog(TagTable1)); got != 9 {
+	if got := len(Default().Catalog(TagTable1)); got != 9 {
 		t.Errorf("table1 catalog size %d", got)
 	}
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -93,13 +92,6 @@ func (r *Registry) Names(tags ...string) []string {
 		out[i] = sc.Name
 	}
 	return out
-}
-
-// SortedNames returns all matching names sorted alphabetically.
-func (r *Registry) SortedNames(tags ...string) []string {
-	n := r.Names(tags...)
-	sort.Strings(n)
-	return n
 }
 
 // Len reports how many scenarios are registered.

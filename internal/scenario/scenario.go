@@ -95,10 +95,6 @@ func taggedLookup(name, tag string) (Scenario, bool) {
 // Names lists the nine Table-1 scenario names in order.
 func Names() []string { return Default().Names(TagTable1) }
 
-// SortedNames returns the Table-1 scenario names sorted alphabetically
-// (for CLIs).
-func SortedNames() []string { return Default().SortedNames(TagTable1) }
-
 // Validate compiles every registered scenario once and checks the
 // configuration is runnable; used by tests and the CLI.
 func Validate() error {

@@ -51,7 +51,7 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Error("phantom scenario found")
 	}
-	if len(Names()) != 9 || len(SortedNames()) != 9 {
+	if len(Names()) != 9 {
 		t.Error("name lists wrong size")
 	}
 }
@@ -102,12 +102,12 @@ func TestCurvedScenarioUsesCurvedRoad(t *testing.T) {
 		t.Errorf("name = %s", cfg.Name)
 	}
 	// Somewhere past the lead-in the road must curve.
-	if cfg.Road.Ref.Curvature(500) == 0 {
-		t.Error("curved scenario road has zero curvature at s=500")
+	if cfg.Road.Ref.PoseAt(500).Heading == cfg.Road.Ref.PoseAt(0).Heading {
+		t.Error("curved scenario road keeps its heading to s=500")
 	}
 	straight := buildChallengingCutIn(30, 1, false)
-	if straight.Road.Ref.Curvature(500) != 0 {
-		t.Error("straight scenario road has curvature")
+	if straight.Road.Ref.PoseAt(500).Heading != straight.Road.Ref.PoseAt(0).Heading {
+		t.Error("straight scenario road turns")
 	}
 }
 

@@ -15,17 +15,6 @@ const (
 	DenseTraffic   = "dense-traffic"
 )
 
-// Variants returns the extra scenarios from the default registry.
-func Variants() []Scenario { return Default().List(TagVariant) }
-
-// AllWithVariants returns the nine paper scenarios followed by the
-// variants.
-func AllWithVariants() []Scenario { return append(All(), Variants()...) }
-
-// VariantByName looks a variant up by name (ByName only covers the nine
-// paper scenarios; Lookup covers everything registered).
-func VariantByName(name string) (Scenario, bool) { return taggedLookup(name, TagVariant) }
-
 // VariantSpecs returns the ODD variant scenarios as declarative specs.
 func VariantSpecs() []Spec {
 	truckLen := vehicle.Truck().Length

@@ -8,17 +8,17 @@ import (
 )
 
 func TestVariantsRegistry(t *testing.T) {
-	vs := Variants()
+	vs := Default().List(TagVariant)
 	if len(vs) != 4 {
 		t.Fatalf("variant count = %d", len(vs))
 	}
-	if len(AllWithVariants()) != 13 {
-		t.Errorf("combined count = %d", len(AllWithVariants()))
+	if n := len(Default().List()); n != 13 {
+		t.Errorf("combined count = %d", n)
 	}
-	if _, ok := VariantByName(TruckCutOut); !ok {
+	if _, ok := taggedLookup(TruckCutOut, TagVariant); !ok {
 		t.Error("truck cut-out missing")
 	}
-	if _, ok := VariantByName("nope"); ok {
+	if _, ok := taggedLookup("nope", TagVariant); ok {
 		t.Error("phantom variant found")
 	}
 	// Variants do not shadow the paper scenarios.
@@ -28,7 +28,7 @@ func TestVariantsRegistry(t *testing.T) {
 }
 
 func TestVariantsRunSafelyAtFullRate(t *testing.T) {
-	for _, s := range Variants() {
+	for _, s := range Default().List(TagVariant) {
 		res, err := sim.Run(s.Build(30, 1))
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)

@@ -22,15 +22,6 @@ func WriteCorpus(w io.Writer, r *Result) error {
 	return err
 }
 
-// ReadCorpus parses a corpus file written by WriteCorpus.
-func ReadCorpus(r io.Reader) (*Result, error) {
-	var out Result
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("search: decode corpus: %w", err)
-	}
-	return &out, nil
-}
-
 // Register loads every corpus spec into the registry, hardest first.
 func (r *Result) Register(reg *scenario.Registry) error {
 	for _, sp := range r.Specs() {

@@ -11,6 +11,7 @@ package search
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"hash/fnv"
 	"math"
 	"path/filepath"
@@ -203,13 +204,13 @@ func TestSearchOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestSearchCorpusRoundTrip: WriteCorpus/ReadCorpus is lossless.
+// TestSearchCorpusRoundTrip: WriteCorpus is lossless.
 func TestSearchCorpusRoundTrip(t *testing.T) {
 	opt := testOptions()
 	opt.TopN = 4
 	res, _, corpus := runSearch(t, fakeEngine(t, 4), opt)
-	back, err := ReadCorpus(bytes.NewReader(corpus))
-	if err != nil {
+	back := new(Result)
+	if err := json.Unmarshal(corpus, back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, back) {

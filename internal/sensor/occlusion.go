@@ -35,18 +35,11 @@ func Occluded(egoPos geom.Vec2, target world.Agent, others []world.Agent) bool {
 	return true
 }
 
-// VisibleActors returns the actors the camera sees from the ego pose,
-// honoring occlusion by the other actors in the scene.
-func VisibleActors(c Camera, ego geom.Pose, actors []world.Agent) []world.Agent {
-	return AppendVisible(nil, c, ego, actors)
-}
-
-// AppendVisible is VisibleActors appending into dst (reusing its
-// backing array); the perception pipeline's per-frame hot path calls
-// it with a scratch slice so frame processing allocates nothing, and a
-// conservative pre-filter (cameraReject) skips the trigonometric cone
-// test for actors that provably cannot be seen — the accepted set is
-// exactly VisibleActors'.
+// AppendVisible appends to dst (reusing its backing array) the actors
+// the camera sees from the ego pose, honoring occlusion by the other
+// actors in the scene. A conservative pre-filter (CannotSee) skips the
+// trigonometric cone test for actors that provably cannot be seen; the
+// exact test decides the rest.
 func AppendVisible(dst []world.Agent, c Camera, ego geom.Pose, actors []world.Agent) []world.Agent {
 	cone := NewFrameCone(c, ego)
 	for _, a := range actors {

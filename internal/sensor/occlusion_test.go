@@ -49,14 +49,14 @@ func TestVisibleActorsHonorsOcclusion(t *testing.T) {
 	obstacle := world.Agent{ID: "obs", Pose: geom.Pose{Pos: geom.V(60, 0)}, Length: 4, Width: 1.9}
 	actors := []world.Agent{lead, obstacle}
 
-	vis := VisibleActors(cam, ego, actors)
+	vis := AppendVisible(nil, cam, ego, actors)
 	if len(vis) != 1 || vis[0].ID != "lead" {
 		t.Errorf("visible = %v", ids(vis))
 	}
 
 	// After the lead cuts out, both are visible.
 	actors[0].Pose.Pos = geom.V(30, 3.5)
-	vis = VisibleActors(cam, ego, actors)
+	vis = AppendVisible(nil, cam, ego, actors)
 	if len(vis) != 2 {
 		t.Errorf("after cut-out visible = %v", ids(vis))
 	}
@@ -66,7 +66,7 @@ func TestVisibleActorsRespectsFOV(t *testing.T) {
 	cam := Camera{Name: Front60, MountHeading: 0, FOV: units.DegToRad(60), Range: 100}
 	ego := geom.Pose{Pos: geom.V(0, 0), Heading: 0}
 	behind := world.Agent{ID: "b", Pose: geom.Pose{Pos: geom.V(-20, 0)}, Length: 4.6, Width: 1.9}
-	if vis := VisibleActors(cam, ego, []world.Agent{behind}); len(vis) != 0 {
+	if vis := AppendVisible(nil, cam, ego, []world.Agent{behind}); len(vis) != 0 {
 		t.Errorf("behind actor visible: %v", ids(vis))
 	}
 }

@@ -95,15 +95,3 @@ func (r Rig) Names() []string {
 	}
 	return names
 }
-
-// Visible returns the names of the cameras that can see the agent from
-// the given ego pose.
-func (r Rig) Visible(ego geom.Pose, a world.Agent) []string {
-	var seen []string
-	for _, c := range r {
-		if c.SeesAgent(ego, a) {
-			seen = append(seen, c.Name)
-		}
-	}
-	return seen
-}

@@ -118,7 +118,7 @@ func TestRigVisible(t *testing.T) {
 	ego := geom.Pose{Pos: geom.V(0, 0), Heading: 0}
 
 	front := agentAt("front", 50, 0)
-	seen := rig.Visible(ego, front)
+	seen := seenBy(rig, ego, front)
 	if !contains(seen, Front120) || !contains(seen, Front60) {
 		t.Errorf("front actor seen by %v", seen)
 	}
@@ -127,13 +127,13 @@ func TestRigVisible(t *testing.T) {
 	}
 
 	leftSide := agentAt("left", 0, 15)
-	seen = rig.Visible(ego, leftSide)
+	seen = seenBy(rig, ego, leftSide)
 	if !contains(seen, Left) || contains(seen, Right) {
 		t.Errorf("left actor seen by %v", seen)
 	}
 
 	behind := agentAt("behind", -40, 0)
-	seen = rig.Visible(ego, behind)
+	seen = seenBy(rig, ego, behind)
 	if !contains(seen, Rear) || contains(seen, Front120) {
 		t.Errorf("rear actor seen by %v", seen)
 	}
@@ -146,10 +146,21 @@ func TestFOVOverlap(t *testing.T) {
 	rig := DefaultRig()
 	ego := geom.Pose{Pos: geom.V(0, 0), Heading: 0}
 	diag := agentAt("d", 10, 10)
-	seen := rig.Visible(ego, diag)
+	seen := seenBy(rig, ego, diag)
 	if !contains(seen, Front120) || !contains(seen, Left) {
 		t.Errorf("diagonal actor seen by %v, want front120+left", seen)
 	}
+}
+
+// seenBy names the rig's cameras that see a from the ego pose.
+func seenBy(rig Rig, ego geom.Pose, a world.Agent) []string {
+	var seen []string
+	for _, c := range rig {
+		if c.SeesAgent(ego, a) {
+			seen = append(seen, c.Name)
+		}
+	}
+	return seen
 }
 
 func contains(s []string, v string) bool {

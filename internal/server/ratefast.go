@@ -160,8 +160,12 @@ func (sc *rateScratch) readBody(r io.Reader) error {
 // encode. On success it returns (0, "") with a binary response encoded
 // in sc.out, or a JSON one ready for sc.response; otherwise the HTTP
 // status and message for WriteError. Error paths may allocate — they
-// are off the hot path.
+// are off the hot path. It runs inside the admission gate; the gate is
+// left by a defer, so a panic below cannot leave it held and park
+// every later campaign Yield for its full MaxWait.
 func (s *Server) serveRate(sc *rateScratch, body io.Reader, binary bool) (int, string) {
+	s.gate.Enter()
+	defer s.gate.Leave()
 	sc.reset()
 	if err := sc.readBody(body); err != nil {
 		return 400, "bad rate request: " + err.Error()

@@ -210,6 +210,31 @@ func TestRateNonFiniteFrameReleasesGate(t *testing.T) {
 	}
 }
 
+// panicBody is a request body whose Read panics, standing in for any
+// fault below the rate handler.
+type panicBody struct{}
+
+func (panicBody) Read([]byte) (int, error) { panic("body read fault") }
+
+// TestRatePanicReleasesGate: a panic while a rate request holds the
+// admission gate must still release the gate, or every later campaign
+// Yield parks for its full MaxWait.
+func TestRatePanicReleasesGate(t *testing.T) {
+	s := New(Options{})
+	h := s.Handler()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a panicking body did not panic the handler")
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/rate", panicBody{}))
+	}()
+	if n := s.gate.Active(); n != 0 {
+		t.Errorf("admission gate holds %d requests after a panic, want 0", n)
+	}
+}
+
 // TestRateBinaryNegotiation: a binary-framed request must come back as
 // a binary frame that decodes to exactly the JSON answer, and
 // malformed frames must fail as JSON 400s, never panics.

@@ -478,26 +478,3 @@ func readFloatMapBinary(r *binReader) (map[string]float64, error) {
 	}
 	return m, nil
 }
-
-// DecodeRateRequestBinary decodes a binary rate request frame into a
-// freshly allocated RateRequest — the test-facing mirror of the
-// server's pooled decoder (golden tests pin both against
-// AppendRateRequestBinary).
-func DecodeRateRequestBinary(data []byte) (RateRequest, error) {
-	sc := newRateScratch()
-	sc.body = append(sc.body[:0], data...)
-	var req RateRequest
-	if err := sc.decodeBinaryRequest(); err != nil {
-		return req, err
-	}
-	req.Time = sc.req.Time
-	req.Ego = sc.req.Ego
-	req.Actors = append([]AgentState(nil), sc.req.Actors...)
-	if len(sc.req.Operating) > 0 {
-		req.Operating = make(map[string]float64, len(sc.req.Operating))
-		for k, v := range sc.req.Operating {
-			req.Operating[k] = v
-		}
-	}
-	return req, nil
-}

@@ -14,6 +14,29 @@ import (
 	"testing"
 )
 
+// decodeRateRequestBinary decodes a binary rate request frame through
+// the server's pooled decoder and copies the result out of the scratch,
+// so a test can hold it and compare it with what
+// AppendRateRequestBinary encoded.
+func decodeRateRequestBinary(data []byte) (RateRequest, error) {
+	sc := newRateScratch()
+	sc.body = append(sc.body[:0], data...)
+	var req RateRequest
+	if err := sc.decodeBinaryRequest(); err != nil {
+		return req, err
+	}
+	req.Time = sc.req.Time
+	req.Ego = sc.req.Ego
+	req.Actors = append([]AgentState(nil), sc.req.Actors...)
+	if len(sc.req.Operating) > 0 {
+		req.Operating = make(map[string]float64, len(sc.req.Operating))
+		for k, v := range sc.req.Operating {
+			req.Operating[k] = v
+		}
+	}
+	return req, nil
+}
+
 // rateBenchRequest is the fixed snapshot the allocation budget, the
 // benchmarks and the fuzz seeds post: six actors and an operating point
 // so the check branch runs.
@@ -76,7 +99,7 @@ func TestRateRequestBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
 		}
-		got, err := DecodeRateRequestBinary(frame)
+		got, err := decodeRateRequestBinary(frame)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -108,7 +131,7 @@ func TestRateBinaryDecodeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(frame); n++ {
-		if _, err := DecodeRateRequestBinary(frame[:n]); err == nil {
+		if _, err := decodeRateRequestBinary(frame[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", n)
 		}
 	}
@@ -119,11 +142,11 @@ func TestRateBinaryDecodeRejects(t *testing.T) {
 	// ego record (id length + id + fixed fields).
 	off := 4 + 4 + 8 + 2 + len("ego") + agentBinarySize
 	copy(corrupt[off:], []byte{0xff, 0xff, 0xff, 0x7f})
-	if _, err := DecodeRateRequestBinary(corrupt); err == nil {
+	if _, err := decodeRateRequestBinary(corrupt); err == nil {
 		t.Error("absurd actor count decoded successfully")
 	}
 	withTrailing := append(append([]byte(nil), frame...), 0xAA)
-	if _, err := DecodeRateRequestBinary(withTrailing); err == nil {
+	if _, err := decodeRateRequestBinary(withTrailing); err == nil {
 		t.Error("trailing byte after frame decoded successfully")
 	}
 	// JSON cannot carry a NaN or an infinity, and the estimator panics
@@ -144,7 +167,7 @@ func TestRateBinaryDecodeRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := DecodeRateRequestBinary(frame); err == nil {
+			if _, err := decodeRateRequestBinary(frame); err == nil {
 				t.Errorf("%s %v decoded successfully", name, v)
 			}
 		}

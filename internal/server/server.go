@@ -399,9 +399,9 @@ func agentFromWire(a AgentState) world.Agent {
 }
 
 // handleRate is the pooled serving path: one borrowed scratch carries
-// the request from raw bytes to response (see ratefast.go). The
-// admission gate is held from decode through compute, and through the
-// encode of a binary answer, so campaign workers yield while this
+// the request from raw bytes to response (see ratefast.go). serveRate
+// holds the admission gate from decode through compute, and through
+// the encode of a binary answer, so campaign workers yield while this
 // request runs; a JSON answer is encoded by WriteJSON after the gate
 // is left. Latency is self-recorded with the scratch's stable shard
 // hint.
@@ -409,9 +409,7 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sc := getRateScratch()
 	binary := isBinaryRate(r.Header.Get("Content-Type"))
-	s.gate.Enter()
 	code, msg := s.serveRate(sc, r.Body, binary)
-	s.gate.Leave()
 	switch {
 	case code == 0 && binary:
 		w.Header().Set("Content-Type", RateBinaryContentType)

@@ -416,18 +416,6 @@ func TestSteppableAPIObservesRun(t *testing.T) {
 	}
 }
 
-// TestStageNames pins the published stage order — the seam stage
-// plug-ins and docs hang off.
-func TestStageNames(t *testing.T) {
-	want := []string{
-		"ground-truth", "collision-check", "camera-schedule", "perception",
-		"planning", "rate-control", "record", "dynamics",
-	}
-	if got := sim.StageNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("stage order %v, want %v", got, want)
-	}
-}
-
 // benchLegacyConfig mirrors the internal benchConfig scenario for the
 // legacy-loop comparison benchmark (sim_test cannot reach the internal
 // helper).

@@ -21,7 +21,7 @@
 //	ground truth → collision check → camera schedule → perception →
 //	planning → rate control → record → dynamics
 //
-// (StageNames lists them). The seams let callers interpose between
+// The seams let callers interpose between
 // steps — per-stage perception monitors, latency models, alternative
 // planners probe the simulation state mid-run instead of parsing a
 // finished trace.

@@ -40,20 +40,10 @@ func pipeline() []stage {
 	}
 }
 
-// StageNames lists the per-step stage pipeline in execution order.
-func StageNames() []string {
-	stages := pipeline()
-	names := make([]string, len(stages))
-	for i, st := range stages {
-		names[i] = st.name
-	}
-	return names
-}
-
 // Simulation is a closed-loop run advanced one fixed-dt step at a
 // time. Construct with New, drive with Step until it reports false
 // (or Done), and read the outcome with Result. The per-step
-// accessors (Time, Ego, Actors, WorldModel, Rates) expose the live
+// accessors (Time, Ego, Actors, Rates) expose the live
 // state between steps, which is the seam stage plug-ins — perception
 // monitors, latency models, alternative planners — observe the run
 // through without waiting for a finished trace.
@@ -244,10 +234,6 @@ func (s *Simulation) Actors() []world.Agent {
 	}
 	return s.actorsView
 }
-
-// WorldModel returns the perceived world model of the current step.
-// The slice is scratch the simulation reuses: read, don't hold.
-func (s *Simulation) WorldModel() []world.Agent { return s.wm }
 
 // Rates returns a snapshot of the per-camera operating rates.
 func (s *Simulation) Rates() map[string]float64 { return s.ratesMap() }

@@ -147,7 +147,11 @@ func TestZYTCanonicalEveryScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every scenario and variant through the simulator")
 	}
-	for _, sc := range scenario.AllWithVariants() {
+	scs := scenario.Default().List()
+	if len(scs) != 13 {
+		t.Fatalf("%d registered scenarios, want the 9 Table-1 scenarios and 4 variants", len(scs))
+	}
+	for _, sc := range scs {
 		cfg := sc.Build(10, 1)
 		cfg.Record = trace.LevelFull
 		res, err := sim.Run(cfg)

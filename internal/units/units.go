@@ -1,8 +1,8 @@
 // Package units provides unit conversions and physical constants used
 // throughout the repository. All internal computation is in SI units
-// (meters, seconds, radians); conversions to mph/kph/ft appear only at
-// API edges, mirroring the paper's presentation (scenario speeds are
-// quoted in mph, distances in meters and feet).
+// (meters, seconds, radians); conversions to mph appear only at API
+// edges, mirroring the paper's presentation (scenario speeds are quoted
+// in mph).
 package units
 
 import "math"
@@ -13,10 +13,6 @@ const (
 	MetersPerMile = 1609.344
 	// SecondsPerHour converts per-hour rates to per-second rates.
 	SecondsPerHour = 3600.0
-	// MetersPerFoot is the exact international-foot definition.
-	MetersPerFoot = 0.3048
-	// Gravity is standard gravity in m/s².
-	Gravity = 9.80665
 )
 
 // MPHToMPS converts miles per hour to meters per second.
@@ -25,23 +21,8 @@ func MPHToMPS(mph float64) float64 { return mph * MetersPerMile / SecondsPerHour
 // MPSToMPH converts meters per second to miles per hour.
 func MPSToMPH(mps float64) float64 { return mps * SecondsPerHour / MetersPerMile }
 
-// KPHToMPS converts kilometers per hour to meters per second.
-func KPHToMPS(kph float64) float64 { return kph * 1000.0 / SecondsPerHour }
-
-// MPSToKPH converts meters per second to kilometers per hour.
-func MPSToKPH(mps float64) float64 { return mps * SecondsPerHour / 1000.0 }
-
-// FeetToMeters converts feet to meters.
-func FeetToMeters(ft float64) float64 { return ft * MetersPerFoot }
-
-// MetersToFeet converts meters to feet.
-func MetersToFeet(m float64) float64 { return m / MetersPerFoot }
-
 // DegToRad converts degrees to radians.
 func DegToRad(deg float64) float64 { return deg * math.Pi / 180.0 }
-
-// RadToDeg converts radians to degrees.
-func RadToDeg(rad float64) float64 { return rad * 180.0 / math.Pi }
 
 // NormalizeAngle wraps an angle into (-π, π].
 func NormalizeAngle(rad float64) float64 {
@@ -52,15 +33,4 @@ func NormalizeAngle(rad float64) float64 {
 		rad += 2 * math.Pi
 	}
 	return rad
-}
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -93,30 +93,6 @@ func (f *FrenetState) StepInPlace(dt float64) {
 	f.D += f.LatVel * dt
 }
 
-// StopDistance returns the distance needed to brake from the current
-// speed to zero at the given deceleration magnitude.
-func StopDistance(speed, decel float64) float64 {
-	if decel <= 0 {
-		return math.Inf(1)
-	}
-	return speed * speed / (2 * decel)
-}
-
-// BrakeDistanceTo returns the distance needed to brake from speed v0
-// down to vTarget (clamped at 0) at the given deceleration magnitude.
-func BrakeDistanceTo(v0, vTarget, decel float64) float64 {
-	if vTarget < 0 {
-		vTarget = 0
-	}
-	if v0 <= vTarget {
-		return 0
-	}
-	if decel <= 0 {
-		return math.Inf(1)
-	}
-	return (v0*v0 - vTarget*vTarget) / (2 * decel)
-}
-
 // ToAgent converts the Frenet state to a world-frame agent on the given
 // road. The heading blends the road tangent with the lateral motion so
 // lane-changing vehicles yaw realistically.

@@ -90,27 +90,6 @@ func TestStepZeroOrNegativeDT(t *testing.T) {
 	}
 }
 
-func TestStopDistance(t *testing.T) {
-	if got := StopDistance(10, 5); math.Abs(got-10) > 1e-9 {
-		t.Errorf("StopDistance = %v", got)
-	}
-	if got := StopDistance(10, 0); !math.IsInf(got, 1) {
-		t.Errorf("StopDistance with zero decel = %v", got)
-	}
-}
-
-func TestBrakeDistanceTo(t *testing.T) {
-	if got := BrakeDistanceTo(20, 10, 5); math.Abs(got-30) > 1e-9 {
-		t.Errorf("BrakeDistanceTo = %v", got)
-	}
-	if got := BrakeDistanceTo(10, 20, 5); got != 0 {
-		t.Errorf("already slower: %v", got)
-	}
-	if got := BrakeDistanceTo(10, -5, 5); math.Abs(got-10) > 1e-9 {
-		t.Errorf("negative target clamps to 0: %v", got)
-	}
-}
-
 func TestToAgent(t *testing.T) {
 	r := road.NewStraight(3, 1000)
 	f := FrenetState{S: 50, D: 3.5, Speed: 20, Accel: -1}

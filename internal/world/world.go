@@ -90,24 +90,6 @@ type Snapshot struct {
 	Actors []Agent
 }
 
-// Actor returns the actor with the given ID, if present.
-func (s Snapshot) Actor(id string) (Agent, bool) {
-	for _, a := range s.Actors {
-		if a.ID == id {
-			return a, true
-		}
-	}
-	return Agent{}, false
-}
-
-// Clone returns a deep copy of the snapshot.
-func (s Snapshot) Clone() Snapshot {
-	c := s
-	c.Actors = make([]Agent, len(s.Actors))
-	copy(c.Actors, s.Actors)
-	return c
-}
-
 // TrajectoryPoint is one timed sample of a predicted or recorded
 // trajectory.
 type TrajectoryPoint struct {
@@ -134,14 +116,6 @@ func (tr Trajectory) Start() float64 {
 		return 0
 	}
 	return tr.Points[0].T
-}
-
-// End returns the last sample time, or 0 for an empty trajectory.
-func (tr Trajectory) End() float64 {
-	if len(tr.Points) == 0 {
-		return 0
-	}
-	return tr.Points[len(tr.Points)-1].T
 }
 
 // At returns the interpolated state at absolute time t. Times before the
@@ -258,10 +232,4 @@ func (tr Trajectory) Validate() error {
 		}
 	}
 	return nil
-}
-
-// FromAgent seeds a single-point trajectory at the agent's current
-// state, useful as the starting point for predictors.
-func FromAgent(a Agent, t float64) TrajectoryPoint {
-	return TrajectoryPoint{T: t, Pos: a.Pose.Pos, Heading: a.Pose.Heading, Speed: a.Speed, Accel: a.Accel}
 }

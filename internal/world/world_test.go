@@ -75,28 +75,6 @@ func TestAgentValidate(t *testing.T) {
 	}
 }
 
-func TestSnapshotActorLookupAndClone(t *testing.T) {
-	s := Snapshot{
-		Time: 1.5,
-		Ego:  carAgent("ego", 0, 0, 0, 20),
-		Actors: []Agent{
-			carAgent("a1", 30, 0, 0, 15),
-			carAgent("a2", 30, 3.5, 0, 18),
-		},
-	}
-	if _, ok := s.Actor("a2"); !ok {
-		t.Error("a2 not found")
-	}
-	if _, ok := s.Actor("nope"); ok {
-		t.Error("phantom actor found")
-	}
-	c := s.Clone()
-	c.Actors[0].Speed = 99
-	if s.Actors[0].Speed == 99 {
-		t.Error("Clone shares actor storage")
-	}
-}
-
 func makeTraj() Trajectory {
 	return Trajectory{
 		ActorID: "a1",
@@ -136,15 +114,11 @@ func TestTrajectoryAtEdges(t *testing.T) {
 	if got := empty.At(5); got.T != 5 {
 		t.Errorf("empty At = %+v", got)
 	}
-	if empty.Start() != 0 || empty.End() != 0 {
-		t.Error("empty Start/End nonzero")
+	if empty.Start() != 0 {
+		t.Error("empty Start nonzero")
 	}
-}
-
-func TestTrajectoryStartEnd(t *testing.T) {
-	tr := makeTraj()
-	if tr.Start() != 0 || tr.End() != 2 {
-		t.Errorf("Start/End = %v/%v", tr.Start(), tr.End())
+	if got := (Trajectory{Points: tr.Points[1:]}).Start(); got != tr.Points[1].T {
+		t.Errorf("Start = %v, want the first sample time %v", got, tr.Points[1].T)
 	}
 }
 
@@ -204,14 +178,5 @@ func TestTrajectoryValidate(t *testing.T) {
 	bad.Points[2].T = 0.5
 	if err := bad.Validate(); err == nil {
 		t.Error("unsorted times accepted")
-	}
-}
-
-func TestFromAgent(t *testing.T) {
-	a := carAgent("x", 5, 2, 0.1, 12)
-	a.Accel = -1
-	p := FromAgent(a, 3)
-	if p.T != 3 || p.Pos != a.Pose.Pos || p.Speed != 12 || p.Accel != -1 || p.Heading != 0.1 {
-		t.Errorf("FromAgent = %+v", p)
 	}
 }
