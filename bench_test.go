@@ -219,7 +219,8 @@ func BenchmarkEstimateSnapshot(b *testing.B) {
 func latencyWorkload() (core.EgoState, []world.Trajectory) {
 	ego := core.EgoState{Pose: geom.Pose{Pos: geom.V(0, 0)}, Speed: 27, Length: 4.6, Width: 1.9}
 	agent := world.Agent{ID: "lead", Pose: geom.Pose{Pos: geom.V(50, 0)}, Speed: 20, Accel: -3, Length: 4.6, Width: 1.9}
-	return ego, predict.MultiHypothesis{Horizon: 15, Dt: 0.1}.Predict(agent, 0)
+	trajs, _ := predict.MultiHypothesis{Horizon: 15, Dt: 0.1}.AppendPrediction(nil, nil, agent, 0)
+	return ego, trajs
 }
 
 // BenchmarkLatencySearchAccelerated uses the paper's Eq.-3 stepping.

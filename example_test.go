@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	zhuyi "repro"
-	"repro/internal/core"
-	"repro/internal/geom"
-	"repro/internal/sensor"
-	"repro/internal/world"
 )
 
 // ExampleTolerableLatency shows the core per-actor computation: the
@@ -15,30 +11,30 @@ import (
 func ExampleNewEstimator() {
 	est := zhuyi.NewEstimator()
 
-	ego := world.Agent{
-		ID:     world.EgoID,
-		Pose:   geom.Pose{Pos: geom.V(0, 0)},
+	ego := zhuyi.Agent{
+		ID:     zhuyi.EgoID,
+		Pose:   zhuyi.Pose{Pos: zhuyi.Vec2{X: 0, Y: 0}},
 		Speed:  20, // m/s
 		Length: 4.6, Width: 1.9,
 	}
-	obstacle := world.Agent{
+	obstacle := zhuyi.Agent{
 		ID:     "obstacle",
-		Pose:   geom.Pose{Pos: geom.V(120, 0)},
+		Pose:   zhuyi.Pose{Pos: zhuyi.Vec2{X: 120, Y: 0}},
 		Length: 4, Width: 1.9,
 		Static: true,
 	}
 	// Ground-truth future: the obstacle stays put.
-	traj := world.Trajectory{ActorID: "obstacle", Prob: 1, Points: []world.TrajectoryPoint{
+	traj := zhuyi.Trajectory{ActorID: "obstacle", Prob: 1, Points: []zhuyi.TrajectoryPoint{
 		{T: 0, Pos: obstacle.Pose.Pos},
 		{T: est.Params.Horizon, Pos: obstacle.Pose.Pos},
 	}}
 
-	e := est.EstimateSnapshot(0, ego, []world.Agent{obstacle},
-		map[string][]world.Trajectory{"obstacle": {traj}}, 1.0/30)
+	e := est.EstimateSnapshot(0, ego, []zhuyi.Agent{obstacle},
+		map[string][]zhuyi.Trajectory{"obstacle": {traj}}, 1.0/30)
 
-	fmt.Printf("front latency budget: %.0f ms\n", e.CameraLatency[sensor.Front120]*1000)
-	fmt.Printf("front minimum FPR: %.1f\n", e.CameraFPR[sensor.Front120])
-	fmt.Printf("side cameras idle: %v\n", e.CameraFPR[sensor.Left] == 1 && e.CameraFPR[sensor.Right] == 1)
+	fmt.Printf("front latency budget: %.0f ms\n", e.CameraLatency[zhuyi.CameraFront120]*1000)
+	fmt.Printf("front minimum FPR: %.1f\n", e.CameraFPR[zhuyi.CameraFront120])
+	fmt.Printf("side cameras idle: %v\n", e.CameraFPR[zhuyi.CameraLeft] == 1 && e.CameraFPR[zhuyi.CameraRight] == 1)
 	// Output:
 	// front latency budget: 538 ms
 	// front minimum FPR: 1.9
@@ -49,13 +45,13 @@ func ExampleNewEstimator() {
 func ExampleCheckSafety() {
 	est := zhuyi.Estimate{
 		CameraFPR: map[string]float64{
-			sensor.Front120: 8,
-			sensor.Left:     1,
+			zhuyi.CameraFront120: 8,
+			zhuyi.CameraLeft:     1,
 		},
 	}
 	operating := map[string]float64{
-		sensor.Front120: 5, // below the requirement
-		sensor.Left:     2,
+		zhuyi.CameraFront120: 5, // below the requirement
+		zhuyi.CameraLeft:     2,
 	}
 	res := zhuyi.CheckSafety(est, operating)
 	fmt.Println("ok:", res.OK)
@@ -70,18 +66,20 @@ func ExampleCheckSafety() {
 // ExampleUncertainty shows the perception-uncertainty extension: a
 // noisier perception model tightens the estimated requirement.
 func ExampleUncertainty() {
-	exact := zhuyi.DefaultParams()
-	noisy := zhuyi.Uncertainty{PosSigma: 2, SpeedSigma: 1}.Apply(exact)
+	exact := zhuyi.NewEstimator()
+	noisy := zhuyi.NewEstimator()
+	noisy.Params = zhuyi.Uncertainty{PosSigma: 2, SpeedSigma: 1}.Apply(exact.Params)
 
-	ego := core.EgoState{Pose: geom.Pose{Pos: geom.V(0, 0)}, Speed: 25, Length: 4.6, Width: 1.9}
-	traj := world.Trajectory{ActorID: "obs", Prob: 1, Points: []world.TrajectoryPoint{
-		{T: 0, Pos: geom.V(95, 0)},
-		{T: exact.Horizon, Pos: geom.V(95, 0)},
-	}}
+	ego := zhuyi.Agent{ID: zhuyi.EgoID, Pose: zhuyi.Pose{Pos: zhuyi.Vec2{X: 0, Y: 0}}, Speed: 25, Length: 4.6, Width: 1.9}
+	obstacle := zhuyi.Agent{ID: "obs", Pose: zhuyi.Pose{Pos: zhuyi.Vec2{X: 95, Y: 0}}, Length: 4, Width: 1.9, Static: true}
+	futures := map[string][]zhuyi.Trajectory{"obs": {{ActorID: "obs", Prob: 1, Points: []zhuyi.TrajectoryPoint{
+		{T: 0, Pos: obstacle.Pose.Pos},
+		{T: exact.Params.Horizon, Pos: obstacle.Pose.Pos},
+	}}}}
 
-	a := core.TolerableLatency(ego, traj, [2]float64{4, 1.9}, 1.0/30, exact)
-	b := core.TolerableLatency(ego, traj, [2]float64{4, 1.9}, 1.0/30, noisy)
-	fmt.Println("noisy model demands a higher rate:", b.FPR() > a.FPR())
+	a := exact.EstimateSnapshot(0, ego, []zhuyi.Agent{obstacle}, futures, 1.0/30)
+	b := noisy.EstimateSnapshot(0, ego, []zhuyi.Agent{obstacle}, futures, 1.0/30)
+	fmt.Println("noisy model demands a higher rate:", b.CameraFPR[zhuyi.CameraFront120] > a.CameraFPR[zhuyi.CameraFront120])
 	// Output:
 	// noisy model demands a higher rate: true
 }

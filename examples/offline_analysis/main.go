@@ -9,35 +9,28 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/scenario"
-	"repro/internal/sensor"
+	zhuyi "repro"
 )
 
 func main() {
 	// Scenarios resolve through the registry: the paper's nine, the ODD
 	// variants, and any registered generated spec are all addressable
 	// here by name.
-	sc, ok := scenario.Lookup(scenario.CutOutFast)
-	if !ok {
-		fmt.Fprintln(os.Stderr, "scenario not registered:", scenario.CutOutFast)
-		os.Exit(1)
-	}
-	res, err := metrics.RunScenario(sc, 30, 1)
+	name := zhuyi.ScenarioCutOutFast
+	res, err := zhuyi.RunScenario(name, 30, 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("Scenario %s at 30 FPR: %d rows", sc.Name, res.Trace.Len())
+	fmt.Printf("Scenario %s at 30 FPR: %d rows", name, res.Trace.Len())
 	if res.Collided() {
 		fmt.Printf(" — COLLISION at t=%.2f s\n", res.Collision.Time)
 	} else {
 		fmt.Printf(" — safe (closest approach %.2f m)\n", res.MinBumperGap)
 	}
 
-	est := core.NewEstimator()
-	off, err := est.EvaluateTrace(res.Trace, core.OfflineOptions{EvalEvery: 0.25})
+	est := zhuyi.NewEstimator()
+	off, err := est.EvaluateTrace(res.Trace, zhuyi.OfflineOptions{EvalEvery: 0.25})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -46,21 +39,22 @@ func main() {
 	fmt.Printf("\n%8s %10s %10s %10s %8s\n", "t(s)", "left(ms)", "front(ms)", "right(ms)", "accel")
 	for _, pt := range off.Points {
 		marker := ""
-		if pt.Latency[sensor.Front120] < 0.3 {
+		if pt.Latency[zhuyi.CameraFront120] < 0.3 {
 			marker = "  <- tight"
 		}
 		fmt.Printf("%8.2f %10.0f %10.0f %10.0f %8.2f%s\n",
 			pt.Time,
-			pt.Latency[sensor.Left]*1000,
-			pt.Latency[sensor.Front120]*1000,
-			pt.Latency[sensor.Right]*1000,
+			pt.Latency[zhuyi.CameraLeft]*1000,
+			pt.Latency[zhuyi.CameraFront120]*1000,
+			pt.Latency[zhuyi.CameraRight]*1000,
 			pt.EgoAccel,
 			marker)
 	}
 
 	fmt.Printf("\nmax estimated FPR per camera:\n")
-	for cam, f := range off.MaxCameraFPR() {
-		fmt.Printf("  %-10s %5.1f\n", cam, f)
+	maxFPR := off.MaxCameraFPR()
+	for _, cam := range est.Cameras {
+		fmt.Printf("  %-10s %5.1f\n", cam, maxFPR[cam])
 	}
 	fmt.Printf("max total demand (F_c1+F_c2+F_c3): %.1f FPR = %.0f%% of a 3x30 provisioning\n",
 		off.MaxSumFPR(), off.MaxSumFPR()/90*100)

@@ -9,46 +9,32 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/predict"
-	"repro/internal/safety"
-	"repro/internal/scenario"
-	"repro/internal/sim"
+	zhuyi "repro"
 )
 
 func main() {
-	// Resolve the scenario through the registry (covers the paper's
-	// nine, ODD variants, and registered generated specs alike).
-	sc, ok := scenario.Lookup(scenario.ChallengingCutIn)
-	if !ok {
-		fmt.Fprintln(os.Stderr, "scenario not registered:", scenario.ChallengingCutIn)
-		os.Exit(1)
-	}
+	// Scenarios resolve through the registry (covers the paper's nine,
+	// ODD variants, and registered generated specs alike).
+	name := zhuyi.ScenarioChallengingCutIn
 
 	// Baseline: every camera at the provisioned 30 FPR.
-	base, err := sim.Run(sc.Build(30, 1))
+	base, err := zhuyi.RunScenario(name, 30, 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
 	// Zhuyi-based system: online estimates drive the rates.
-	cfg := sc.Build(30, 1)
-	est := core.NewEstimator()
+	est := zhuyi.NewEstimator()
 	est.Cameras = est.Rig.Names()
-	ctrl := safety.NewController(
-		est,
-		predict.MultiHypothesis{Horizon: est.Params.Horizon, Dt: 0.1},
-		safety.DefaultControllerConfig(),
-	)
-	cfg.RateController = ctrl
-	res, err := sim.Run(cfg)
+	ctrl := zhuyi.NewController(est, zhuyi.DefaultControllerConfig())
+	res, err := zhuyi.RunControlled(name, 30, 1, ctrl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	report := func(name string, r *sim.Result) int {
+	report := func(name string, r *zhuyi.RunResult) int {
 		total := 0
 		for _, n := range r.FramesProcessed {
 			total += n
@@ -78,23 +64,18 @@ func main() {
 	// Work prioritization under a hard budget: the same scenario with
 	// only 10 total FPR across five cameras, split uniformly vs by Zhuyi.
 	fmt.Println("\nConstrained budget (10 FPR total across 5 cameras):")
-	uniform := sc.Build(30, 1)
-	uniform.RateController = safety.UniformRates{Cameras: est.Rig.Names(), Budget: 10}
-	ures, err := sim.Run(uniform)
+	ures, err := zhuyi.RunControlled(name, 30, 1, zhuyi.UniformRates{Cameras: est.Rig.Names(), Budget: 10})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	report("uniform 2 FPR each", ures)
 
-	budgeted := sc.Build(30, 1)
-	bcfg := safety.DefaultControllerConfig()
+	bcfg := zhuyi.DefaultControllerConfig()
 	bcfg.Budget = 10
-	best := core.NewEstimator()
+	best := zhuyi.NewEstimator()
 	best.Cameras = best.Rig.Names()
-	budgeted.RateController = safety.NewController(
-		best, predict.MultiHypothesis{Horizon: best.Params.Horizon, Dt: 0.1}, bcfg)
-	bres, err := sim.Run(budgeted)
+	bres, err := zhuyi.RunControlled(name, 30, 1, zhuyi.NewController(best, bcfg))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -6,18 +6,14 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/geom"
-	"repro/internal/predict"
-	"repro/internal/sensor"
-	"repro/internal/world"
+	zhuyi "repro"
 )
 
 func main() {
 	// The ego: 27 m/s (~60 mph) in the middle lane, cruising.
-	ego := world.Agent{
-		ID:     world.EgoID,
-		Pose:   geom.Pose{Pos: geom.V(0, 0), Heading: 0},
+	ego := zhuyi.Agent{
+		ID:     zhuyi.EgoID,
+		Pose:   zhuyi.Pose{Pos: zhuyi.Vec2{X: 0, Y: 0}, Heading: 0},
 		Speed:  27,
 		Length: 4.6,
 		Width:  1.9,
@@ -25,27 +21,27 @@ func main() {
 
 	// A lead vehicle 45 m ahead, braking at 4 m/s², and a neighbor in
 	// the adjacent lane pacing the ego.
-	lead := world.Agent{
+	lead := zhuyi.Agent{
 		ID:     "lead",
-		Pose:   geom.Pose{Pos: geom.V(45, 0), Heading: 0},
+		Pose:   zhuyi.Pose{Pos: zhuyi.Vec2{X: 45, Y: 0}, Heading: 0},
 		Speed:  24,
 		Accel:  -4,
 		Length: 4.6,
 		Width:  1.9,
 	}
-	neighbor := world.Agent{
+	neighbor := zhuyi.Agent{
 		ID:     "neighbor",
-		Pose:   geom.Pose{Pos: geom.V(5, 3.5), Heading: 0},
+		Pose:   zhuyi.Pose{Pos: zhuyi.Vec2{X: 5, Y: 3.5}, Heading: 0},
 		Speed:  27,
 		Length: 4.6,
 		Width:  1.9,
 	}
 
-	est := core.NewEstimator()
+	est := zhuyi.NewEstimator()
 
 	// Post-deployment style: futures come from a trajectory predictor.
-	pred := predict.MultiHypothesis{Horizon: est.Params.Horizon, Dt: 0.1}
-	e := est.EstimateOnline(0, ego, []world.Agent{lead, neighbor}, pred, 1.0/30)
+	pred := zhuyi.MultiHypothesis{Horizon: est.Params.Horizon, Dt: 0.1}
+	e := est.EstimateOnline(0, ego, []zhuyi.Agent{lead, neighbor}, pred, 1.0/30)
 
 	fmt.Println("Per-actor tolerable latency:")
 	for _, a := range e.Actors {
@@ -61,12 +57,12 @@ func main() {
 	}
 
 	fmt.Println("\nPer-camera minimum safe FPR (Eq. 5):")
-	for _, cam := range sensor.AnalyzedCameras() {
+	for _, cam := range est.Cameras {
 		fmt.Printf("  %-10s %5.1f FPR (latency budget %.0f ms)\n",
 			cam, e.CameraFPR[cam], e.CameraLatency[cam]*1000)
 	}
 
-	d := core.NewDemand(2, 4, est.Params)
+	d := zhuyi.NewDemand(2, 4, est.Params)
 	fmt.Printf("\nZhuyi compute demand for this scene: %d ops (%.1f µs on 10 GOPS)\n",
 		d.Ops(), d.ExecutionSeconds(10e9)*1e6)
 }

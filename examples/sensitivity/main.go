@@ -8,16 +8,14 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/units"
+	zhuyi "repro"
 )
 
 func main() {
 	for _, sn := range []float64{30, 100} {
-		res := experiments.Figure8(sn)
-		experiments.WriteSweep(os.Stdout, res)
-		s := experiments.Summarize(res)
+		res := zhuyi.Sweep(sn)
+		zhuyi.WriteSweep(os.Stdout, res)
+		s := zhuyi.SummarizeSweep(res)
 		fmt.Printf("# sn=%.0fm: %d feasible, %d need 30+, %d unavoidable; street max %d FPR\n\n",
 			s.SN, s.Feasible, s.ThirtyPlus, s.Unavoidable, s.StreetMaxFPR)
 	}
@@ -26,14 +24,14 @@ func main() {
 	// versus the steady-state α = 0 at a few operating points.
 	fmt.Println("alpha-model ablation (sn = 100 m, l0 = 33 ms):")
 	fmt.Printf("%10s %10s %14s %14s\n", "ve0(mph)", "van(mph)", "FPR (paper α)", "FPR (α = 0)")
-	paper := core.DefaultParams()
-	zero := core.DefaultParams()
-	zero.Alpha = core.AlphaZero
+	paper := zhuyi.DefaultParams()
+	zero := zhuyi.DefaultParams()
+	zero.Alpha = zhuyi.AlphaZero
 	for _, pt := range [][2]float64{{30, 10}, {50, 20}, {65, 40}} {
-		row := func(p core.Params) string {
-			cells := core.Sweep(
-				[]float64{units.MPHToMPS(pt[0])},
-				[]float64{units.MPHToMPS(pt[1])},
+		row := func(p zhuyi.Params) string {
+			cells := zhuyi.SweepGrid(
+				[]float64{zhuyi.MPHToMPS(pt[0])},
+				[]float64{zhuyi.MPHToMPS(pt[1])},
 				100, p.LMin, p,
 			).Cells[0][0]
 			switch {

@@ -19,7 +19,6 @@ package baseline
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/engine"
@@ -144,14 +143,6 @@ func (p RSSParams) TolerableResponse(vr, vf, gap float64) (float64, bool) {
 type RSSLatencyResult struct {
 	Rho      float64 // RSS tolerable response time, s
 	Feasible bool
-}
-
-// String renders the result.
-func (r RSSLatencyResult) String() string {
-	if !r.Feasible {
-		return "infeasible"
-	}
-	return fmt.Sprintf("%.3fs", r.Rho)
 }
 
 // RSSLatency computes the RSS response bound for an ego at speed vr

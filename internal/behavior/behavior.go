@@ -92,15 +92,8 @@ type Script struct {
 // NewScript builds a script from stages.
 func NewScript(stages ...Stage) *Script { return &Script{Stages: stages} }
 
-// Step advances the actor state by dt under script control.
-func (sc *Script) Step(ctx *Context, st vehicle.FrenetState, dt float64) vehicle.FrenetState {
-	sc.StepInto(ctx, &st, dt)
-	return st
-}
-
-// StepInto is Step mutating st in place — the simulator's per-actor
-// integration form, which skips the state copies through the call
-// boundary.
+// StepInto advances the actor state st in place by dt under script
+// control.
 func (sc *Script) StepInto(ctx *Context, st *vehicle.FrenetState, dt float64) {
 	accel, latVel := 0.0, 0.0
 	if sc.idx < len(sc.Stages) {
@@ -158,22 +151,6 @@ func (a *AccelTo) Apply(_ *Context, st vehicle.FrenetState, _ float64) (float64,
 		return 0, 0, true
 	}
 	return a.Accel, 0, false
-}
-
-// Hold cruises at the current speed for Duration seconds.
-type Hold struct {
-	Duration float64
-
-	t0      float64
-	started bool
-}
-
-// Init implements Action.
-func (h *Hold) Init(ctx *Context, _ vehicle.FrenetState) { h.t0 = ctx.Time; h.started = true }
-
-// Apply implements Action.
-func (h *Hold) Apply(ctx *Context, _ vehicle.FrenetState, _ float64) (float64, float64, bool) {
-	return 0, 0, ctx.Time-h.t0 >= h.Duration
 }
 
 // LaneChange moves the actor laterally from its current offset to the
@@ -274,16 +251,4 @@ func (d *Drift) Apply(ctx *Context, _ vehicle.FrenetState, _ float64) (float64, 
 		return 0, 0, true
 	}
 	return 0, d.LatVel, false
-}
-
-// Cruise holds the current speed forever (an explicit do-nothing stage;
-// actors also cruise implicitly between stages).
-type Cruise struct{}
-
-// Init implements Action.
-func (Cruise) Init(*Context, vehicle.FrenetState) {}
-
-// Apply implements Action.
-func (Cruise) Apply(*Context, vehicle.FrenetState, float64) (float64, float64, bool) {
-	return 0, 0, false
 }

@@ -88,28 +88,6 @@ func TestAccelTo(t *testing.T) {
 	}
 }
 
-func TestHold(t *testing.T) {
-	r := road.NewStraight(3, 2000)
-	sc := NewScript(
-		Stage{When: Immediately(), Do: &Hold{Duration: 2}},
-		Stage{When: Immediately(), Do: &BrakeTo{Target: 0, Decel: 5}},
-	)
-	st := vehicle.FrenetState{Speed: 10}
-	// After 1 s: still holding, speed unchanged.
-	for t := 0.0; t < 1; t += dt {
-		st = sc.Step(ctxAt(t, r, vehicle.FrenetState{}), st, dt)
-	}
-	if st.Speed != 10 {
-		t.Errorf("speed during hold = %v", st.Speed)
-	}
-	for t := 1.0; t < 6; t += dt {
-		st = sc.Step(ctxAt(t, r, vehicle.FrenetState{}), st, dt)
-	}
-	if st.Speed != 0 {
-		t.Errorf("speed after brake = %v", st.Speed)
-	}
-}
-
 func TestLaneChangeReachesTargetLane(t *testing.T) {
 	r := road.NewStraight(3, 2000)
 	sc := NewScript(Stage{When: Immediately(), Do: &LaneChange{TargetLane: 1, Duration: 3}})
@@ -248,15 +226,8 @@ func TestDriftTraversesLaterally(t *testing.T) {
 	}
 }
 
-func TestCruiseNeverFinishes(t *testing.T) {
-	r := road.NewStraight(3, 2000)
-	sc := NewScript(Stage{When: Immediately(), Do: Cruise{}})
-	st := vehicle.FrenetState{Speed: 20}
-	st = runScript(sc, st, vehicle.FrenetState{}, 2, r)
-	if finished(sc) {
-		t.Error("cruise should not finish")
-	}
-	if math.Abs(st.S-40) > 0.5 {
-		t.Errorf("S = %v", st.S)
-	}
+// Step is StepInto on a copy, the returning form these tests chain.
+func (sc *Script) Step(ctx *Context, st vehicle.FrenetState, dt float64) vehicle.FrenetState {
+	sc.StepInto(ctx, &st, dt)
+	return st
 }

@@ -137,3 +137,20 @@ func TestEstimatorCustomCameraSubset(t *testing.T) {
 		t.Errorf("nil subset: cameras reported = %d, want %d", len(est.CameraFPR), len(e.Rig))
 	}
 }
+
+// TestEstimateOnlineNonFiniteTime: a NaN or infinite time stamps every
+// predicted point, so it reaches the trajectory sampler's segment
+// search. The estimate must still come back with the actor in it, not
+// index out of range.
+func TestEstimateOnlineNonFiniteTime(t *testing.T) {
+	e := NewEstimator()
+	ego := agent(world.EgoID, 0, 0, 25)
+	lead := agent("lead", 40, 0, 15)
+	pred := predict.MultiHypothesis{Horizon: e.Params.Horizon, Dt: 0.1}
+	for _, now := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		est := e.EstimateOnline(now, ego, []world.Agent{lead}, pred, 1.0/30)
+		if len(est.Actors) != 1 || est.Actors[0].ActorID != "lead" {
+			t.Errorf("now=%v: actors %+v, want the lead", now, est.Actors)
+		}
+	}
+}

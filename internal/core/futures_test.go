@@ -57,7 +57,8 @@ func TestFutureIndex(t *testing.T) {
 	}
 	// Position interpolates the recorded motion.
 	traj := world.Trajectory{ActorID: "a1", Prob: 1, Points: pts}
-	if at := traj.At(0.2); math.Abs(at.Pos.X-53) > 0.01 {
+	smp := world.Sampler{Points: pts}
+	if at := smp.At(0.2); math.Abs(at.Pos.X-53) > 0.01 {
 		t.Errorf("pos at 0.2 = %v", at.Pos.X)
 	}
 	if err := traj.Validate(); err != nil {

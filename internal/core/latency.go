@@ -33,15 +33,6 @@ type LatencyResult struct {
 	Evals    int     // constraint evaluations performed (compute accounting)
 }
 
-// FPR returns the frame processing rate implied by the latency (Eq. 5's
-// per-actor reciprocal). Infeasible results return +Inf.
-func (r LatencyResult) FPR() float64 {
-	if !r.Feasible || r.Latency <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / r.Latency
-}
-
 // actorSample is the actor state at a candidate t_n, expressed in the
 // ego frame at t0.
 type actorSample struct {

@@ -111,12 +111,21 @@ func (s *refTrajSampler) sample(tn float64) refActorSample {
 	return refActorSample{long: local.X, lat: local.Y, speed: vAlong, width: s.width, lng: s.lng}
 }
 
+// refStart is the frozen world.Trajectory.Start: the first sample
+// time, or 0 for an empty trajectory.
+func refStart(tr world.Trajectory) float64 {
+	if len(tr.Points) == 0 {
+		return 0
+	}
+	return tr.Points[0].T
+}
+
 func refTolerableLatency(ego core.EgoState, traj world.Trajectory, actorDims [2]float64, l0 float64, p core.Params) core.LatencyResult {
 	res := core.LatencyResult{}
 	if len(traj.Points) == 0 {
 		return core.LatencyResult{Latency: p.LMax, Feasible: true, NoThreat: true}
 	}
-	t0 := traj.Start()
+	t0 := refStart(traj)
 	length, width := actorDims[0], actorDims[1]
 
 	smp := refTrajSampler{traj: &traj, ego: &ego, t0: t0, width: width, lng: length}
@@ -430,7 +439,7 @@ func TestTrajectorySamplerMatchesFrozenAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for c := 0; c < 5000; c++ {
 		_, traj, _, _, _ := randomKernelCase(rng)
-		start, end := traj.Start(), 0.0
+		start, end := refStart(traj), 0.0
 		if n := len(traj.Points); n > 0 {
 			end = traj.Points[n-1].T
 		}

@@ -389,3 +389,12 @@ func TestBrakeDecel(t *testing.T) {
 		t.Errorf("light braking: %v, want C3", got)
 	}
 }
+
+// FPR is the frame processing rate a result implies (Eq. 5's per-actor
+// reciprocal), +Inf when infeasible; the tests compare results by it.
+func (r LatencyResult) FPR() float64 {
+	if !r.Feasible || r.Latency <= 0 {
+		return math.Inf(1)
+	}
+	return 1 / r.Latency
+}

@@ -109,27 +109,6 @@ func (r *OfflineResult) MeanSumFPR() float64 {
 	return total / float64(len(r.Points))
 }
 
-// CameraSeries extracts the (time, latency) series for one camera, the
-// quantity plotted in Figures 4–6.
-func (r *OfflineResult) CameraSeries(camera string) (times, latencies []float64) {
-	for _, pt := range r.Points {
-		if l, ok := pt.Latency[camera]; ok {
-			times = append(times, pt.Time)
-			latencies = append(latencies, l)
-		}
-	}
-	return times, latencies
-}
-
-// AccelSeries extracts the ego acceleration series (Figures 4e–6e).
-func (r *OfflineResult) AccelSeries() (times, accels []float64) {
-	for _, pt := range r.Points {
-		times = append(times, pt.Time)
-		accels = append(accels, pt.EgoAccel)
-	}
-	return times, accels
-}
-
 // EvaluateTrace runs the Zhuyi model over a recorded scenario trace
 // using ground-truth futures (|T| = 1): the paper's pre-deployment
 // safety evaluator. The current processing latency l0 is taken from the

@@ -49,9 +49,13 @@ func TestEvaluateTraceSeries(t *testing.T) {
 
 	// The front requirement tightens as the ego nears the obstacle: the
 	// front FPR series is (weakly) increasing over time.
-	times, lats := off.CameraSeries(sensor.Front120)
-	if len(times) != len(off.Points) {
-		t.Fatalf("series length mismatch")
+	var lats []float64
+	for _, pt := range off.Points {
+		l, ok := pt.Latency[sensor.Front120]
+		if !ok {
+			t.Fatalf("no front latency at t=%v", pt.Time)
+		}
+		lats = append(lats, l)
 	}
 	first, last := lats[0], lats[len(lats)-1]
 	if !(last < first) {
@@ -59,9 +63,8 @@ func TestEvaluateTraceSeries(t *testing.T) {
 	}
 
 	// The parallel actor keeps the left camera idle.
-	_, left := off.CameraSeries(sensor.Left)
-	for i, l := range left {
-		if l < e.Params.LMax {
+	for i, pt := range off.Points {
+		if l, ok := pt.Latency[sensor.Left]; ok && l < e.Params.LMax {
 			t.Fatalf("left camera tightened at point %d: %v", i, l)
 		}
 	}
@@ -78,14 +81,10 @@ func TestEvaluateTraceSeries(t *testing.T) {
 		t.Errorf("max sum %v != front max + 2 idle cameras", off.MaxSumFPR())
 	}
 
-	// Accel series mirrors the recorded ego acceleration.
-	at, accels := off.AccelSeries()
-	if len(at) != len(off.Points) {
-		t.Fatal("accel series length mismatch")
-	}
-	for _, a := range accels {
-		if a != 0 {
-			t.Fatalf("accel = %v, trace recorded 0", a)
+	// Each point's ego acceleration mirrors the recorded one.
+	for _, pt := range off.Points {
+		if pt.EgoAccel != 0 {
+			t.Fatalf("accel = %v, trace recorded 0", pt.EgoAccel)
 		}
 	}
 }
@@ -137,10 +136,6 @@ func TestOfflineResultEmptyAggregates(t *testing.T) {
 	}
 	if got := r.MaxCameraFPR(); len(got) != 0 {
 		t.Errorf("empty per-camera map: %v", got)
-	}
-	times, lats := r.CameraSeries("front120")
-	if len(times) != 0 || len(lats) != 0 {
-		t.Error("empty series nonempty")
 	}
 }
 

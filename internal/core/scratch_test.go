@@ -78,26 +78,3 @@ func TestEstimateOnlineIntoAllocFree(t *testing.T) {
 		t.Fatalf("EstimateOnlineInto allocates %.1f times per run, want 0", allocs)
 	}
 }
-
-// TestAppendPredictionMatchesPredict pins every AppendPredictor to its
-// allocating Predict across regimes (braking, cruising, accelerating,
-// static).
-func TestAppendPredictionMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	preds := []predict.AppendPredictor{
-		predict.MultiHypothesis{Horizon: 15, Dt: 0.1},
-		predict.ConstantAccel{Horizon: 15, Dt: 0.1},
-		predict.Static{Horizon: 15, Dt: 0.1},
-	}
-	for i := 0; i < 20; i++ {
-		_, wm := randomScene(rng, 1)
-		a := wm[0]
-		for pi, p := range preds {
-			want := p.(predict.Predictor).Predict(a, 1.5)
-			got, _ := p.AppendPrediction(nil, nil, a, 1.5)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("predictor %d scene %d: AppendPrediction diverged", pi, i)
-			}
-		}
-	}
-}

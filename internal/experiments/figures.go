@@ -61,18 +61,6 @@ func CameraLatencyFigure(ctx context.Context, eng *engine.Engine, name string, f
 	return fs, nil
 }
 
-// MinLatency returns the per-camera minima (the figures' headline: how
-// low each camera's tolerable latency dips).
-func (fs *FigureSeries) MinLatency() (left, front, right float64) {
-	left, front, right = math.Inf(1), math.Inf(1), math.Inf(1)
-	for i := range fs.Times {
-		left = math.Min(left, fs.Left[i])
-		front = math.Min(front, fs.Front[i])
-		right = math.Min(right, fs.Right[i])
-	}
-	return left, front, right
-}
-
 // WriteFigureSeries renders the series as aligned columns (one row per
 // evaluation instant) followed by sparkline overviews of the four
 // panels.

@@ -77,9 +77,6 @@ type Segment struct {
 	A, B Vec2
 }
 
-// Len returns the segment length.
-func (s Segment) Len() float64 { return s.B.Sub(s.A).Len() }
-
 // PointAt returns the point at parameter t ∈ [0,1] along the segment.
 func (s Segment) PointAt(t float64) Vec2 { return s.A.Lerp(s.B, t) }
 

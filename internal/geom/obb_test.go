@@ -122,9 +122,6 @@ func TestSegmentClosest(t *testing.T) {
 	if got := s.DistSqToPoint(V(5, 3)); got != 9 {
 		t.Errorf("DistSqToPoint = %v", got)
 	}
-	if got := s.Len(); got != 10 {
-		t.Errorf("Len = %v", got)
-	}
 }
 
 func TestSegmentIntersects(t *testing.T) {

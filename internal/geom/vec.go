@@ -43,16 +43,6 @@ func (v Vec2) LenSq() float64 { return v.X*v.X + v.Y*v.Y }
 // Dist returns the Euclidean distance between v and o.
 func (v Vec2) Dist(o Vec2) float64 { return v.Sub(o).Len() }
 
-// Unit returns v normalized to length 1. The zero vector is returned
-// unchanged so callers need not special-case degenerate directions.
-func (v Vec2) Unit() Vec2 {
-	l := v.Len()
-	if l == 0 {
-		return v
-	}
-	return v.Scale(1 / l)
-}
-
 // Perp returns v rotated +90 degrees (counter-clockwise).
 func (v Vec2) Perp() Vec2 { return Vec2{-v.Y, v.X} }
 

@@ -46,25 +46,6 @@ func TestVecBasicOps(t *testing.T) {
 	}
 }
 
-func TestUnit(t *testing.T) {
-	u := V(10, 0).Unit()
-	if !vecNear(u, V(1, 0), tol) {
-		t.Errorf("Unit = %v", u)
-	}
-	if got := V(0, 0).Unit(); got != V(0, 0) {
-		t.Errorf("Unit of zero = %v", got)
-	}
-	f := func(v Vec2) bool {
-		if !finiteVec(v) || v.Len() < 1e-9 {
-			return true
-		}
-		return math.Abs(v.Unit().Len()-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPerpOrthogonal(t *testing.T) {
 	f := func(v Vec2) bool {
 		if !finiteVec(v) {

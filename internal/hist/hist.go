@@ -105,15 +105,6 @@ func (h *Histogram) ObserveShard(d time.Duration, hint uint32) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.shards {
-		n += h.shards[i].count.Load()
-	}
-	return n
-}
-
 // Snapshot is a merged, immutable copy of a histogram's counters.
 type Snapshot struct {
 	// Count is the total number of observations.

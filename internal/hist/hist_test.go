@@ -56,9 +56,6 @@ func TestExactCountSumMax(t *testing.T) {
 	if s.Count != 1000 || s.Sum != sum || s.Max != max {
 		t.Fatalf("snapshot count/sum/max = %d/%d/%d, want 1000/%d/%d", s.Count, s.Sum, s.Max, sum, max)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("Count() = %d, want 1000", h.Count())
-	}
 }
 
 func TestQuantileAccuracy(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // DefaultFPRGrid is the set of tested rates from Table 1.
@@ -46,13 +45,6 @@ func (m MRF) String() string {
 		return "<1"
 	}
 	return fmt.Sprintf("%g", m.Value)
-}
-
-// RunScenario executes one seeded run of a scenario at a fixed FPR,
-// directly and uncached — the raw primitive under the engine's default
-// runner. Campaign code should prefer engine jobs.
-func RunScenario(sc scenario.Scenario, fpr float64, seed int64) (*sim.Result, error) {
-	return sim.Run(sc.Build(fpr, seed))
 }
 
 // FindMRF runs the scenario on eng over the ascending rate grid with

@@ -39,26 +39,6 @@ func TestMRFString(t *testing.T) {
 	}
 }
 
-func TestRunScenario(t *testing.T) {
-	sc, ok := scenario.ByName(scenario.FrontRightActivity1)
-	if !ok {
-		t.Fatal("scenario missing")
-	}
-	res, err := RunScenario(sc, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Collided() {
-		t.Errorf("benign scenario collided: %+v", res.Collision)
-	}
-	if res.Trace.Len() == 0 {
-		t.Error("empty trace")
-	}
-	if res.Trace.Meta.FPR != 10 || res.Trace.Meta.Seed != 1 {
-		t.Errorf("trace meta = %+v", res.Trace.Meta)
-	}
-}
-
 func TestFindMRFBenignScenario(t *testing.T) {
 	// The benign activity scenario is safe at every tested rate: MRF <1.
 	sc, _ := scenario.ByName(scenario.FrontRightActivity1)

@@ -352,18 +352,12 @@ func (p *Pipeline) ingest(id string, px, py, vx, vy, length, width, t float64) {
 	}
 }
 
-// stateAt is Track.State memoized per (track, t): State is a pure
+// ensureState is the track's fillState estimate at t, memoized per
+// (track, t) and returned as the cache slot itself: fillState is a pure
 // function of the filter state, which only updateTrack mutates (it
-// invalidates the memo), so the cached agent is exactly what State
-// would recompute.
-func (p *Pipeline) stateAt(tk *Track, t float64) world.Agent {
-	return *p.ensureState(tk, t)
-}
-
-// ensureState is stateAt returning the cache slot itself: callers that
-// only read the estimate within the step (the miss sweeps, the world
-// model scatter) skip the extra copy. The pointer is only valid until
-// the track's next measurement update.
+// invalidates the memo), so the cached agent is exactly what fillState
+// would recompute. The pointer is only valid until the track's next
+// measurement update.
 func (p *Pipeline) ensureState(tk *Track, t float64) *world.Agent {
 	if !tk.cacheValid || tk.cacheT != t {
 		tk.fillState(t, &tk.cacheState)

@@ -186,7 +186,7 @@ func TestClosedLoopFollowingConverges(t *testing.T) {
 		wm := []world.Agent{perceived("lead", leadS, 3.5, leadV)}
 		d := pl.Plan(ego, params, wm)
 		ego.Accel = params.ClampAccel(d.Accel, ego.Speed)
-		ego = ego.Step(dt)
+		ego.StepInPlace(dt)
 		leadS += leadV * dt
 		gap := leadS - ego.S - 4.6
 		if gap < minGap {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -86,7 +87,7 @@ func BenchmarkReplayVsSimulate(b *testing.B) {
 	b.Run("Simulate", func(b *testing.B) {
 		sc, _ := scenario.Lookup(scenario.CutOut)
 		for i := 0; i < b.N; i++ {
-			if _, err := metrics.RunScenario(sc, benchFPR, benchSeed); err != nil {
+			if _, err := sim.Run(sc.Build(benchFPR, benchSeed)); err != nil {
 				b.Fatal(err)
 			}
 		}

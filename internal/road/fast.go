@@ -211,14 +211,6 @@ func (f *fastRef) pieceAt(s float64) int {
 	return 0
 }
 
-func (f *fastRef) poseAt(s float64) geom.Pose {
-	if f.single {
-		return f.pieces[0].poseAt(s)
-	}
-	i := f.pieceAt(s)
-	return f.pieces[i].poseAt(s - f.starts[i])
-}
-
 func (f *fastRef) forwardAt(s float64) geom.Vec2 {
 	if f.single {
 		return f.pieces[0].forwardAt(s)

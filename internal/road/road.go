@@ -199,11 +199,6 @@ func NewCurved(numLanes int, leadIn, radius, arcLen float64) *Road {
 // the given lane.
 func (r *Road) LaneCenterOffset(lane int) float64 { return float64(lane) * r.LaneWidth }
 
-// PoseAt returns the world pose at the given lane center and station.
-func (r *Road) PoseAt(lane int, s float64) geom.Pose {
-	return r.PoseAtOffset(s, r.LaneCenterOffset(lane))
-}
-
 // PoseAtOffset returns the world pose at station s and lateral offset d
 // (left positive). The heading follows the reference tangent.
 func (r *Road) PoseAtOffset(s, d float64) geom.Pose {

@@ -158,7 +158,7 @@ func TestRoadLanes(t *testing.T) {
 
 func TestRoadPoseAt(t *testing.T) {
 	r := NewStraight(3, 1000)
-	p := r.PoseAt(1, 50)
+	p := r.PoseAtOffset(50, r.LaneCenterOffset(1))
 	if math.Abs(p.Pos.X-50) > tol || math.Abs(p.Pos.Y-3.5) > tol {
 		t.Errorf("PoseAt = %+v", p)
 	}
@@ -201,8 +201,8 @@ func TestCurvedRoadLaneGeometry(t *testing.T) {
 	// On a left curve, the left lane (higher index) has a smaller turn
 	// radius, so a fixed arc station spans it correctly via PoseAtOffset.
 	r := NewCurved(3, 0, 200, 300)
-	inner := r.PoseAt(2, 150) // leftmost lane on a left turn = inner lane
-	outer := r.PoseAt(0, 150)
+	inner := r.PoseAtOffset(150, r.LaneCenterOffset(2)) // leftmost lane on a left turn = inner lane
+	outer := r.PoseAtOffset(150, r.LaneCenterOffset(0))
 	ci := geom.V(0, 200) // curve center for radius-200 left turn from origin
 	if math.Abs(inner.Pos.Dist(ci)-193) > 1e-6 {
 		t.Errorf("inner radius = %v", inner.Pos.Dist(ci))

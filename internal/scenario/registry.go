@@ -94,13 +94,6 @@ func (r *Registry) Names(tags ...string) []string {
 	return out
 }
 
-// Len reports how many scenarios are registered.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byName)
-}
-
 var defaultRegistry = struct {
 	once sync.Once
 	r    *Registry

@@ -119,3 +119,10 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// Len reports how many scenarios are registered.
+func (r *Registry) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.byName)
+}

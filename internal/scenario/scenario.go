@@ -96,7 +96,7 @@ func taggedLookup(name, tag string) (Scenario, bool) {
 func Names() []string { return Default().Names(TagTable1) }
 
 // Validate compiles every registered scenario once and checks the
-// configuration is runnable; used by tests and the CLI.
+// configuration is runnable.
 func Validate() error {
 	for _, s := range Default().List() {
 		cfg := s.Build(30, 1)

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/scenario"
 )
 
 // WriteCorpus serializes a search result as indented JSON. The bytes
@@ -20,14 +18,4 @@ func WriteCorpus(w io.Writer, r *Result) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// Register loads every corpus spec into the registry, hardest first.
-func (r *Result) Register(reg *scenario.Registry) error {
-	for _, sp := range r.Specs() {
-		if err := reg.RegisterSpec(sp); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -230,16 +230,6 @@ type Result struct {
 	Corpus []Candidate `json:"corpus"`
 }
 
-// Specs returns the corpus as registrable scenario specs, hardest
-// first.
-func (r *Result) Specs() []scenario.Spec {
-	out := make([]scenario.Spec, len(r.Corpus))
-	for i, c := range r.Corpus {
-		out[i] = c.Spec
-	}
-	return out
-}
-
 // member is a population slot: a candidate and whether it has been
 // scored yet.
 type member struct {

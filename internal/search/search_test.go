@@ -145,8 +145,10 @@ func TestSearchCorpusValidAndRegistrable(t *testing.T) {
 		t.Fatalf("corpus %d != evaluated %d with TopN unset", len(res.Corpus), res.Evaluated)
 	}
 	reg := scenario.NewRegistry()
-	if err := res.Register(reg); err != nil {
-		t.Fatal(err)
+	for _, c := range res.Corpus {
+		if err := reg.RegisterSpec(c.Spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	prev := math.Inf(1)
 	for _, c := range res.Corpus {
@@ -216,8 +218,8 @@ func TestSearchCorpusRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(res, back) {
 		t.Fatal("corpus did not round-trip")
 	}
-	if len(back.Specs()) != 4 {
-		t.Fatalf("specs %d, want 4", len(back.Specs()))
+	if len(back.Corpus) != 4 {
+		t.Fatalf("corpus %d, want 4", len(back.Corpus))
 	}
 	for _, c := range back.Corpus {
 		if c.MRFString() == "" {

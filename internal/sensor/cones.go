@@ -23,7 +23,6 @@ import (
 // Camera.SeesPoint. sensor_equiv_test.go asserts the equivalence on
 // randomized scenes.
 type RigCones struct {
-	rig  Rig
 	cams []coneStatic
 
 	// Per-camera world-frame cone axis for the current ego pose.
@@ -57,7 +56,6 @@ const (
 // NewRigCones precomputes the rig's cone constants for a run.
 func NewRigCones(rig Rig) *RigCones {
 	rc := &RigCones{
-		rig:  rig,
 		cams: make([]coneStatic, len(rig)),
 		axX:  make([]float64, len(rig)),
 		axY:  make([]float64, len(rig)),
@@ -84,9 +82,6 @@ func NewRigCones(rig Rig) *RigCones {
 	}
 	return rc
 }
-
-// Rig returns the rig the table was built for.
-func (rc *RigCones) Rig() Rig { return rc.rig }
 
 // Update rotates the camera axes to the given ego pose. It memoizes
 // on pose equality, so all cameras pay one SinCos per step.

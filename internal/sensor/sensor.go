@@ -46,7 +46,8 @@ func (c Camera) SeesAgent(ego geom.Pose, a world.Agent) bool {
 	if c.SeesPoint(ego, a.Pose.Pos) {
 		return true
 	}
-	if c.SeesPoint(ego, a.FrontBumper()) || c.SeesPoint(ego, a.RearBumper()) {
+	bumper := a.Pose.Forward().Scale(a.Length / 2)
+	if c.SeesPoint(ego, a.Pose.Pos.Add(bumper)) || c.SeesPoint(ego, a.Pose.Pos.Sub(bumper)) {
 		return true
 	}
 	for _, corner := range a.BBox().Corners() {

@@ -219,16 +219,16 @@ func legacyRun(cfg sim.Config) (*sim.Result, error) {
 
 		// Advance dynamics.
 		egoState.Accel = appliedAccel
-		egoState = egoState.Step(cfg.Dt)
+		egoState.StepInPlace(cfg.Dt)
 		if egoState.Speed == 0 {
 			res.EgoStopped = true
 		}
 		ctx := behavior.Context{Time: t, Road: cfg.Road, Ego: egoState}
 		for _, a := range actors {
 			if a.spec.Script != nil {
-				a.state = a.spec.Script.Step(&ctx, a.state, cfg.Dt)
+				a.spec.Script.StepInto(&ctx, &a.state, cfg.Dt)
 			} else {
-				a.state = a.state.Step(cfg.Dt)
+				a.state.StepInPlace(cfg.Dt)
 			}
 		}
 	}
@@ -372,47 +372,6 @@ func TestSummaryLevelsMatchFullSummary(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSteppableAPIObservesRun drives the steppable API directly: the
-// per-step accessors expose a coherent mid-run view, and Step is a
-// no-op after completion.
-func TestSteppableAPIObservesRun(t *testing.T) {
-	sc, _ := scenario.ByName(scenario.CutOut)
-	cfg := sc.Build(30, 1)
-	cfg.Record = trace.LevelSummary
-	s, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Steps() <= 0 {
-		t.Fatalf("steps = %d", s.Steps())
-	}
-	steps := 0
-	lastT := -1.0
-	for s.Step() {
-		steps++
-		if s.Time() <= lastT {
-			t.Fatalf("time did not advance: %v after %v", s.Time(), lastT)
-		}
-		lastT = s.Time()
-		if s.Ego().ID != world.EgoID {
-			t.Fatalf("ego agent = %+v", s.Ego())
-		}
-	}
-	if !s.Done() {
-		t.Error("Done() false after Step() returned false")
-	}
-	if s.Step() {
-		t.Error("Step() after completion reported more work")
-	}
-	res := s.Result()
-	if res == nil || res.Level != trace.LevelSummary {
-		t.Fatalf("result = %+v", res)
-	}
-	if steps == 0 {
-		t.Error("no steps observed")
 	}
 }
 

@@ -14,17 +14,13 @@
 //
 // The simulator is a Simulation value advanced one time-step at a time:
 // New(cfg) validates and positions it before step 0, Step() runs one
-// fixed-dt instant through the stage pipeline, Done() reports
-// completion, and Result() returns the outcome. Run is the convenience
-// loop over exactly that API. Each step executes the stages in order:
+// fixed-dt instant through the stage pipeline and reports whether
+// steps remain, and Result() returns the outcome. Run is the
+// convenience loop over exactly that API. Each step executes the stages
+// in order:
 //
 //	ground truth → collision check → camera schedule → perception →
 //	planning → rate control → record → dynamics
-//
-// The seams let callers interpose between
-// steps — per-stage perception monitors, latency models, alternative
-// planners probe the simulation state mid-run instead of parsing a
-// finished trace.
 //
 // # Recording levels
 //

@@ -8,6 +8,7 @@ import (
 	"repro/internal/perception"
 	"repro/internal/road"
 	"repro/internal/sensor"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vehicle"
 	"repro/internal/world"
@@ -287,5 +288,43 @@ func TestDeterministicWithSeed(t *testing.T) {
 	lc := c.Trace.Rows[c.Trace.Len()-1].Ego.Pose.Pos
 	if la == lc {
 		t.Log("warning: different seeds produced identical end states")
+	}
+}
+
+// TestSteppableAPIObservesRun drives the steppable API directly: the
+// live state is coherent between steps, and Step is a no-op after
+// completion.
+func TestSteppableAPIObservesRun(t *testing.T) {
+	s, err := New(benchConfig(trace.LevelSummary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.steps <= 0 {
+		t.Fatalf("steps = %d", s.steps)
+	}
+	steps := 0
+	lastT := -1.0
+	for s.Step() {
+		steps++
+		if s.t <= lastT {
+			t.Fatalf("time did not advance: %v after %v", s.t, lastT)
+		}
+		lastT = s.t
+		if s.egoAgent.ID != world.EgoID {
+			t.Fatalf("ego agent = %+v", s.egoAgent)
+		}
+	}
+	if !s.done {
+		t.Error("done false after Step() returned false")
+	}
+	if s.Step() {
+		t.Error("Step() after completion reported more work")
+	}
+	res := s.Result()
+	if res == nil || res.Level != trace.LevelSummary {
+		t.Fatalf("result = %+v", res)
+	}
+	if steps == 0 {
+		t.Error("no steps observed")
 	}
 }

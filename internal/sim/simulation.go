@@ -17,36 +17,28 @@ type actorRT struct {
 	state vehicle.FrenetState
 }
 
-// stage is one named phase of a simulation step. Stages run in
-// pipeline order; a stage that finishes the run (collision with
-// StopOnCollision) short-circuits the rest of the step.
-type stage struct {
-	name string
-	run  func(*Simulation)
-}
-
-// pipeline is the per-step stage order. Method values carry no
-// closure state, so building the table allocates nothing per step.
-func pipeline() []stage {
-	return []stage{
-		{"ground-truth", (*Simulation).stageGroundTruth},
-		{"collision-check", (*Simulation).stageCollision},
-		{"camera-schedule", (*Simulation).stageCameras},
-		{"perception", (*Simulation).stagePerception},
-		{"planning", (*Simulation).stagePlanning},
-		{"rate-control", (*Simulation).stageRateControl},
-		{"record", (*Simulation).stageRecord},
-		{"dynamics", (*Simulation).stageDynamics},
+// pipeline is the per-step stage order: ground truth, collision check,
+// camera schedule, perception, planning, rate control, record,
+// dynamics. A stage that finishes the run (collision with
+// StopOnCollision) short-circuits the rest of the step. Method values
+// carry no closure state, so building the table allocates nothing per
+// step.
+func pipeline() []func(*Simulation) {
+	return []func(*Simulation){
+		(*Simulation).stageGroundTruth,
+		(*Simulation).stageCollision,
+		(*Simulation).stageCameras,
+		(*Simulation).stagePerception,
+		(*Simulation).stagePlanning,
+		(*Simulation).stageRateControl,
+		(*Simulation).stageRecord,
+		(*Simulation).stageDynamics,
 	}
 }
 
 // Simulation is a closed-loop run advanced one fixed-dt step at a
-// time. Construct with New, drive with Step until it reports false
-// (or Done), and read the outcome with Result. The per-step
-// accessors (Time, Ego, Actors, Rates) expose the live
-// state between steps, which is the seam stage plug-ins — perception
-// monitors, latency models, alternative planners — observe the run
-// through without waiting for a finished trace.
+// time. Construct with New, drive with Step until it reports false,
+// and read the outcome with Result.
 //
 // The ground-truth scene and everything derived from it alone (the
 // collision sweep, the min-gap candidate, camera cones, occlusion,
@@ -57,7 +49,7 @@ func pipeline() []stage {
 // across runs, not within one.
 type Simulation struct {
 	cfg    Config
-	stages []stage
+	stages []func(*Simulation)
 
 	pl   *planner.Planner
 	pipe *perception.Pipeline
@@ -95,17 +87,13 @@ type Simulation struct {
 	bctx       behavior.Context // reusable scripted-dynamics context
 	dec        planner.Decision
 	wm         []world.Agent // perceived world model scratch, reused
-	actorsView []world.Agent // materialized ground-truth rows (lazy off LevelFull)
-	actorsLive bool          // actorsView matches the current step's frame
+	actorsView []world.Agent // this step's recorded actor row (LevelFull only)
 
 	// rowActors is the LevelFull per-row actor storage: one backing
 	// array carved into a disjoint sub-slice per recorded row, so the
 	// hot loop never allocates per step while every row still owns its
 	// actor states.
 	rowActors []world.Agent
-	// scratch is the Summary/Off ground-truth view buffer, materialized
-	// only when Actors() is called (no rows retain it).
-	scratch []world.Agent
 }
 
 // New validates the configuration and returns a simulation positioned
@@ -157,8 +145,6 @@ func newSimulation(cfg Config, buf *trace.RowBuffer) (*Simulation, error) {
 	}
 	if cfg.Record == trace.LevelFull {
 		s.tr.Rows, s.rowActors = buf.Take(s.steps+1, (s.steps+1)*len(s.actors))
-	} else {
-		s.scratch = make([]world.Agent, 0, len(s.actors))
 	}
 	s.res = &Result{
 		Trace:           s.tr,
@@ -177,8 +163,8 @@ func (s *Simulation) Step() bool {
 		return false
 	}
 	s.t = float64(s.step) * s.cfg.Dt
-	for _, st := range s.stages {
-		st.run(s)
+	for _, run := range s.stages {
+		run(s)
 		if s.done {
 			return false
 		}
@@ -189,10 +175,6 @@ func (s *Simulation) Step() bool {
 	}
 	return !s.done
 }
-
-// Done reports whether the run has finished: every step executed, or a
-// collision ended it under StopOnCollision.
-func (s *Simulation) Done() bool { return s.done }
 
 // Result returns the run outcome. It may be read mid-run (external
 // drivers that stop early still get a coherent summary); the trace
@@ -211,32 +193,6 @@ func (s *Simulation) Result() *Result {
 	}
 	return s.res
 }
-
-// Time returns the simulation time of the next step to execute (or,
-// mid-pipeline, of the executing step).
-func (s *Simulation) Time() float64 { return float64(s.step) * s.cfg.Dt }
-
-// Steps returns the total step count of a full-length run (the final
-// step index is Steps, giving Steps+1 recorded instants).
-func (s *Simulation) Steps() int { return s.steps }
-
-// Ego returns the ego's ground-truth agent state as of the most
-// recently executed ground-truth stage.
-func (s *Simulation) Ego() world.Agent { return s.egoAgent }
-
-// Actors returns the ground-truth actor states of the current step,
-// materialized lazily from the frame at summary levels. The slice is
-// live simulation state: read, don't hold.
-func (s *Simulation) Actors() []world.Agent {
-	if !s.actorsLive {
-		s.actorsView = s.sh.frame.AppendAgents(s.scratch[:0])
-		s.actorsLive = true
-	}
-	return s.actorsView
-}
-
-// Rates returns a snapshot of the per-camera operating rates.
-func (s *Simulation) Rates() map[string]float64 { return s.ratesMap() }
 
 // ratesMap materializes the per-camera rate slice as a name-keyed map
 // (the API/trace-row boundary representation).
@@ -263,10 +219,6 @@ func (s *Simulation) stageGroundTruth() {
 		// backing array; the record stage hands it to the trace row.
 		base := s.step * len(s.actors)
 		s.actorsView = sh.frame.AppendAgents(s.rowActors[base : base : base+len(s.actors)])
-		s.actorsLive = true
-	} else {
-		// Summary levels materialize rows only if Actors() asks.
-		s.actorsLive = false
 	}
 }
 

@@ -58,14 +58,6 @@ type Trace struct {
 // Len returns the number of rows.
 func (tr *Trace) Len() int { return len(tr.Rows) }
 
-// Duration returns the recorded time span.
-func (tr *Trace) Duration() float64 {
-	if len(tr.Rows) == 0 {
-		return 0
-	}
-	return tr.Rows[len(tr.Rows)-1].Time - tr.Rows[0].Time
-}
-
 // Snapshot converts row i into a world snapshot.
 func (tr *Trace) Snapshot(i int) world.Snapshot {
 	r := tr.Rows[i]

@@ -37,12 +37,6 @@ func TestLenAndDuration(t *testing.T) {
 	if tr.Len() != 100 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if math.Abs(tr.Duration()-0.99) > 1e-9 {
-		t.Errorf("Duration = %v", tr.Duration())
-	}
-	if (&Trace{}).Duration() != 0 {
-		t.Error("empty trace duration")
-	}
 }
 
 func TestSnapshot(t *testing.T) {

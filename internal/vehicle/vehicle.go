@@ -65,16 +65,9 @@ type FrenetState struct {
 	LatVel float64
 }
 
-// Step integrates the state forward by dt seconds with the current
-// acceleration, stopping cleanly at zero speed (vehicles do not reverse
-// in the paper's scenarios).
-func (f FrenetState) Step(dt float64) FrenetState {
-	f.StepInPlace(dt)
-	return f
-}
-
-// StepInPlace is Step mutating the receiver — the per-step integration
-// loop's form, which skips the 40-byte copy through the return value.
+// StepInPlace integrates the state forward by dt seconds with the
+// current acceleration, stopping cleanly at zero speed (vehicles do not
+// reverse in the paper's scenarios).
 func (f *FrenetState) StepInPlace(dt float64) {
 	if dt <= 0 {
 		return

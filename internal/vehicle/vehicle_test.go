@@ -142,3 +142,9 @@ func TestClampAccel(t *testing.T) {
 		t.Errorf("braking at max speed = %v", got)
 	}
 }
+
+// Step is StepInPlace on a copy, the returning form these tests chain.
+func (f FrenetState) Step(dt float64) FrenetState {
+	f.StepInPlace(dt)
+	return f
+}

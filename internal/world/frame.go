@@ -137,9 +137,6 @@ func (f *Frame) AppendAgents(dst []Agent) []Agent {
 	return dst
 }
 
-// Pos returns agent i's position.
-func (f *Frame) Pos(i int) geom.Vec2 { return geom.Vec2{X: f.X[i], Y: f.Y[i]} }
-
 // Velocity returns agent i's world-frame velocity, exactly
 // Agent.Velocity on the cached trigonometry.
 func (f *Frame) Velocity(i int) geom.Vec2 {

@@ -55,16 +55,6 @@ func (a Agent) Velocity() geom.Vec2 {
 	return fwd.Scale(a.Speed).Add(fwd.Perp().Scale(a.LatVel))
 }
 
-// FrontBumper returns the world position of the front bumper center.
-func (a Agent) FrontBumper() geom.Vec2 {
-	return a.Pose.Pos.Add(a.Pose.Forward().Scale(a.Length / 2))
-}
-
-// RearBumper returns the world position of the rear bumper center.
-func (a Agent) RearBumper() geom.Vec2 {
-	return a.Pose.Pos.Sub(a.Pose.Forward().Scale(a.Length / 2))
-}
-
 // Validate reports obviously inconsistent states.
 func (a Agent) Validate() error {
 	if a.ID == "" {
@@ -110,24 +100,6 @@ type Trajectory struct {
 	Points  []TrajectoryPoint
 }
 
-// Start returns the first sample time, or 0 for an empty trajectory.
-func (tr Trajectory) Start() float64 {
-	if len(tr.Points) == 0 {
-		return 0
-	}
-	return tr.Points[0].T
-}
-
-// At returns the interpolated state at absolute time t. Times before the
-// first sample return the first sample; times beyond the last sample
-// extrapolate at constant velocity from the last sample, which keeps the
-// Zhuyi search well-defined near the horizon edge. It is Sampler.At on a
-// fresh sampler.
-func (tr Trajectory) At(t float64) TrajectoryPoint {
-	s := Sampler{Points: tr.Points}
-	return s.At(t)
-}
-
 // Sampler evaluates one trajectory's points at a run of query times.
 // It remembers the segment the previous query landed in: a caller
 // whose times mostly move forward (the Zhuyi threat scan and t_n walk)
@@ -159,14 +131,18 @@ func (s *Sampler) search(t float64) int {
 	return i
 }
 
-// At returns the state at absolute time t under Trajectory.At's rules.
+// At returns the interpolated state at absolute time t. Times before
+// the first sample, and a NaN time, return the first sample; times
+// beyond the last sample extrapolate at constant velocity from the last
+// sample, which keeps the Zhuyi search well-defined near the horizon
+// edge. An empty trajectory returns the zero point at t.
 func (s *Sampler) At(t float64) TrajectoryPoint {
 	pts := s.Points
 	n := len(pts)
 	if n == 0 {
 		return TrajectoryPoint{T: t}
 	}
-	if t <= pts[0].T {
+	if !(t > pts[0].T) {
 		p := pts[0]
 		p.T = t
 		return p
@@ -204,7 +180,7 @@ func (s *Sampler) Pos(t float64) geom.Vec2 {
 	if n == 0 {
 		return geom.Vec2{}
 	}
-	if t <= pts[0].T {
+	if !(t > pts[0].T) {
 		return pts[0].Pos
 	}
 	if t >= pts[n-1].T {

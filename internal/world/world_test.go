@@ -24,14 +24,6 @@ func TestAgentBBoxAndBumpers(t *testing.T) {
 	if b.Length != 4.6 || b.Width != 1.9 {
 		t.Errorf("BBox dims = %v x %v", b.Length, b.Width)
 	}
-	fb := a.FrontBumper()
-	if math.Abs(fb.X-12.3) > 1e-9 || math.Abs(fb.Y) > 1e-9 {
-		t.Errorf("FrontBumper = %v", fb)
-	}
-	rb := a.RearBumper()
-	if math.Abs(rb.X-7.7) > 1e-9 {
-		t.Errorf("RearBumper = %v", rb)
-	}
 }
 
 func TestAgentVelocity(t *testing.T) {
@@ -114,12 +106,6 @@ func TestTrajectoryAtEdges(t *testing.T) {
 	if got := empty.At(5); got.T != 5 {
 		t.Errorf("empty At = %+v", got)
 	}
-	if empty.Start() != 0 {
-		t.Error("empty Start nonzero")
-	}
-	if got := (Trajectory{Points: tr.Points[1:]}).Start(); got != tr.Points[1].T {
-		t.Errorf("Start = %v, want the first sample time %v", got, tr.Points[1].T)
-	}
 }
 
 func TestTrajectoryAtMonotone(t *testing.T) {
@@ -164,6 +150,25 @@ func TestSamplerMatchesAt(t *testing.T) {
 	}
 }
 
+// TestSamplerNonFiniteTime pins what a sampler returns at a NaN or
+// infinite query time: NaN and -Inf take the first sample, +Inf
+// extrapolates past the last, and neither indexes out of range.
+func TestSamplerNonFiniteTime(t *testing.T) {
+	tr := makeTraj()
+	first := tr.Points[0]
+	for _, q := range []float64{math.NaN(), math.Inf(-1)} {
+		s := Sampler{Points: tr.Points}
+		got, pos := s.At(q), s.Pos(q)
+		if pos != first.Pos || got.Pos != first.Pos || got.Speed != first.Speed || !(got.T == q || math.IsNaN(q) && math.IsNaN(got.T)) {
+			t.Errorf("t=%v: At %+v, Pos %v, want the first sample %+v", q, got, pos, first)
+		}
+	}
+	s := Sampler{Points: tr.Points}
+	if got, pos := s.At(math.Inf(1)), s.Pos(math.Inf(1)); !math.IsInf(got.Pos.X, 1) || !math.IsInf(pos.X, 1) {
+		t.Errorf("t=+Inf: At %+v, Pos %v, want extrapolation to +Inf", got, pos)
+	}
+}
+
 func TestTrajectoryValidate(t *testing.T) {
 	tr := makeTraj()
 	if err := tr.Validate(); err != nil {
@@ -179,4 +184,11 @@ func TestTrajectoryValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("unsorted times accepted")
 	}
+}
+
+// At is Sampler.At on a fresh sampler, the one-shot form these tests
+// compare against.
+func (tr Trajectory) At(t float64) TrajectoryPoint {
+	s := Sampler{Points: tr.Points}
+	return s.At(t)
 }

@@ -108,18 +108,23 @@ package zhuyi
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/predict"
 	"repro/internal/safety"
 	"repro/internal/scenario"
 	"repro/internal/search"
+	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/units"
+	"repro/internal/world"
 )
 
 // Re-exported core types. See internal/core for full documentation.
@@ -153,6 +158,42 @@ type (
 	// campaigns while still computing collision/min-gap/frame summaries.
 	RecordLevel = trace.Level
 )
+
+// Scene and future re-exports: the inputs of an online or snapshot
+// estimate. See internal/world and internal/geom.
+type (
+	// Agent is one vehicle's kinematic state: pose, speed, acceleration
+	// and footprint.
+	Agent = world.Agent
+	// Pose is a world-frame position and heading (radians).
+	Pose = geom.Pose
+	// Vec2 is a world-frame point or vector in meters.
+	Vec2 = geom.Vec2
+	// Trajectory is one timed future of an actor with its probability.
+	Trajectory = world.Trajectory
+	// TrajectoryPoint is one timed state of a Trajectory.
+	TrajectoryPoint = world.TrajectoryPoint
+	// MultiHypothesis is the maneuver-based trajectory predictor the
+	// online estimate (Estimator.EstimateOnline) draws futures from.
+	MultiHypothesis = predict.MultiHypothesis
+)
+
+// EgoID is the ego vehicle's Agent.ID.
+const EgoID = world.EgoID
+
+// Camera names of the paper's three analyzed cameras, the keys of an
+// Estimate's per-camera maps.
+const (
+	CameraFront120 = sensor.Front120
+	CameraLeft     = sensor.Left
+	CameraRight    = sensor.Right
+)
+
+// NewDemand counts the model's own operations for a scene of the given
+// actor and trajectory counts (§4.2).
+func NewDemand(actors, trajectories int, p Params) core.Demand {
+	return core.NewDemand(actors, trajectories, p)
+}
 
 // Trace recording levels. Configure an engine's level via
 // EngineOptions.Record — e.g. NewEngine(EngineOptions{Record:
@@ -238,11 +279,21 @@ func RegisterScenario(sp ScenarioSpec) error { return scenario.RegisterSpec(sp) 
 // recorded result. Any registered scenario resolves: the Table-1 nine,
 // the ODD variants, and generated specs added via RegisterScenario.
 func RunScenario(name string, fpr float64, seed int64) (*RunResult, error) {
+	return RunControlled(name, fpr, seed, nil)
+}
+
+// RunControlled is RunScenario with rc setting the per-camera rates
+// from the perceived world model as the run goes, as the §3.2
+// Zhuyi-based system does with a NewController (UniformRates is the
+// even-split baseline); fpr is the rate every camera starts at.
+func RunControlled(name string, fpr float64, seed int64, rc sim.RateController) (*RunResult, error) {
 	sc, ok := scenario.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("zhuyi: unknown scenario %q (see RegisteredScenarios())", name)
 	}
-	return metrics.RunScenario(sc, fpr, seed)
+	cfg := sc.Build(fpr, seed)
+	cfg.RateController = rc
+	return sim.Run(cfg)
 }
 
 // FindMRF searches a scenario's minimum required FPR on eng over the
@@ -262,6 +313,27 @@ func FindMRF(ctx context.Context, eng *Engine, name string, fprs []float64, seed
 // Sweep computes the Figure-8 sensitivity grid for a fixed tolerable
 // distance in meters.
 func Sweep(snMeters float64) *SweepResult { return experiments.Figure8(snMeters) }
+
+// SweepGrid computes the sensitivity grid over the given ego initial
+// speeds and actor end velocities (m/s) for a tolerable distance snMeters
+// and current latency l0, under the model parameters p.
+func SweepGrid(ve0s, vans []float64, snMeters, l0 float64, p Params) *SweepResult {
+	return core.Sweep(ve0s, vans, snMeters, l0, p)
+}
+
+// WriteSweep renders a sweep grid as the Figure-8 text heatmap.
+func WriteSweep(w io.Writer, res *SweepResult) { experiments.WriteSweep(w, res) }
+
+// SummarizeSweep counts a sweep grid's feasible, 30+ FPR and
+// unavoidable cells and its street-speed maximum FPR.
+func SummarizeSweep(res *SweepResult) experiments.SweepSummary { return experiments.Summarize(res) }
+
+// AlphaZero is the steady-state confirmation-delay model (α = 0) for
+// Params.Alpha; DefaultParams uses the paper's α = K·(l − l0).
+const AlphaZero = core.AlphaZero
+
+// MPHToMPS converts miles per hour to meters per second.
+func MPHToMPS(mph float64) float64 { return units.MPHToMPS(mph) }
 
 // Adversarial scenario search re-exports. See internal/search for the
 // evolutionary loop and its determinism contract.
@@ -287,7 +359,7 @@ type (
 // cache state. Candidates are content-named,
 // so an engine with a warm persistent store rescores a repeated search
 // without a single fresh simulation. Register the corpus via
-// RegisterScenario (or Result.Register) to run it like built-ins.
+// RegisterScenario to run it like built-ins.
 func SearchScenarios(ctx context.Context, eng *Engine, opt SearchOptions) (*SearchResult, error) {
 	return search.Search(ctx, eng, opt)
 }
@@ -404,6 +476,9 @@ type (
 	// work): fold measurement noise and confirmation inflation into the
 	// model parameters via Apply.
 	Uncertainty = core.Uncertainty
+	// UniformRates splits a total rate budget evenly across cameras, the
+	// baseline the Controller's prioritization is compared against.
+	UniformRates = safety.UniformRates
 )
 
 // NewController builds the §3.2 rate controller over the estimator's

@@ -24,8 +24,14 @@ func TestRunScenarioFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Collided() {
+		t.Errorf("benign scenario collided: %+v", res.Collision)
+	}
 	if res.Trace.Len() == 0 {
 		t.Error("empty trace")
+	}
+	if res.Trace.Meta.FPR != 10 || res.Trace.Meta.Seed != 1 {
+		t.Errorf("trace meta = %+v", res.Trace.Meta)
 	}
 	if _, err := RunScenario("bogus", 10, 1); err == nil {
 		t.Error("bogus scenario accepted")
