@@ -7,23 +7,26 @@ import (
 )
 
 // archiver moves the persistent store's Put off the worker: a fresh
-// run's task is enqueued (ordered, bounded) and the worker goes back to
-// simulating, while one background goroutine writes each result and
-// then finishes its task, so an outcome implies the point is on disk.
-// Ordering is preserved (FIFO), memory is bounded (a full queue applies
-// backpressure to the producing worker), and nothing is lost on
-// shutdown: Engine.Close flushes the queue, and items enqueued after
-// close are archived and finished synchronously by the caller.
+// run's task is queued and the worker goes back to simulating, while
+// one background goroutine writes each queued result and then finishes
+// its task, so an outcome implies the point is on disk. The queue holds
+// at most bound results, and a worker never waits on it: one that finds
+// the queue full, or the archiver closed, writes and finishes its own
+// task (caller-runs). So memory is bounded by construction, a worker
+// writes only when it would otherwise sit idle, and results may land
+// out of submission order. Nothing is lost on shutdown: Engine.Close
+// flushes the queue.
 type archiver struct {
 	e *Engine
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []archiveItem
-	bound int
-	busy  bool // the background writer is mid-Put
-	once  sync.Once
-	done  bool // closed: no new queueing, callers archive synchronously
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []archiveItem
+	bound  int
+	busy   bool // the background writer is mid-Put
+	inline int  // results their own workers are writing
+	once   sync.Once
+	done   bool // closed: no new queueing, callers archive themselves
 }
 
 type archiveItem struct {
@@ -37,18 +40,21 @@ func newArchiver(e *Engine, bound int) *archiver {
 	return a
 }
 
-// enqueue hands a fresh task to the background writer, blocking only
-// when the queue is at its bound (memory backpressure). After close it
-// archives and finishes the task on the calling goroutine, so a worker
-// finishing a job mid-shutdown still persists it.
+// enqueue hands a fresh task to the background writer, or, when the
+// queue is at its bound or the archiver is closed, archives and
+// finishes the task on the calling goroutine. Either way it never
+// waits for the writer.
 func (a *archiver) enqueue(t *task, res *sim.Result) {
 	a.mu.Lock()
-	for !a.done && len(a.queue) >= a.bound {
-		a.cond.Wait()
-	}
-	if a.done {
+	if a.done || len(a.queue) >= a.bound {
+		a.inline++
 		a.mu.Unlock()
-		a.e.finish(t, a.e.archive(t, res), nil)
+		res = a.e.archive(t, res)
+		// Off the pending gauge before the outcome is published.
+		a.mu.Lock()
+		a.inline--
+		a.mu.Unlock()
+		a.e.finish(t, res, nil)
 		return
 	}
 	a.queue = append(a.queue, archiveItem{t: t, res: res})
@@ -57,8 +63,8 @@ func (a *archiver) enqueue(t *task, res *sim.Result) {
 	a.cond.Broadcast()
 }
 
-// loop is the single background writer: strictly FIFO, one Put and
-// one finished task at a time, until the archiver is closed and empty.
+// loop is the single background writer: one Put and one finished task
+// at a time, in queue order, until the archiver is closed and empty.
 func (a *archiver) loop() {
 	for {
 		a.mu.Lock()
@@ -74,7 +80,6 @@ func (a *archiver) loop() {
 		a.queue = a.queue[1:]
 		a.busy = true
 		a.mu.Unlock()
-		a.cond.Broadcast() // a producer may be waiting on the bound
 
 		res := a.e.archive(item.t, item.res)
 
@@ -90,7 +95,7 @@ func (a *archiver) loop() {
 }
 
 // close flushes the queue and stops the background writer; later
-// enqueues archive synchronously.
+// enqueues archive on their caller.
 func (a *archiver) close() {
 	a.mu.Lock()
 	a.done = true
@@ -101,15 +106,17 @@ func (a *archiver) close() {
 	a.mu.Unlock()
 }
 
-// pending reports the queue depth including the item being written;
-// zero on a nil archiver (an engine without a store).
+// pending reports the fresh results not yet on disk: the queue depth,
+// the item the background writer is writing, and the results workers
+// are writing themselves; zero on a nil archiver (an engine without a
+// store).
 func (a *archiver) pending() int64 {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := int64(len(a.queue))
+	n := int64(len(a.queue) + a.inline)
 	if a.busy {
 		n++
 	}

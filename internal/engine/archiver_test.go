@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/world"
 )
 
 // TestArchiverOrderAndDrain: the background writer is strictly FIFO,
@@ -96,6 +99,63 @@ func TestOutcomeImpliesArchived(t *testing.T) {
 		if _, ok := st.Lookup(j.key()); !ok {
 			t.Fatalf("Run(fpr %g seed %d) returned before its point was archived", j.FPR, j.Seed)
 		}
+	}
+}
+
+// TestArchiverCallerRuns: a runner that returns at once outruns the
+// single background writer, so the queue fills and the worker writes
+// its own runs. The runs must still record into at most 2*Workers+1
+// recycled row buffers (queue bound + the one the archiver writes +
+// one per worker), answer with their stored summaries and all reach the
+// manifest, and the pending gauge must read zero once the campaign has
+// returned. CI runs it with -race -count=10.
+func TestArchiverCallerRuns(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const rows = 400
+			var mu sync.Mutex
+			bufs := map[*trace.RowBuffer]bool{}
+			runner := func(j Job) (*sim.Result, error) {
+				mu.Lock()
+				bufs[j.rows] = true
+				mu.Unlock()
+				tr := &trace.Trace{Meta: trace.Meta{Scenario: j.Scenario.Name, FPR: j.FPR, Seed: j.Seed, Dt: 0.01}}
+				tr.Rows, _ = j.rows.Take(rows, 0)
+				for i := range rows {
+					tr.Rows = append(tr.Rows, trace.Row{
+						Time: float64(i) * 0.01,
+						Ego:  world.Agent{ID: world.EgoID, Speed: j.FPR + float64(i)},
+					})
+				}
+				return &sim.Result{Trace: tr, MinBumperGap: float64(j.Seed)}, nil
+			}
+			st := openStore(t)
+			e := New(Options{Workers: workers, Runner: runner, Store: st})
+			defer e.Close()
+
+			jobs := gridJobs(fakeScenario("caller-runs"), []float64{1, 2, 5, 10}, 16)
+			br, err := e.RunBatch(context.Background(), jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bufs) > 2*workers+1 || bufs[nil] {
+				t.Errorf("runs recorded into %d row buffers (nil among them: %v), want at most %d",
+					len(bufs), bufs[nil], 2*workers+1)
+			}
+			for i, o := range br.Outcomes {
+				requireSummary(t, fmt.Sprintf("job %d", i), o.Result)
+				ent, ok := st.Lookup(o.Job.key())
+				if !ok {
+					t.Fatalf("job %d is not in the manifest", i)
+				}
+				if !reflect.DeepEqual(o.Result, ent.Result()) || ent.Rows != rows {
+					t.Errorf("job %d answered %+v, want its stored summary %+v", i, o.Result, ent.Result())
+				}
+			}
+			if s := e.Stats(); s.ArchivePending != 0 || s.Archived != int64(len(jobs)) || s.StoreErrors != 0 {
+				t.Errorf("stats after the campaign = %+v, want %d archived, none pending", s, len(jobs))
+			}
+		})
 	}
 }
 

@@ -23,7 +23,10 @@
 // the store already holds. The archiver then answers with the entry's
 // run summary, exactly what a disk hit returns, and hands the run's row
 // storage back for the next run: a store engine holds no rows beyond
-// the runs in flight, and Trace reads them from the store.
+// the runs in flight, and Trace reads them from the store. The
+// archiver's queue holds one run per worker; a worker that finds it
+// full writes its own run rather than wait, so at most 2*Workers+1 runs
+// hold rows at any time.
 package engine
 
 import (
@@ -217,8 +220,9 @@ type Stats struct {
 	Archived    int64 // fresh runs written to the persistent store
 	Failures    int64
 	StoreErrors int64 // archives and artifact reads that failed (runs unaffected)
-	// ArchivePending gauges the async archiver's backlog: fresh results
-	// handed to the background store writer but not yet on disk. Their
+	// ArchivePending gauges the fresh results not yet on disk: those
+	// queued for or being written by the background store writer, and
+	// those a worker that found the queue full is writing itself. Their
 	// callers are still waiting: an outcome implies the point is on disk.
 	ArchivePending int64
 	// LockstepGroups and LockstepRuns always read 0: the engine runs
@@ -284,9 +288,10 @@ type Engine struct {
 	evictWork int
 
 	// arch is the bounded async archiver (nil without a store): workers
-	// hand it fresh results and go back to simulating; it writes each to
-	// the store, then finishes the task, so waiters unblock only once
-	// the point is on disk.
+	// hand it fresh results and go back to simulating, or write their own
+	// when its queue is full; each result is written to the store before
+	// its task finishes, so waiters unblock only once the point is on
+	// disk.
 	arch *archiver
 	// free is the store engine's row-storage free list: the archiver
 	// returns an archived run's buffer to it and workers record into
@@ -309,11 +314,13 @@ func New(opts Options) *Engine {
 		// The archiver's backlog bound caps the row buffers a store
 		// engine keeps live: a run holds its rows from the moment a
 		// worker starts it until its Put returns them, so at most
-		// bound queued + 1 being written + Workers being recorded
-		// exist, and the free list never needs to hold more. A few per
-		// worker let runs that finish together queue behind a slow Put
-		// without stalling their workers.
-		bound := max(4*e.opts.Workers, 16)
+		// bound queued + 1 being written by the archiver + Workers
+		// being recorded or written by their own worker exist, and the
+		// free list never needs to hold more. One slot per worker lets
+		// each hand off a run and simulate the next while the archiver
+		// writes; a worker that finds the queue full writes its own run
+		// instead of waiting, so a deeper queue would only hold rows.
+		bound := e.opts.Workers
 		e.arch = newArchiver(e, bound)
 		e.free = make(chan *trace.RowBuffer, bound+1+e.opts.Workers)
 	}

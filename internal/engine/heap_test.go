@@ -23,9 +23,9 @@ import (
 // times the stated bound; the live heap the engine and its campaign
 // outcomes keep after a collection must stay under it. The bound is
 // the most row storage the engine may keep live — the archiver's
-// backlog bound plus the one being written plus one per worker, here
-// 18 buffers — and 8 MiB of slack for the summaries, the store's index
-// and the test's own state.
+// backlog bound of one per worker, plus the one being written, plus one
+// per worker, here 3 buffers — and 3 MiB of slack for the summaries,
+// the store's index and the test's own state.
 func TestStoreEngineHeapBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real closed-loop simulations")
@@ -34,7 +34,7 @@ func TestStoreEngineHeapBounded(t *testing.T) {
 	sc := trafficScenario("heap", 20, actors)
 	steps := 20/0.01 + 1
 	perPoint := uint64(steps * float64(unsafe.Sizeof(trace.Row{})+actors*unsafe.Sizeof(world.Agent{})))
-	bound := (16+1+workers)*perPoint + 8<<20
+	bound := (2*workers+1)*perPoint + 3<<20
 	if retained := points * perPoint; retained < 3*bound {
 		t.Fatalf("%d points retain %d row bytes, under 3x the %d-byte bound: the gate could not fail", points, retained, bound)
 	}

@@ -195,9 +195,9 @@ type EngineStats struct {
 	Archived    int64 `json:"archived"`
 	Failures    int64 `json:"failures"`
 	StoreErrors int64 `json:"store_errors"`
-	// ArchivePending is the depth of the asynchronous archive queue:
-	// fresh results handed back to their waiters whose store write has
-	// not yet landed on disk.
+	// ArchivePending counts the fresh results whose store write has not
+	// yet landed, queued for the archiver or being written by it or by
+	// their own worker; their waiters are still waiting.
 	ArchivePending int64 `json:"archive_pending"`
 }
 
